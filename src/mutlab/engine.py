@@ -13,7 +13,9 @@ Children and re-executions run with a concretized plain environment and
 their own statement counters and step budgets; they never diverge again
 (they carry no foreign taints). Memoization, when enabled, is consulted by
 non-mainline contexts before executing a wrapped call and filled by every
-context, guarded by the mutation cache.
+context, guarded by the mutation cache. Every executed choice site notes
+its variant ids in the innermost open call's encounter set; the call
+writes its mutation-cache records when it returns (see `memo`).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .lang.nodes import (
 )
 from .lang import values
 from .lang.values import BUILTINS, call_builtin
-from .memo import MemoState, make_call_key
+from .memo import MemoState, make_call_key, mutant_call_key
 from . import taints
 from .taints import ORIGINAL, taint_get, taint_keys, value_of
 
@@ -47,7 +49,7 @@ class EngineConfig:
 class InfraStats:
     taint_ops: int = 0
     snapshots: int = 0
-    mcache_writes: int = 0
+    mcache_writes: int = 0     # new (mutant, call key) records, written at return
     memo_lookups: int = 0
     memo_stores: int = 0
 
@@ -125,7 +127,6 @@ class TaintEngine:
         self.divergences: list[DivergenceEvent] = []
         self.covered_points: set[int] = set()
         self.context_stmts: list[int] = []
-        self.call_stack: list[tuple[str, list]] = []  # (fn name, tainted args)
 
     # --- kill ledger ---
 
@@ -137,21 +138,6 @@ class TaintEngine:
 
     def _kill_exc(self, m: int, kind: str):
         self.kill(m, "exception", kind)
-
-    # --- mutation cache ---
-
-    def _record_encounters(self, choice: TaintChoice):
-        """Record (mutant, call) for every variant id of an executed choice
-        site, for the current call and each ancestor, with the call key
-        concretized per mutant."""
-        if not self.cfg.memo:
-            return
-        for m in choice.variants:
-            if m == ORIGINAL:
-                continue
-            keys = [make_call_key(name, [taint_get(a, m) for a in args])
-                    for name, args in self.call_stack]
-            self.infra.mcache_writes += self.memo.record_mutation_encounter(keys, {m})
 
     # --- calls ---
 
@@ -178,16 +164,18 @@ class TaintEngine:
             if hit:
                 return cached
 
-        self.call_stack.append((name, list(args)))
+        if self.cfg.memo:
+            self.memo.enter(name, args)
         frame = _Frame(fn, dict(zip(fn.params, args)))
         try:
             rv = self.run_code(ctx, frame, 0)
             rv = self._merge_back(ctx, frame, name, args, rv)
         finally:
-            self.call_stack.pop()
+            if self.cfg.memo:
+                self.infra.mcache_writes += self.memo.leave()
         self._memo_store(ctx, name, args, rv)
         if self.cfg.memo and self.pending == 0:
-            self.memo.clear_if_all_merged(0)
+            self.memo.clear_if_all_merged()
         return rv
 
     def _merge_back(self, ctx: Ctx, frame: _Frame, name: str, args: list, rv):
@@ -262,7 +250,7 @@ class TaintEngine:
             for mid, mv in taints.entries(rv).items():
                 if mid != ORIGINAL and mid not in self.active:
                     continue
-                key = make_call_key(name, [taint_get(a, mid) for a in args])
+                key = mutant_call_key(name, args, mid)
                 self.infra.memo_stores += 1
                 self.memo.store(key, mid, mv)
         else:
@@ -393,7 +381,8 @@ class TaintEngine:
         b = self.eval(ctx, e.right, env)
         if ctx.is_root:
             self.covered_points.add(e.point_id)
-        self._record_encounters(e)
+        if self.cfg.memo:
+            self.memo.note(e.variants)
         if not ctx.is_root:
             op = e.variants.get(ctx.mainline_id, e.variants[ORIGINAL])
             fn = values.compare_op if e.kind == "cmp" else values.binary_op

@@ -4,6 +4,10 @@ JSON output carries `"schema": "mutlab/1"` and is built with a fixed key
 order so repeated runs with the same inputs are byte-identical. CSV uses
 the header `program,strategy,mutants,killed,survived,not_covered,
 program_stmts,infra_ops`, one row per strategy.
+
+`infra_ops` is the engine's bookkeeping cost (0 for the baselines): taint
+operations, fork snapshots, memo lookups and stores, and the new
+(mutant, call key) mutation-cache records each call writes when it returns.
 """
 
 from __future__ import annotations

@@ -6,11 +6,13 @@ import itertools
 
 import pytest
 
+from mutlab.cli import CORPUS_DIR
 from mutlab.engine import EngineConfig, run_test
 from mutlab.lang import compile_program, parse_program
 from mutlab.mutate import (
     discover_mutation_points, enumerate_mutants, generate_meta_mutant,
 )
+from mutlab.strategies import AnalysisConfig, analyze_program
 from mutlab.taints import apply_binary, entries
 
 ALL_CONFIGS = [EngineConfig(fork=f, memo=m)
@@ -207,6 +209,82 @@ def test_memo_reduces_statements_not_verdicts():
         assert with_memo.memo_stats["hits"] > 0
 
 
+CHILD_STORE = """\
+def g(x):
+    return x + 1
+
+def f(a):
+    r = 0
+    if a > 0:
+        r = g(5)
+    return r
+
+def k(b):
+    y = 0
+    if g(b) > 1:
+        y = 1
+    else:
+        y = g(5)
+    return y
+
+def test_t():
+    z = 0
+    if 1 < 2:
+        z = 1
+    assert f(0) + k(1) + z < 6
+"""
+
+
+def test_child_records_every_variant_it_runs():
+    # the children of `a > 0` call g(5) with the original `+` and store the
+    # result; mutants of that `+` later diverge at `g(b) > 1` and call g(5)
+    # themselves. Only the records the first children wrote for *their*
+    # encounters of the `+` variants keep those mutants from reusing 6.
+    reports = run_all(CHILD_STORE, "test_t")
+    for fork in (False, True):
+        assert reports[(fork, True)].memo_stats["hits"] > 0
+        assert (reports[(fork, True)].verdicts
+                == reports[(fork, False)].verdicts), fork
+
+
+OPEN_FRAME_RECURSION = """\
+def h(a):
+    return a + 3
+
+def c(x):
+    if h(x) > 8:
+        return p(x)
+    return x
+
+def p(x):
+    return c(x) + 1
+
+def test_t():
+    q = 0
+    if 1 < 2:
+        q = 1
+    z = 10 // 5
+    r = p(z)
+    w = h(3) - 4
+    s = p(w)
+    assert r + s + q == 7
+"""
+
+
+def test_open_caller_frame_vetoes_recursive_reuse():
+    # `10 - 5` (M32) makes the first call p(5) for M32, which stores p(5) -> 6.
+    # `a * 3` (M2) makes the second call p(5) for M2 and diverges at
+    # `h(x) > 8` inside c, whose child calls p(5) again while M2's p(5) is
+    # still open. That call must not reuse 6: M2 recurses until it times
+    # out, as it does without memoization.
+    reports = run_all(OPEN_FRAME_RECURSION, "test_t")
+    for fork in (False, True):
+        assert reports[(fork, True)].memo_stats["hits"] > 0
+        assert (reports[(fork, True)].verdicts
+                == reports[(fork, False)].verdicts), fork
+        assert reports[(fork, True)].verdicts[2] == ("killed", "timeout")
+
+
 @pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=CONFIG_IDS)
 def test_every_mutant_has_exactly_one_verdict(cfg):
     program, mids, point_of, _ = prepare(MEMO_SHARING)
@@ -214,3 +292,32 @@ def test_every_mutant_has_exactly_one_verdict(cfg):
     assert sorted(rep.verdicts) == sorted(mids)
     assert all(v[0] in ("killed", "survived", "not_covered")
                for v in rep.verdicts.values())
+
+
+# Statements and memo hits/misses/stores/clears (summed over the tests) of
+# the two memo variants on each corpus program. Pinned: a change to how the
+# mutation cache is kept must not change when a call is shared.
+MEMO_PINS = {
+    "caesar_cypher": {"exec-taints": (900, (233, 17, 43, 4)),
+                      "exec-taints-nf": (2365, (423, 17, 43, 4))},
+    "euler": {"exec-taints": (4938, (1056, 136, 316, 4)),
+              "exec-taints-nf": (9228, (2184, 188, 368, 4))},
+    "prime": {"exec-taints": (4232, (24, 4, 43, 6)),
+              "exec-taints-nf": (10321, (291, 21, 60, 6))},
+    "entropy": {"exec-taints": (4688, (98, 0, 11, 5)),
+                "exec-taints-nf": (6802, (218, 0, 11, 5))},
+    "newton": {"exec-taints": (2128, (0, 0, 0, 4)),
+               "exec-taints-nf": (5760, (0, 0, 0, 4))},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_PINS))
+def test_memo_semantics_pinned_on_corpus(name):
+    src = (CORPUS_DIR / f"{name}.ml0").read_text()
+    analysis = analyze_program(parse_program(src), AnalysisConfig(
+        strategies=sorted(MEMO_PINS[name])))
+    for strategy, (stmts, memo) in MEMO_PINS[name].items():
+        run = analysis.runs[strategy]
+        sums = tuple(sum(det["memo"][k] for det in run.details.values())
+                     for k in ("hits", "misses", "stores", "clears"))
+        assert (run.program_stmts, sums) == (stmts, memo), strategy
