@@ -1,21 +1,22 @@
 """The taint-aware interpreter.
 
-One root context executes the meta-mutant mainline carrying all live
+The root context executes the meta-mutant mainline carrying all live
 mutants as value taints. Control-flow divergence is detected at wrapped
-branch/loop conditions; a diverging mutant either gets a child context
-(an in-process snapshot of the current frame, resumed at the divergent
-branch) or is parked as wounded for re-execution. Both are resolved at the
-return of the function in which the divergence happened, and the diverged
-mutant's return value is merged back as its execution taint on the
-mainline return value.
+branch/loop conditions. A diverging mutant leaves the mainline and is
+queued on the frame where it diverged: in fork mode with its concretized
+environment and the divergent branch target, in no-fork mode with its view
+of the call's arguments, to re-execute the whole body. At that frame's
+return each queued mutant runs alone on the plain interpreter (`PlainRun`
+selecting its own variant, with the child step budget), and its return
+value is merged back as its execution taint on the mainline return value.
+Only the root ever holds taints, so only the root needs the taint-aware
+evaluator.
 
-Children and re-executions run with a concretized plain environment and
-their own statement counters and step budgets; they never diverge again
-(they carry no foreign taints). Memoization, when enabled, is consulted by
-non-mainline contexts before executing a wrapped call and filled by every
-context, guarded by the mutation cache. Every executed choice site notes
-its variant ids in the innermost open call's encounter set; the call
-writes its mutation-cache records when it returns (see `memo`).
+Memoization, when enabled, is consulted by diverged runs before executing
+a wrapped call and filled by every call, guarded by the mutation cache.
+Every executed choice site notes its variant ids in the innermost open
+call's encounter set; the call writes its mutation-cache records when it
+returns (see `memo`).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 from .lang.errors import MiniAssertionError, MiniRuntimeError, StepBudgetExceeded
 from .lang.interp import (
     CompiledFn, CompiledProgram, IAssert, IAssign, IBranch, IExpr, IJump,
-    IReturn, run_entry,
+    IReturn, PlainRun, run_entry,
 )
 from .lang.nodes import (
     BinOp, BoolOp, Call, Compare, Expr, Index, ListLit, Literal, Loc,
@@ -67,34 +68,11 @@ class DivergenceEvent:
 
 
 @dataclass
-class Ctx:
-    """One control-flow stream: the root mainline or a concretized child."""
-    mainline_id: int
-    budget: int | None
-    stmts: int = 0
-
-    @property
-    def is_root(self) -> bool:
-        return self.mainline_id == ORIGINAL
-
-    def tick(self):
-        self.stmts += 1
-        if self.budget is not None and self.stmts > self.budget:
-            raise StepBudgetExceeded()
-
-
-@dataclass
 class _Frame:
     fn: CompiledFn
     env: dict
-    children: list = field(default_factory=list)   # (mid, env, pc) snapshots
-    wounded: list = field(default_factory=list)    # mutant ids
-
-
-class _ChildKill(Exception):
-    def __init__(self, cause: str, detail: str | None = None):
-        self.cause = cause
-        self.detail = detail
+    args: list
+    diverged: list = field(default_factory=list)   # (mid, plain env, start pc)
 
 
 @dataclass
@@ -110,18 +88,48 @@ class TestReport:
     pending_end: int = 0
 
 
+class _MemoRun(PlainRun):
+    """A diverged mutant's run that shares wrapped calls through the memo:
+    a call is served from it when the mutation cache allows, and otherwise
+    runs in its own memo frame and is stored."""
+
+    def __init__(self, engine: TaintEngine, mid: int):
+        super().__init__(engine.program, select=mid, budget=engine.child_budget)
+        self.memo = engine.memo
+        self.infra = engine.infra
+
+    def call_fn(self, fn: CompiledFn, args: list):
+        key = make_call_key(fn.name, args)
+        self.infra.memo_lookups += 1
+        hit, cached = self.memo.lookup(key, self.select)
+        if hit:
+            return cached
+        self.memo.enter(fn.name, args)
+        try:
+            rv = self.run_fn(fn, dict(zip(fn.params, args)))
+        finally:
+            self.infra.mcache_writes += self.memo.leave()
+        self.infra.memo_stores += 1
+        self.memo.store(key, self.select, rv)
+        return rv
+
+    def at_choice(self, e: TaintChoice):
+        self.memo.note(e.variants)
+
+
 class TaintEngine:
     """Executes one test of a meta-mutant under one strategy config."""
 
     def __init__(self, program: CompiledProgram, mutant_ids: list[int],
-                 cfg: EngineConfig, child_budget: int | None):
+                 cfg: EngineConfig, child_budget: int, budget: int):
         self.program = program
         self.cfg = cfg
         self.child_budget = child_budget
+        self.budget = budget       # the root's step budget
+        self.stmts = 0             # statements the root executed
         self.active: set[int] = set(mutant_ids)
         self.kills: dict[int, tuple] = {}
-        self.parked: set[int] = set()
-        self.pending = 0
+        self.pending = 0           # diverged mutants not yet merged back
         self.memo = MemoState(enabled=cfg.memo)
         self.infra = InfraStats()
         self.divergences: list[DivergenceEvent] = []
@@ -141,186 +149,124 @@ class TaintEngine:
 
     # --- calls ---
 
-    def call_function(self, ctx: Ctx, name: str, args: list, loc: Loc):
+    def call_function(self, name: str, args: list, loc: Loc):
         if name in self.program.functions:
-            return self.call_wrapped(ctx, name, args)
+            return self.call_wrapped(name, args)
         if name in BUILTINS:
-            return self._pointwise(ctx, lambda *vs: call_builtin(name, list(vs)),
+            return self._pointwise(lambda *vs: call_builtin(name, list(vs)),
                                    args, loc)
         raise MiniRuntimeError("name", f"unknown function {name!r}", loc)
 
-    def call_wrapped(self, ctx: Ctx, name: str, args: list,
-                     memo_self: bool = True):
+    def call_wrapped(self, name: str, args: list):
         fn = self.program.functions[name]
         if len(args) != len(fn.params):
             raise MiniRuntimeError(
                 "arity", f"{name}() expected {len(fn.params)} arguments, got {len(args)}")
-
-        # non-mainline contexts may reuse a memoized result for the whole call
-        if (self.cfg.memo and memo_self and not ctx.is_root):
-            key = make_call_key(name, args)
-            self.infra.memo_lookups += 1
-            hit, cached = self.memo.lookup(key, ctx.mainline_id)
-            if hit:
-                return cached
-
         if self.cfg.memo:
             self.memo.enter(name, args)
-        frame = _Frame(fn, dict(zip(fn.params, args)))
+        frame = _Frame(fn, dict(zip(fn.params, args)), args)
         try:
-            rv = self.run_code(ctx, frame, 0)
-            rv = self._merge_back(ctx, frame, name, args, rv)
+            rv = self.run_code(frame)
+            rv = self._merge_back(frame, rv)
         finally:
             if self.cfg.memo:
                 self.infra.mcache_writes += self.memo.leave()
-        self._memo_store(ctx, name, args, rv)
+        self._memo_store(name, args, rv)
         if self.cfg.memo and self.pending == 0:
             self.memo.clear_if_all_merged()
         return rv
 
-    def _merge_back(self, ctx: Ctx, frame: _Frame, name: str, args: list, rv):
-        """Run this frame's suspended children (fork mode) or re-execute its
-        wounded mutants (no-fork mode), merging each return value onto the
-        mainline return value's taint map."""
-        if frame.children:
-            for mid, env, pc in sorted(frame.children, key=lambda c: c[0]):
-                outcome = self._run_child(frame.fn, env, pc, mid)
-                rv = self._absorb(rv, mid, outcome)
-            frame.children.clear()
-        if frame.wounded:
-            for mid in sorted(frame.wounded):
-                args_m = [taint_get(a, mid) for a in args]
-                outcome = self._rerun(frame.fn, args_m, mid)
-                rv = self._absorb(rv, mid, outcome)
-            frame.wounded.clear()
+    def _merge_back(self, frame: _Frame, rv):
+        """Run this frame's diverged mutants alone, in mutant order, and
+        merge each return value onto the mainline return value's taint map."""
+        for mid, env, pc in sorted(frame.diverged, key=lambda d: d[0]):
+            run = (_MemoRun(self, mid) if self.cfg.memo else
+                   PlainRun(self.program, select=mid, budget=self.child_budget))
+            try:
+                value = run.run_fn(frame.fn, env, pc)
+            except MiniAssertionError:
+                self.kill(mid, "assertion")
+            except MiniRuntimeError as err:
+                self.kill(mid, "exception", err.kind)
+            except StepBudgetExceeded:
+                self.kill(mid, "timeout")
+            else:
+                self.active.add(mid)
+                rv = taints.with_taint(rv, mid, value)
+            finally:
+                self.context_stmts.append(run.stmts)
+                self.pending -= 1
         return rv
 
-    def _absorb(self, rv, mid: int, outcome):
-        self.pending -= 1
-        status, payload = outcome
-        if status == "ret":
-            self.active.add(mid)
-            self.parked.discard(mid)
-            return taints.with_taint(rv, mid, payload)
-        self.kill(mid, *payload)
-        self.parked.discard(mid)
-        return rv
-
-    def _run_child(self, fn: CompiledFn, env: dict, pc: int, mid: int):
-        cctx = Ctx(mid, self.child_budget)
-        frame = _Frame(fn, env)
-        try:
-            value = self.run_code(cctx, frame, pc)
-            return ("ret", value)
-        except _ChildKill as k:
-            return ("kill", (k.cause, k.detail))
-        except MiniAssertionError:
-            return ("kill", ("assertion", None))
-        except MiniRuntimeError as err:
-            return ("kill", ("exception", err.kind))
-        except StepBudgetExceeded:
-            return ("kill", ("timeout", None))
-        finally:
-            self.context_stmts.append(cctx.stmts)
-
-    def _rerun(self, fn: CompiledFn, args_m: list, mid: int):
-        """Wounded re-execution: the whole function body with the mutant as
-        mainline. Choice sites pick the mutant's own variant where present,
-        so a mutated body and an unmutated body both come out right."""
-        cctx = Ctx(mid, self.child_budget)
-        frame = _Frame(fn, dict(zip(fn.params, args_m)))
-        try:
-            value = self.run_code(cctx, frame, 0)
-            return ("ret", value)
-        except _ChildKill as k:
-            return ("kill", (k.cause, k.detail))
-        except MiniAssertionError:
-            return ("kill", ("assertion", None))
-        except MiniRuntimeError as err:
-            return ("kill", ("exception", err.kind))
-        except StepBudgetExceeded:
-            return ("kill", ("timeout", None))
-        finally:
-            self.context_stmts.append(cctx.stmts)
-
-    def _memo_store(self, ctx: Ctx, name: str, args: list, rv):
+    def _memo_store(self, name: str, args: list, rv):
         if not self.cfg.memo or self.pending == 0:
             return
-        if ctx.is_root:
-            for mid, mv in taints.entries(rv).items():
-                if mid != ORIGINAL and mid not in self.active:
-                    continue
-                key = mutant_call_key(name, args, mid)
-                self.infra.memo_stores += 1
-                self.memo.store(key, mid, mv)
-        else:
-            key = make_call_key(name, args)
+        for mid, mv in taints.entries(rv).items():
+            if mid != ORIGINAL and mid not in self.active:
+                continue
+            key = mutant_call_key(name, args, mid)
             self.infra.memo_stores += 1
-            self.memo.store(key, ctx.mainline_id, rv)
+            self.memo.store(key, mid, mv)
 
     # --- execution ---
 
-    def run_code(self, ctx: Ctx, frame: _Frame, pc: int):
+    def run_code(self, frame: _Frame):
+        pc = 0
         code = frame.fn.code
         env = frame.env
         while True:
             instr = code[pc]
             if instr.counted:
-                ctx.tick()
+                self.stmts += 1
+                if self.stmts > self.budget:
+                    raise StepBudgetExceeded()
             if isinstance(instr, IAssign):
-                env[instr.name] = self.eval(ctx, instr.expr, env)
+                env[instr.name] = self.eval(instr.expr, env)
                 pc += 1
             elif isinstance(instr, IBranch):
-                cond = self.eval(ctx, instr.cond, env)
-                pc = self.exec_cond(ctx, frame, instr, cond)
+                cond = self.eval(instr.cond, env)
+                pc = self.exec_cond(frame, instr, cond)
             elif isinstance(instr, IJump):
                 pc = instr.target
             elif isinstance(instr, IAssert):
-                self.exec_assert(ctx, instr, env)
+                self.exec_assert(instr, env)
                 pc += 1
             elif isinstance(instr, IExpr):
-                self.eval(ctx, instr.expr, env)
+                self.eval(instr.expr, env)
                 pc += 1
             elif isinstance(instr, IReturn):
                 if instr.expr is None:
                     return None
-                return self.eval(ctx, instr.expr, env)
+                return self.eval(instr.expr, env)
             else:
                 raise TypeError(f"bad instruction {instr!r}")
 
-    def exec_cond(self, ctx: Ctx, frame: _Frame, instr: IBranch, cond) -> int:
-        if not ctx.is_root:
-            mainline = value_of(cond)
-            values.require_bool(mainline, "condition")
-            return instr.true_pc if mainline else instr.false_pc
-        mainline, _follow, diverge = taints.partition_condition(
+    def exec_cond(self, frame: _Frame, instr: IBranch, cond) -> int:
+        mainline, _, diverge = taints.partition_condition(
             cond, restrict=self.active, on_kill=self._kill_exc)
         for mid in sorted(diverge):
             decision = taint_get(cond, mid)
             self.divergences.append(
                 DivergenceEvent(instr.loc, mid, decision, mainline))
             self.active.discard(mid)
-            self.parked.add(mid)
             self.pending += 1
             if self.cfg.fork:
                 target = instr.true_pc if decision else instr.false_pc
-                frame.children.append(
+                frame.diverged.append(
                     (mid, taints.concretize_env(frame.env, mid), target))
                 self.infra.snapshots += 1
             else:
-                frame.wounded.append(mid)
+                args_m = [taint_get(a, mid) for a in frame.args]
+                frame.diverged.append(
+                    (mid, dict(zip(frame.fn.params, args_m)), 0))
         return instr.true_pc if mainline else instr.false_pc
 
-    def exec_assert(self, ctx: Ctx, instr: IAssert, env: dict):
-        v = self.eval(ctx, instr.expr, env)
+    def exec_assert(self, instr: IAssert, env: dict):
+        v = self.eval(instr.expr, env)
         mainline = value_of(v)
         if not isinstance(mainline, bool):
             raise MiniRuntimeError("type", "assert expression must be a bool",
                                    instr.loc)
-        if not ctx.is_root:
-            if not mainline:
-                raise MiniAssertionError(instr.loc)
-            return
         if not mainline:
             raise MiniAssertionError(instr.loc)
         for mid in sorted(taint_keys(v) & self.active):
@@ -332,7 +278,7 @@ class TaintEngine:
 
     # --- expression evaluation ---
 
-    def eval(self, ctx: Ctx, e: Expr, env: dict):
+    def eval(self, e: Expr, env: dict):
         if isinstance(e, Literal):
             return e.value
         if isinstance(e, Var):
@@ -340,12 +286,12 @@ class TaintEngine:
                 raise MiniRuntimeError("name", f"undefined variable {e.name!r}", e.loc)
             return env[e.name]
         if isinstance(e, TaintedCond):
-            return self.eval(ctx, e.cond, env)
+            return self.eval(e.cond, env)
         if isinstance(e, TaintChoice):
-            return self.exec_taint_choice(ctx, e, env)
+            return self.exec_taint_choice(e, env)
         if isinstance(e, (BinOp, Compare, BoolOp)):
-            a = self.eval(ctx, e.left, env)
-            b = self.eval(ctx, e.right, env)
+            a = self.eval(e.left, env)
+            b = self.eval(e.right, env)
             try:
                 return taints.apply_binary(a, e.op, {}, b, restrict=self.active,
                                            on_kill=self._kill_exc, stats=self.infra)
@@ -353,7 +299,7 @@ class TaintEngine:
                 err.loc = err.loc or e.loc
                 raise
         if isinstance(e, UnaryOp):
-            a = self.eval(ctx, e.operand, env)
+            a = self.eval(e.operand, env)
             try:
                 return taints.apply_unary(e.op, a, restrict=self.active,
                                           on_kill=self._kill_exc, stats=self.infra)
@@ -361,36 +307,27 @@ class TaintEngine:
                 err.loc = err.loc or e.loc
                 raise
         if isinstance(e, Call):
-            args = [self.eval(ctx, a, env) for a in e.args]
+            args = [self.eval(a, env) for a in e.args]
             try:
-                return self.call_function(ctx, e.name, args, e.loc)
+                return self.call_function(e.name, args, e.loc)
             except MiniRuntimeError as err:
                 err.loc = err.loc or e.loc
                 raise
         if isinstance(e, ListLit):
-            items = [self.eval(ctx, a, env) for a in e.items]
-            return self._pointwise(ctx, lambda *vs: tuple(vs), items, e.loc)
+            items = [self.eval(a, env) for a in e.items]
+            return self._pointwise(lambda *vs: tuple(vs), items, e.loc)
         if isinstance(e, Index):
-            base = self.eval(ctx, e.base, env)
-            idx = self.eval(ctx, e.index, env)
-            return self._pointwise(ctx, values.index_value, [base, idx], e.loc)
+            base = self.eval(e.base, env)
+            idx = self.eval(e.index, env)
+            return self._pointwise(values.index_value, [base, idx], e.loc)
         raise TypeError(f"cannot evaluate {e!r}")
 
-    def exec_taint_choice(self, ctx: Ctx, e: TaintChoice, env: dict):
-        a = self.eval(ctx, e.left, env)
-        b = self.eval(ctx, e.right, env)
-        if ctx.is_root:
-            self.covered_points.add(e.point_id)
+    def exec_taint_choice(self, e: TaintChoice, env: dict):
+        a = self.eval(e.left, env)
+        b = self.eval(e.right, env)
+        self.covered_points.add(e.point_id)
         if self.cfg.memo:
             self.memo.note(e.variants)
-        if not ctx.is_root:
-            op = e.variants.get(ctx.mainline_id, e.variants[ORIGINAL])
-            fn = values.compare_op if e.kind == "cmp" else values.binary_op
-            try:
-                return fn(op, value_of(a), value_of(b))
-            except MiniRuntimeError as err:
-                err.loc = err.loc or e.loc
-                raise
         op_mut = {m: op for m, op in e.variants.items()
                   if m != ORIGINAL and m in self.active}
         try:
@@ -401,7 +338,7 @@ class TaintEngine:
             err.loc = err.loc or e.loc
             raise
 
-    def _pointwise(self, ctx: Ctx, fn, args: list, loc: Loc):
+    def _pointwise(self, fn, args: list, loc: Loc):
         """Apply a plain n-ary operation per taint entry (builtins, list
         construction, indexing). Taints on list elements are lifted to the
         list value itself."""
@@ -434,10 +371,10 @@ def run_test(program: CompiledProgram, test: str, mutant_ids: list[int],
                           InfraStats(), {}, [])
     child_budget = max(cfg.budget_mult * pre.stmts, 100)
 
-    eng = TaintEngine(program, mutant_ids, cfg, child_budget)
-    root = Ctx(ORIGINAL, budget=cfg.budget_mult * pre.stmts + HARD_BUDGET)
+    eng = TaintEngine(program, mutant_ids, cfg, child_budget,
+                      budget=cfg.budget_mult * pre.stmts + HARD_BUDGET)
     try:
-        eng.call_wrapped(root, test, [])
+        eng.call_wrapped(test, [])
         valid = True
     except (MiniAssertionError, MiniRuntimeError, StepBudgetExceeded):
         valid = False  # mainline must match the passing original run
@@ -452,7 +389,7 @@ def run_test(program: CompiledProgram, test: str, mutant_ids: list[int],
         else:
             verdicts[mid] = ("not_covered",)
 
-    context_stmts = [root.stmts] + eng.context_stmts
+    context_stmts = [eng.stmts] + eng.context_stmts
     return TestReport(
         test=test,
         valid=valid,

@@ -5,6 +5,12 @@ so an execution position is just (function, pc). The plain evaluator runs
 one variant of the program (the original, or a single mutant selected by
 id when executing a meta-mutant) and counts one statement per executed
 statement node; each branch/loop condition evaluation counts once.
+
+It runs the original and isolated mutant runs, and also every mutant the
+taint engine sees diverge: `run_fn` starts at any pc of a function, so a
+forked mutant resumes at its branch target on its concretized environment.
+Subclasses hook into a program-function call (`call_fn`) and into a choice
+site once its operands are evaluated (`at_choice`).
 """
 
 from __future__ import annotations
@@ -172,13 +178,20 @@ class PlainRun:
             if len(args) != len(fn.params):
                 raise MiniRuntimeError(
                     "arity", f"{name}() expected {len(fn.params)} arguments, got {len(args)}")
-            return self.run_fn(fn, dict(zip(fn.params, args)))
+            return self.call_fn(fn, args)
         if name in BUILTINS:
             return values.call_builtin(name, args)
         raise MiniRuntimeError("name", f"unknown function {name!r}")
 
-    def run_fn(self, fn: CompiledFn, env: dict):
-        pc = 0
+    def call_fn(self, fn: CompiledFn, args: list):
+        """A call of a program function with arity-checked args."""
+        return self.run_fn(fn, dict(zip(fn.params, args)))
+
+    def at_choice(self, e: TaintChoice):
+        """A choice site's operands are evaluated; its operator is next."""
+        self.covered_points.add(e.point_id)
+
+    def run_fn(self, fn: CompiledFn, env: dict, pc: int = 0):
         code = fn.code
         while True:
             instr = code[pc]
@@ -220,7 +233,7 @@ class PlainRun:
             a = self.eval(e.left, env)
             b = self.eval(e.right, env)
             op = e.variants.get(self.select, e.variants[0])
-            self.covered_points.add(e.point_id)
+            self.at_choice(e)
             apply = values.compare_op if e.kind == "cmp" else values.binary_op
             try:
                 v = apply(op, a, b)

@@ -192,22 +192,6 @@ def generate_meta_mutant(ast: Ast, points: list[MutationPoint],
     return meta
 
 
-def restrict_meta(meta: Ast, keep: set[int]) -> Ast:
-    """Deep-copied meta-mutant with TaintChoice entries outside keep
-    (plus the original) removed."""
-    out = copy.deepcopy(meta)
-    from .lang.nodes import walk_exprs, walk_stmts
-
-    for fn in out.functions:
-        for s in walk_stmts(fn.body):
-            for root in _stmt_exprs(s):
-                for e in walk_exprs(root):
-                    if isinstance(e, TaintChoice):
-                        e.variants = {m: op for m, op in e.variants.items()
-                                      if m == ORIGINAL or m in keep}
-    return out
-
-
 def mutant_catalog_lines(points: list[MutationPoint],
                          mutants: list[Mutant]) -> list[str]:
     """`mutants list` CLI body: one stable line per mutant."""

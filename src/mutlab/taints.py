@@ -169,10 +169,5 @@ def partition_condition(c, *, restrict: set | None = None, on_kill=None):
     return mainline, follow, diverge
 
 
-def concretize(v, m: int):
-    """Collapse a value to mutant m's plain view (for child contexts)."""
-    return taint_get(v, m)
-
-
 def concretize_env(env: dict, m: int) -> dict:
     return {k: taint_get(v, m) for k, v in env.items()}

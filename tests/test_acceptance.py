@@ -20,9 +20,9 @@ import pytest
 
 import mutlab.engine as engine_mod
 from mutlab.cli import CORPUS_DIR, CORPUS_PROGRAMS, main
-from mutlab.engine import Ctx, EngineConfig, TaintEngine, run_test
+from mutlab.engine import EngineConfig, run_test
 from mutlab.fuzz import fuzz_program
-from mutlab.lang import compile_program, parse_program
+from mutlab.lang import PlainRun, compile_program, parse_program
 from mutlab.memo import MemoState
 from mutlab.mutate import (
     discover_mutation_points, enumerate_mutants, generate_meta_mutant,
@@ -172,19 +172,17 @@ def test_criterion_6_memo_transparency(corpus, monkeypatch):
                 _RecordingMemoState.log = []
                 run_test(program, test, mids, point_of,
                          EngineConfig(fork=fork, memo=True))
-                samples.extend((program, mids, hit)
+                samples.extend((program, hit)
                                for hit in _RecordingMemoState.log)
     monkeypatch.undo()
 
     assert len(samples) >= 1000, f"only {len(samples)} memo hits observed"
     step = max(len(samples) // 1000, 1)
     verified = 0
-    for program, mids, (key, mid, cached) in samples[::step][:1000]:
+    for program, (key, mid, cached) in samples[::step][:1000]:
         fn_name, arg_keys = key
         args = [_decode_key_value(k) for k in arg_keys]
-        eng = TaintEngine(program, mids, EngineConfig(fork=True, memo=False),
-                          child_budget=None)
-        fresh = eng.call_wrapped(Ctx(mid, None), fn_name, list(args))
+        fresh = PlainRun(program, select=mid).call(fn_name, args)
         assert fresh == cached and type(fresh) is type(cached), (fn_name, mid)
         verified += 1
     announce(f"ACCEPTANCE 6 PASS: memo transparent; {verified} sampled hits "

@@ -1,5 +1,5 @@
 """Taint engine: the worked division example, divergence and merge-back,
-wounded re-execution, memo behaviour, and verdict agreement across the
+no-fork re-execution, memo behaviour, and verdict agreement across the
 four engine variants."""
 
 import itertools
@@ -12,7 +12,7 @@ from mutlab.lang import compile_program, parse_program
 from mutlab.mutate import (
     discover_mutation_points, enumerate_mutants, generate_meta_mutant,
 )
-from mutlab.strategies import AnalysisConfig, analyze_program
+from mutlab.strategies import AnalysisConfig, analyze_program, check_consistency
 from mutlab.taints import apply_binary, entries
 
 ALL_CONFIGS = [EngineConfig(fork=f, memo=m)
@@ -285,6 +285,93 @@ def test_open_caller_frame_vetoes_recursive_reuse():
         assert reports[(fork, True)].verdicts[2] == ("killed", "timeout")
 
 
+# The original takes the `n > 2` else-branch everywhere (n = 2); the `>=`
+# mutant of each guard diverges into code that only it reaches, where it
+# meets a non-bool assert, a non-bool condition, an index error, a helper
+# called twice with the same argument (the memo serves the second call)
+# and a loop that never ends.
+DIVERGED_ONLY = """\
+def nonbool_assert(n):
+    if n > 2:
+        flag = 1
+    else:
+        flag = n > 0
+    assert flag
+    return 0
+
+def nonbool_cond(n):
+    if n > 2:
+        c = n
+    else:
+        c = n > 0
+    if c:
+        return 1
+    return 0
+
+def index_error(xs, n):
+    if n > 2:
+        return xs[n + 1]
+    return xs[0]
+
+def sq(x):
+    return x * x
+
+def memo_served(n):
+    if n > 2:
+        return sq(n) + sq(n)
+    return n
+
+def spin(n):
+    i = 0
+    if n > 2:
+        while n > 0:
+            i = i + 1
+    return i
+
+def test_nonbool_assert():
+    assert nonbool_assert(2) == 0
+
+def test_nonbool_cond():
+    assert nonbool_cond(2) == 1
+
+def test_index_error():
+    assert index_error([5, 6, 7], 2) == 5
+
+def test_memo_served():
+    assert memo_served(2) == 2
+
+def test_spin():
+    assert spin(2) == 0
+"""
+
+
+def test_diverged_only_paths_agree_across_strategies():
+    ast = parse_program(DIVERGED_ONLY)
+    analysis = analyze_program(ast, AnalysisConfig())
+    assert analysis.valid
+    assert check_consistency(analysis) == []
+    guard = {}  # function name -> line of its `if n > 2:`
+    for line, text in enumerate(DIVERGED_ONLY.splitlines(), 1):
+        if text.startswith("def "):
+            fn_name = text[4:text.index("(")]
+        elif text.strip() == "if n > 2:":
+            guard[fn_name] = line
+    expected = {"nonbool_assert": ("killed", "exception"),
+                "nonbool_cond": ("killed", "exception"),
+                "index_error": ("killed", "exception"),
+                "memo_served": ("killed", "assertion"),
+                "spin": ("killed", "timeout")}
+    for fn_name, verdict in expected.items():
+        [mid] = [m.mid for m in analysis.mutants
+                 if m.loc.line == guard[fn_name] and m.original_op == ">"
+                 and m.replacement_op == ">="]
+        for name, run in analysis.runs.items():
+            assert run.verdicts[mid] == verdict, (fn_name, name)
+    for name in ("exec-taints", "exec-taints-nf"):
+        memo = analysis.runs[name].details["test_memo_served"]["memo"]
+        assert memo["hits"] > 0, name
+
+
 @pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=CONFIG_IDS)
 def test_every_mutant_has_exactly_one_verdict(cfg):
     program, mids, point_of, _ = prepare(MEMO_SHARING)
@@ -311,11 +398,29 @@ MEMO_PINS = {
 }
 
 
+# infra_ops of the four engine variants on each corpus program. Taint ops
+# are counted on the root mainline only: diverged mutants run concretized.
+INFRA_PINS = {
+    "caesar_cypher": {"exec-taints": 8908, "exec-taints-nf": 8813,
+                      "exec-taints-nm": 5135, "exec-taints-nf-nm": 4850},
+    "euler": {"exec-taints": 19144, "exec-taints-nf": 20004,
+              "exec-taints-nm": 12646, "exec-taints-nf-nm": 11494},
+    "prime": {"exec-taints": 8969, "exec-taints-nf": 8516,
+              "exec-taints-nm": 6592, "exec-taints-nf-nm": 5753},
+    "entropy": {"exec-taints": 3872, "exec-taints-nf": 3839,
+                "exec-taints-nm": 2939, "exec-taints-nf-nm": 2786},
+    "newton": {"exec-taints": 6167, "exec-taints-nf": 6139,
+               "exec-taints-nm": 5987, "exec-taints-nf-nm": 5959},
+}
+
+
 @pytest.mark.parametrize("name", sorted(MEMO_PINS))
 def test_memo_semantics_pinned_on_corpus(name):
     src = (CORPUS_DIR / f"{name}.ml0").read_text()
     analysis = analyze_program(parse_program(src), AnalysisConfig(
-        strategies=sorted(MEMO_PINS[name])))
+        strategies=sorted(INFRA_PINS[name])))
+    infra = {s: analysis.runs[s].infra_ops for s in INFRA_PINS[name]}
+    assert infra == INFRA_PINS[name]
     for strategy, (stmts, memo) in MEMO_PINS[name].items():
         run = analysis.runs[strategy]
         sums = tuple(sum(det["memo"][k] for det in run.details.values())

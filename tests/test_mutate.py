@@ -8,7 +8,6 @@ from mutlab.lang.interp import eval_plain
 from mutlab.mutate import (
     ARITH_CATALOG, COMPARE_CATALOG, _stmt_exprs, discover_mutation_points,
     enumerate_mutants, generate_meta_mutant, mutant_catalog_lines,
-    restrict_meta,
 )
 
 
@@ -89,13 +88,3 @@ def test_selecting_one_mutant_changes_behavior():
     # M1 is `+` -> `-` at point 0: f(1,2) = 1 - 4 = -3, then c - 1 = -4
     out = run_entry(prog, "test_f", [], select=1)
     assert out.status == "assert"
-
-
-def test_restrict_meta_drops_other_variants():
-    ast = parse_program(SRC)
-    points = discover_mutation_points(ast)
-    meta = generate_meta_mutant(ast, points)
-    only = restrict_meta(meta, {1})
-    kept = [sorted(e.variants) for e in _all_exprs(only)
-            if isinstance(e, TaintChoice)]
-    assert [v for v in kept if v != [0]] == [[0, 1]]
