@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 invalid test (the original fails), 2 usage
 error, 3 internal consistency failure (strategies disagree on a verdict).
-The budget multiplier defaults to MUTLAB_BUDGET_MULT when set, else 10.
+The budget multiplier (--budget-mult, else MUTLAB_BUDGET_MULT, else 10)
+must be a positive integer; anything else is a usage error.
 """
 
 from __future__ import annotations
@@ -30,14 +31,18 @@ CORPUS_DIR = Path(__file__).resolve().parents[2] / "corpus"
 CORPUS_PROGRAMS = ["caesar_cypher", "entropy", "euler", "newton", "prime"]
 
 
-def _default_budget_mult() -> int:
-    env = os.environ.get("MUTLAB_BUDGET_MULT")
-    if env is None:
-        return 10
+def _budget_mult(flag: str | None) -> int:
+    source = "--budget-mult" if flag is not None else "MUTLAB_BUDGET_MULT"
+    text = flag if flag is not None else os.environ.get(source, "10")
     try:
-        return int(env)
+        mult = int(text)
     except ValueError:
+        mult = 0
+    if mult < 1:
+        print(f"error: {source} must be a positive integer, got {text!r}",
+              file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+    return mult
 
 
 def _load(path: str):
@@ -175,8 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--budget-mult", type=int,
-                       default=_default_budget_mult(),
+        p.add_argument("--budget-mult",
                        help="step budget = mult x original statements")
 
     p = sub.add_parser("analyze", help="run one strategy on one program")
@@ -221,6 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if "budget_mult" in args:
+        args.budget_mult = _budget_mult(args.budget_mult)
     return args.fn(args)
 
 

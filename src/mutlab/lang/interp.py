@@ -1,20 +1,26 @@
 """Flat-instruction compiler and the plain (untainted) evaluator.
 
 Function bodies compile to instruction lists with explicit branch targets,
-so an execution position is just (function, pc). The plain evaluator runs
-one variant of the program (the original, or a single mutant selected by
-id when executing a meta-mutant) and counts one statement per executed
+so an execution position is just (function, pc). Each instruction's
+expression is compiled once per program into a closure `ev(run, env)`
+(`compile_expr`); a choice site's closure holds one operator function per
+variant and picks the one for `run.select`. The plain evaluator runs one
+variant of the program (the original, or a single mutant selected by id
+when executing a meta-mutant) and counts one statement per executed
 statement node; each branch/loop condition evaluation counts once.
 
 It runs the original and isolated mutant runs, and also every mutant the
 taint engine sees diverge: `run_fn` starts at any pc of a function, so a
 forked mutant resumes at its branch target on its concretized environment.
-Subclasses hook into a program-function call (`call_fn`) and into a choice
-site once its operands are evaluated (`at_choice`).
+Subclasses hook into a program-function call (`call_fn`, reached through
+`call`) and into a choice site once its operands are evaluated
+(`at_choice`); the compiled closures call both hooks.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .errors import MiniAssertionError, MiniRuntimeError, StepBudgetExceeded
@@ -24,7 +30,7 @@ from .nodes import (
     TaintedCond, UnaryOp, Var, While,
 )
 from . import values
-from .values import BUILTINS
+from .values import BUILTINS, OPERATORS
 
 
 # --- instructions ---
@@ -33,6 +39,8 @@ from .values import BUILTINS
 class Instr:
     loc: Loc
     counted: bool = field(default=True, init=False)
+    # the instruction's expression compiled once: ev(run, env) -> value
+    ev: Callable = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -88,23 +96,24 @@ class CompiledProgram:
 def compile_fn(fn: FunctionDef) -> CompiledFn:
     code: list[Instr] = []
 
-    def emit(instr: Instr) -> int:
+    def emit(instr: Instr, expr: Expr | None = None) -> int:
+        instr.ev = _unit if expr is None else compile_expr(expr)
         code.append(instr)
         return len(code) - 1
 
     def compile_block(body: list[Stmt]) -> None:
         for s in body:
             if isinstance(s, Assign):
-                emit(IAssign(s.loc, s.name, s.value))
+                emit(IAssign(s.loc, s.name, s.value), s.value)
             elif isinstance(s, Return):
-                emit(IReturn(s.loc, s.value))
+                emit(IReturn(s.loc, s.value), s.value)
             elif isinstance(s, Assert):
-                emit(IAssert(s.loc, s.test))
+                emit(IAssert(s.loc, s.test), s.test)
             elif isinstance(s, ExprStmt):
-                emit(IExpr(s.loc, s.value))
+                emit(IExpr(s.loc, s.value), s.value)
             elif isinstance(s, If):
                 br = IBranch(s.loc, s.cond)
-                emit(br)
+                emit(br, s.cond)
                 br.true_pc = len(code)
                 compile_block(s.then_body)
                 if s.else_body:
@@ -121,7 +130,7 @@ def compile_fn(fn: FunctionDef) -> CompiledFn:
             elif isinstance(s, While):
                 top = len(code)
                 br = IBranch(s.loc, s.cond)
-                emit(br)
+                emit(br, s.cond)
                 br.true_pc = len(code)
                 compile_block(s.body)
                 emit(IJump(s.loc, target=top))
@@ -130,13 +139,107 @@ def compile_fn(fn: FunctionDef) -> CompiledFn:
                 raise TypeError(f"cannot compile {s!r}")
 
     compile_block(fn.body)
-    code.append(IReturn(fn.loc, None))
+    emit(IReturn(fn.loc, None))
     code[-1].counted = False  # implicit return is not a statement
     return CompiledFn(fn.name, list(fn.params), code, fn.is_test)
 
 
 def compile_program(ast: Ast) -> CompiledProgram:
     return CompiledProgram({f.name: compile_fn(f) for f in ast.functions}, ast)
+
+
+# --- expression compiler ---
+
+def _unit(run, env):
+    return None
+
+
+def compile_expr(e: Expr) -> Callable:
+    """Compile an expression into a closure `ev(run, env)` that evaluates
+    it on the PlainRun `run`. A runtime error keeps the innermost location."""
+    loc = e.loc
+    if isinstance(e, Literal):
+        value = e.value
+        return lambda run, env: value
+    if isinstance(e, Var):
+        name = e.name
+
+        def ev(run, env):
+            try:
+                return env[name]
+            except KeyError:
+                raise MiniRuntimeError(
+                    "name", f"undefined variable {name!r}", loc) from None
+        return ev
+    if isinstance(e, TaintedCond):
+        return compile_expr(e.cond)
+    if isinstance(e, TaintChoice):
+        left, right = compile_expr(e.left), compile_expr(e.right)
+        fns = {m: OPERATORS[op] for m, op in e.variants.items()}
+        orig, point = fns[0], e.point_id
+
+        def ev(run, env):
+            a = left(run, env)
+            b = right(run, env)
+            fn = fns.get(run.select, orig)
+            run.at_choice(e)
+            events = run.events
+            try:
+                v = fn(a, b)
+            except MiniRuntimeError as err:
+                if events is not None:
+                    events.append((point, run.stmts - 1, ("err", err.kind)))
+                err.loc = err.loc or loc
+                raise
+            if events is not None:
+                events.append((point, run.stmts - 1, ("val", v)))
+            return v
+        return ev
+    if isinstance(e, (BinOp, Compare, BoolOp)):
+        return _located(OPERATORS[e.op], loc, compile_expr(e.left),
+                        compile_expr(e.right))
+    if isinstance(e, Index):
+        return _located(values.index_value, loc, compile_expr(e.base),
+                        compile_expr(e.index))
+    if isinstance(e, UnaryOp):
+        op, operand = e.op, compile_expr(e.operand)
+
+        def ev(run, env):
+            a = operand(run, env)
+            try:
+                return values.unary_op(op, a)
+            except MiniRuntimeError as err:
+                err.loc = err.loc or loc
+                raise
+        return ev
+    if isinstance(e, Call):
+        name, args = e.name, [compile_expr(a) for a in e.args]
+
+        def ev(run, env):
+            vals = [a(run, env) for a in args]
+            try:
+                return run.call(name, vals)
+            except MiniRuntimeError as err:
+                err.loc = err.loc or loc
+                raise
+        return ev
+    if isinstance(e, ListLit):
+        items = [compile_expr(a) for a in e.items]
+        return lambda run, env: tuple([a(run, env) for a in items])
+    raise TypeError(f"cannot compile {e!r}")
+
+
+def _located(fn, loc: Loc, left, right):
+    """Evaluate both operands, then `fn(a, b)` with `loc` on its errors."""
+    def ev(run, env):
+        a = left(run, env)
+        b = right(run, env)
+        try:
+            return fn(a, b)
+        except MiniRuntimeError as err:
+            err.loc = err.loc or loc
+            raise
+    return ev
 
 
 # --- plain evaluation ---
@@ -164,13 +267,7 @@ class PlainRun:
         self.budget = budget
         self.stmts = 0
         self.covered_points: set[int] = set()
-        self.events: list = [] if record_events else None
-        self._record = record_events
-
-    def _tick(self):
-        self.stmts += 1
-        if self.budget is not None and self.stmts > self.budget:
-            raise StepBudgetExceeded()
+        self.events: list | None = [] if record_events else None
 
     def call(self, name: str, args: list):
         if name in self.program.functions:
@@ -193,95 +290,37 @@ class PlainRun:
 
     def run_fn(self, fn: CompiledFn, env: dict, pc: int = 0):
         code = fn.code
+        limit = math.inf if self.budget is None else self.budget
         while True:
             instr = code[pc]
             if instr.counted:
-                self._tick()
-            if isinstance(instr, IAssign):
-                env[instr.name] = self.eval(instr.expr, env)
+                self.stmts += 1
+                if self.stmts > limit:
+                    raise StepBudgetExceeded()
+            kind = type(instr)
+            if kind is IAssign:
+                env[instr.name] = instr.ev(self, env)
                 pc += 1
-            elif isinstance(instr, IBranch):
-                cond = self.eval(instr.cond, env)
-                values.require_bool(cond, "condition")
+            elif kind is IBranch:
+                cond = instr.ev(self, env)
+                if cond is not True and cond is not False:
+                    values.require_bool(cond, "condition")
                 pc = instr.true_pc if cond else instr.false_pc
-            elif isinstance(instr, IJump):
+            elif kind is IJump:
                 pc = instr.target
-            elif isinstance(instr, IAssert):
-                test = self.eval(instr.expr, env)
-                values.require_bool(test, "assert expression")
-                if not test:
+            elif kind is IAssert:
+                test = instr.ev(self, env)
+                if test is not True:
+                    values.require_bool(test, "assert expression")
                     raise MiniAssertionError(instr.loc)
                 pc += 1
-            elif isinstance(instr, IExpr):
-                self.eval(instr.expr, env)
+            elif kind is IExpr:
+                instr.ev(self, env)
                 pc += 1
-            elif isinstance(instr, IReturn):
-                return self.eval(instr.expr, env) if instr.expr is not None else None
+            elif kind is IReturn:
+                return instr.ev(self, env)
             else:
                 raise TypeError(f"bad instruction {instr!r}")
-
-    def eval(self, e: Expr, env: dict):
-        if isinstance(e, Literal):
-            return e.value
-        if isinstance(e, Var):
-            if e.name not in env:
-                raise MiniRuntimeError("name", f"undefined variable {e.name!r}", e.loc)
-            return env[e.name]
-        if isinstance(e, TaintedCond):
-            return self.eval(e.cond, env)
-        if isinstance(e, TaintChoice):
-            a = self.eval(e.left, env)
-            b = self.eval(e.right, env)
-            op = e.variants.get(self.select, e.variants[0])
-            self.at_choice(e)
-            apply = values.compare_op if e.kind == "cmp" else values.binary_op
-            try:
-                v = apply(op, a, b)
-            except MiniRuntimeError as err:
-                if self._record:
-                    self.events.append((e.point_id, self.stmts - 1, ("err", err.kind)))
-                err.loc = err.loc or e.loc
-                raise
-            if self._record:
-                self.events.append((e.point_id, self.stmts - 1, ("val", v)))
-            return v
-        if isinstance(e, BinOp):
-            a = self.eval(e.left, env)
-            b = self.eval(e.right, env)
-            return self._locate(values.binary_op, e.op, a, b, loc=e.loc)
-        if isinstance(e, Compare):
-            a = self.eval(e.left, env)
-            b = self.eval(e.right, env)
-            return self._locate(values.compare_op, e.op, a, b, loc=e.loc)
-        if isinstance(e, BoolOp):
-            a = self.eval(e.left, env)
-            b = self.eval(e.right, env)
-            return self._locate(values.bool_op, e.op, a, b, loc=e.loc)
-        if isinstance(e, UnaryOp):
-            a = self.eval(e.operand, env)
-            return self._locate(values.unary_op, e.op, a, loc=e.loc)
-        if isinstance(e, Call):
-            args = [self.eval(a, env) for a in e.args]
-            try:
-                return self.call(e.name, args)
-            except MiniRuntimeError as err:
-                err.loc = err.loc or e.loc
-                raise
-        if isinstance(e, ListLit):
-            return tuple(self.eval(a, env) for a in e.items)
-        if isinstance(e, Index):
-            base = self.eval(e.base, env)
-            idx = self.eval(e.index, env)
-            return self._locate(values.index_value, base, idx, loc=e.loc)
-        raise TypeError(f"cannot evaluate {e!r}")
-
-    @staticmethod
-    def _locate(fn, *args, loc: Loc):
-        try:
-            return fn(*args)
-        except MiniRuntimeError as err:
-            err.loc = err.loc or loc
-            raise
 
 
 def run_entry(program: CompiledProgram, entry: str, args: list,

@@ -172,9 +172,6 @@ class Ast:
                 return f
         raise KeyError(name)
 
-    def has_function(self, name: str) -> bool:
-        return any(f.name == name for f in self.functions)
-
     @property
     def tests(self) -> list[str]:
         return [f.name for f in self.functions if f.is_test]

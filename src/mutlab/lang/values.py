@@ -10,12 +10,20 @@ Semantics pinned here:
   - bitwise/shift operators reject floats
   - bools are not arithmetic operands
   - `and`/`or` take bool operands and evaluate both sides
+
+`OPERATORS` maps every binary operator token to a function `fn(a, b)`.
+`+ - *` and the comparisons take a shortcut when both operands are ints
+(and, for arithmetic, the result is in range); every other case goes to
+`binary_op` / `compare_op` / `bool_op`, so each error kind and message
+comes from one place.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import struct
+from functools import partial
 
 from .errors import MiniRuntimeError
 
@@ -54,6 +62,9 @@ def is_num(v) -> bool:
 
 def plain_eq(a, b) -> bool:
     """Deep structural equality; type-sensitive, floats bit-exact."""
+    ta = type(a)
+    if ta is type(b) and (ta is int or ta is bool or ta is str):
+        return a == b
     ta, tb = type_name(a), type_name(b)
     if ta != tb:
         return False
@@ -167,6 +178,27 @@ def bool_op(op: str, a, b):
         raise MiniRuntimeError(
             "type", f"{op!r} requires bools, got {type_name(a)} and {type_name(b)}")
     return (a and b) if op == "and" else (a or b)
+
+
+def _int_shortcut(op: str, generic, int_fn, checked: bool):
+    """`generic(op, a, b)`, computed as `int_fn(a, b)` when both operands
+    are ints and, if `checked`, the result is in 64-bit range."""
+    def fn(a, b):
+        if type(a) is int and type(b) is int:
+            r = int_fn(a, b)
+            if not checked or INT_MIN <= r <= INT_MAX:
+                return r
+        return generic(op, a, b)
+    return fn
+
+
+OPERATORS = {op: partial(binary_op, op) for op in ARITH_OPS}
+OPERATORS.update({op: partial(bool_op, op) for op in ("and", "or")})
+OPERATORS.update({op: _int_shortcut(op, binary_op, fn, True) for op, fn in (
+    ("+", operator.add), ("-", operator.sub), ("*", operator.mul))})
+OPERATORS.update({op: _int_shortcut(op, compare_op, fn, False) for op, fn in zip(
+    COMPARE_OPS, (operator.eq, operator.ne, operator.lt, operator.le,
+                  operator.gt, operator.ge))})
 
 
 def require_bool(v, what: str):

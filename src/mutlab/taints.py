@@ -17,7 +17,7 @@ eagerly; fallback makes this lossless.
 from __future__ import annotations
 
 from .lang.errors import MiniRuntimeError
-from .lang.values import binary_op, bool_op, compare_op, plain_eq, unary_op
+from .lang.values import OPERATORS, plain_eq, unary_op
 
 ORIGINAL = 0
 
@@ -90,14 +90,6 @@ def render(v) -> str:
     return "{" + ", ".join(f"M{m}:{t[m]!r}" for m in sorted(t)) + "}"
 
 
-def _op_fn(op: str):
-    if op in ("==", "!=", "<", "<=", ">", ">="):
-        return compare_op
-    if op in ("and", "or"):
-        return bool_op
-    return binary_op
-
-
 def apply_binary(a, op: str, op_mutations: dict, b, *,
                  restrict: set | None = None, on_kill=None, stats=None):
     """General taint composition for a binary site.
@@ -108,16 +100,15 @@ def apply_binary(a, op: str, op_mutations: dict, b, *,
     operator applied likewise. `restrict`, when given, limits non-original
     entries to that id set. `on_kill(mid, kind)` reports per-mutant errors.
     """
-    fn = _op_fn(op)
     a0, b0 = value_of(a), value_of(b)
-    out = {ORIGINAL: fn(op, a0, b0)}  # mainline errors propagate
+    out = {ORIGINAL: OPERATORS[op](a0, b0)}  # mainline errors propagate
     ids = taint_keys(a) | taint_keys(b) | set(op_mutations)
     if restrict is not None:
         ids &= restrict
     for m in sorted(ids):
         mop = op_mutations.get(m, op)
         try:
-            out[m] = _op_fn(mop)(mop, taint_get(a, m), taint_get(b, m))
+            out[m] = OPERATORS[mop](taint_get(a, m), taint_get(b, m))
         except MiniRuntimeError as err:
             if on_kill is not None:
                 on_kill(m, err.kind)

@@ -1,6 +1,10 @@
 """CLI: exit codes, output formats, determinism, environment config."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -123,8 +127,31 @@ class TestEnvironment:
         (report,) = json.loads(out.read_text())["reports"]
         assert report["budget_mult"] == 25
 
-    def test_budget_mult_env_invalid(self, good, monkeypatch):
-        monkeypatch.setenv("MUTLAB_BUDGET_MULT", "lots")
+    def test_budget_mult_env_invalid(self, good, monkeypatch, capsys):
+        for value in ("lots", "0", "-3"):
+            monkeypatch.setenv("MUTLAB_BUDGET_MULT", value)
+            with pytest.raises(SystemExit) as e:
+                main(["analyze", "--program", good, "--strategy", "traditional"])
+            assert e.value.code == 2
+            assert capsys.readouterr().err == (
+                "error: MUTLAB_BUDGET_MULT must be a positive integer, "
+                f"got {value!r}\n")
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_budget_mult_flag_invalid(self, good, capsys, value):
         with pytest.raises(SystemExit) as e:
-            main(["analyze", "--program", good, "--strategy", "traditional"])
+            main(["compare", "--program", good, f"--budget-mult={value}"])
         assert e.value.code == 2
+        assert capsys.readouterr().err == (
+            f"error: --budget-mult must be a positive integer, got {value!r}\n")
+
+
+def test_python_dash_m_runs_the_cli():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mutlab", "compare", "--program",
+         "corpus/prime.ml0", "--all"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["schema"] == SCHEMA

@@ -372,6 +372,42 @@ def test_diverged_only_paths_agree_across_strategies():
         assert memo["hits"] > 0, name
 
 
+# `3 * 2` -> `3 + 2` (M16) makes the root call h(x) on {M0: 6, M16: 5}, and
+# its result is stored under M16's view: h(5) -> 6. M5 (`+` -> `<<` in h)
+# ran in that call, but the mutation cache records M5 only under M5's own
+# key, h(6). M5 then diverges at `h(2) > 3` (4 > 3), and its diverged run
+# is served h(5) -> 6 from the memo instead of computing 5 << 1 = 10, so
+# `y < 8` holds and M5 survives under the memo variants.
+MEMO_MUTATED_KEY = """\
+def h(a):
+    return a + 1
+
+def test_m():
+    q = 0
+    if 1 < 2:
+        q = 1
+    x = 3 * 2
+    r = h(x)
+    y = 0
+    if h(2) > 3:
+        y = h(5)
+    assert y < 8
+"""
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "memo serves a diverged mutant a call result stored for another "
+    "mutant's view of the args, although its own mutation ran in that call: "
+    "the mutation cache records it only under its own call key"))
+def test_memo_respects_mutation_in_unexecuted_call_key():
+    analysis = analyze_program(parse_program(MEMO_MUTATED_KEY))
+    [m5] = [m for m in analysis.mutants if m.mid == 5]
+    assert (m5.original_op, m5.replacement_op) == ("+", "<<")
+    for name, run in analysis.runs.items():
+        assert run.verdicts[5] == ("killed", "assertion"), name
+    assert check_consistency(analysis) == []
+
+
 @pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=CONFIG_IDS)
 def test_every_mutant_has_exactly_one_verdict(cfg):
     program, mids, point_of, _ = prepare(MEMO_SHARING)

@@ -1,12 +1,27 @@
 """Language core: lexer/parser, plain semantics, execution counting."""
 
-import pytest
+import hashlib
+import itertools
+import math
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from mutlab.cli import CORPUS_DIR
+from mutlab.engine import HARD_BUDGET
 from mutlab.lang import (
     MiniRuntimeError, MiniSyntaxError, compile_program, eval_plain,
     parse_program, run_entry, to_source,
 )
-from mutlab.lang.values import INT_MAX, binary_op, compare_op, plain_eq
+from mutlab.lang.values import (
+    ARITH_OPS, COMPARE_OPS, INT_MAX, INT_MIN, OPERATORS, binary_op, bool_op,
+    canon_key, compare_op, plain_eq,
+)
+from mutlab.mutate import (
+    discover_mutation_points, enumerate_mutants, generate_meta_mutant,
+)
+from mutlab.strategies import budget_for
 
 
 def run_src(src, entry="main", env=None):
@@ -162,3 +177,102 @@ class TestInterp:
         assert out.status == "error"
         out = run_src("def f():\n    return sqrt(0 - 1.0)\n", "f")
         assert out.status == "error"
+
+
+# --- the operator table against the generic operator functions ---
+
+def generic(op, a, b):
+    if op in COMPARE_OPS:
+        return compare_op(op, a, b)
+    if op in ("and", "or"):
+        return bool_op(op, a, b)
+    return binary_op(op, a, b)
+
+
+def result_of(fn, *args):
+    try:
+        v = fn(*args)
+    except MiniRuntimeError as err:
+        return ("err", err.kind, err.message)
+    return ("ok", type(v), v)
+
+
+def assert_same_result(op, a, b):
+    got = result_of(OPERATORS[op], a, b)
+    want = result_of(generic, op, a, b)
+    assert got[:2] == want[:2], (op, a, b, got, want)
+    if got[0] == "ok":
+        assert plain_eq(got[2], want[2]), (op, a, b, got, want)
+    else:
+        assert got[2] == want[2], (op, a, b, got, want)
+
+
+OPERAND_GRID = [
+    0, 1, -1, 7, -3, 2**32, INT_MIN, INT_MAX, INT_MAX // 2 + 1,
+    True, False,
+    0.0, -0.0, 2.5, -1e308, math.inf, -math.inf, math.nan,
+    "", "ab", (), (1, "a"), None,
+]
+
+
+def test_operator_table_covers_every_operator():
+    assert set(OPERATORS) == set(ARITH_OPS) | set(COMPARE_OPS) | {"and", "or"}
+
+
+@pytest.mark.parametrize("op", sorted(OPERATORS))
+def test_operator_table_matches_generic_on_grid(op):
+    for a, b in itertools.product(OPERAND_GRID, repeat=2):
+        assert_same_result(op, a, b)
+
+
+INTS = st.one_of(st.integers(INT_MIN, INT_MAX),
+                 st.sampled_from([INT_MIN, INT_MAX, 0, -1]))
+
+
+@given(st.sampled_from(sorted(OPERATORS)), INTS, INTS)
+def test_operator_int_fast_paths_match_generic(op, a, b):
+    assert_same_result(op, a, b)
+
+
+PLAIN_VALUES = st.recursive(
+    st.one_of(st.integers(-3, 3), st.booleans(), st.text(max_size=2),
+              st.floats(), st.none()),
+    lambda inner: st.lists(inner, max_size=3).map(tuple), max_leaves=6)
+
+
+@given(PLAIN_VALUES, PLAIN_VALUES)
+def test_plain_eq_fast_path_matches_full_comparison(a, b):
+    assert plain_eq(a, b) == (canon_key(a) == canon_key(b))
+
+
+# sha256 over every plain run (original and each mutant of each test) of
+# each corpus program. Pinned: a change to the evaluator must not change any
+# run's status, error kind, location, statements, coverage, site events or
+# value.
+OUTCOME_PINS = {
+    "caesar_cypher": "2df12f3296123dcbf1b92d1eb13c88787e203c57c07e21f8901de17b3d207396",
+    "entropy": "0017ad49dda9f8646bd6bd0559b1ab4ba88f7d8328c6f4182eaaf67867549b17",
+    "euler": "5d20c6f38dd5d26ff460b4880a8c64768f2695a49f793a04b46dc7988a265409",
+    "newton": "02bd0117f4e6b06ceae0024fe33e60c2de31b394f517da91d7e55cc413d4c455",
+    "prime": "bbdeed69930d3e270a8e75bebd35a62b22234a102b7bc4ca412b9f07a9a82e6d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUTCOME_PINS))
+def test_plain_run_outcomes_pinned_on_corpus(name):
+    ast = parse_program((CORPUS_DIR / f"{name}.ml0").read_text())
+    points = discover_mutation_points(ast)
+    mutants = enumerate_mutants(points)
+    program = compile_program(generate_meta_mutant(ast, points, mutants))
+    digest = hashlib.sha256()
+    for test in ast.tests:
+        original = run_entry(program, test, [], budget=HARD_BUDGET,
+                             record_events=True)
+        budget = budget_for(original.stmts, 10)
+        for mid in [0] + [m.mid for m in mutants]:
+            o = run_entry(program, test, [], select=mid, budget=budget,
+                          record_events=True)
+            digest.update(repr((mid, o.status, o.kind, o.loc, o.stmts,
+                                sorted(o.covered_points), o.events,
+                                o.value)).encode())
+    assert digest.hexdigest() == OUTCOME_PINS[name]
