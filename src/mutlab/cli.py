@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 invalid test (the original fails), 2 usage
-error, 3 internal consistency failure (strategies disagree on a verdict).
+error, 3 internal consistency failure (strategies disagree on a verdict),
+4 internal error (any other exception, such as Python's recursion limit
+on a deeply recursive program), reported as one line on stderr.
 The budget multiplier (--budget-mult, else MUTLAB_BUDGET_MULT, else 10)
 must be a positive integer; anything else is a usage error.
 """
@@ -26,6 +28,7 @@ EXIT_OK = 0
 EXIT_INVALID_TEST = 1
 EXIT_USAGE = 2
 EXIT_INCONSISTENT = 3
+EXIT_INTERNAL = 4
 
 CORPUS_DIR = Path(__file__).resolve().parents[2] / "corpus"
 CORPUS_PROGRAMS = ["caesar_cypher", "entropy", "euler", "newton", "prime"]
@@ -227,7 +230,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if "budget_mult" in args:
         args.budget_mult = _budget_mult(args.budget_mult)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except RecursionError:
+        print("error: internal: Python recursion limit reached "
+              "(the program recurses too deeply)", file=sys.stderr)
+    except Exception as err:  # a defect of mutlab, not of the program
+        print(f"error: internal: {err!r}", file=sys.stderr)
+    return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

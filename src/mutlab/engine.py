@@ -14,9 +14,9 @@ evaluator.
 
 Memoization, when enabled, is consulted by diverged runs before executing
 a wrapped call and filled by every call, guarded by the mutation cache.
-Every executed choice site notes its variant ids in the innermost open
-call's encounter set; the call writes its mutation-cache records when it
-returns (see `memo`).
+Every executed choice site notes its site id (with its variants) in the
+innermost open call's frame; the call writes its mutation-cache records
+when it returns (see `memo`).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .lang.nodes import (
 )
 from .lang import values
 from .lang.values import BUILTINS, call_builtin
-from .memo import MemoState, make_call_key, mutant_call_key
+from .memo import MemoState, make_call_key, mutant_call_keys
 from . import taints
 from .taints import ORIGINAL, taint_get, taint_keys, value_of
 
@@ -97,6 +97,7 @@ class _MemoRun(PlainRun):
         super().__init__(engine.program, select=mid, budget=engine.child_budget)
         self.memo = engine.memo
         self.infra = engine.infra
+        self.sites = engine.memo.frames[-1][2]  # the innermost frame's notes
 
     def call_fn(self, fn: CompiledFn, args: list):
         key = make_call_key(fn.name, args)
@@ -104,17 +105,18 @@ class _MemoRun(PlainRun):
         hit, cached = self.memo.lookup(key, self.select)
         if hit:
             return cached
-        self.memo.enter(fn.name, args)
+        outer, self.sites = self.sites, self.memo.enter(fn.name, args)
         try:
             rv = self.run_fn(fn, dict(zip(fn.params, args)))
         finally:
+            self.sites = outer
             self.infra.mcache_writes += self.memo.leave()
         self.infra.memo_stores += 1
         self.memo.store(key, self.select, rv)
         return rv
 
     def at_choice(self, e: TaintChoice):
-        self.memo.note(e.variants)
+        self.sites[e.point_id] = e.variants  # memo.note, without the call
 
 
 class TaintEngine:
@@ -201,12 +203,11 @@ class TaintEngine:
     def _memo_store(self, name: str, args: list, rv):
         if not self.cfg.memo or self.pending == 0:
             return
-        for mid, mv in taints.entries(rv).items():
-            if mid != ORIGINAL and mid not in self.active:
-                continue
-            key = mutant_call_key(name, args, mid)
+        rv_map = taints.entries(rv)
+        live = [mid for mid in rv_map if mid == ORIGINAL or mid in self.active]
+        for mid, key in mutant_call_keys(name, args, live).items():
             self.infra.memo_stores += 1
-            self.memo.store(key, mid, mv)
+            self.memo.store(key, mid, rv_map[mid])
 
     # --- execution ---
 
@@ -327,11 +328,9 @@ class TaintEngine:
         b = self.eval(e.right, env)
         self.covered_points.add(e.point_id)
         if self.cfg.memo:
-            self.memo.note(e.variants)
-        op_mut = {m: op for m, op in e.variants.items()
-                  if m != ORIGINAL and m in self.active}
+            self.memo.note(e.point_id, e.variants)
         try:
-            return taints.apply_binary(a, e.variants[ORIGINAL], op_mut, b,
+            return taints.apply_binary(a, e.variants[ORIGINAL], e.variants, b,
                                        restrict=self.active,
                                        on_kill=self._kill_exc, stats=self.infra)
         except MiniRuntimeError as err:

@@ -11,11 +11,20 @@ Semantics pinned here:
   - bools are not arithmetic operands
   - `and`/`or` take bool operands and evaluate both sides
 
-`OPERATORS` maps every binary operator token to a function `fn(a, b)`.
-`+ - *` and the comparisons take a shortcut when both operands are ints
-(and, for arithmetic, the result is in range); every other case goes to
-`binary_op` / `compare_op` / `bool_op`, so each error kind and message
-comes from one place.
+`OPERATORS` maps every binary operator token to a kernel `fn(a, b)` with a
+fast path for the operand types that reach it:
+  - `+ - * // %`: int/int when the result is in 64-bit range; float/float
+    and mixed int/float when the result is finite (`r - r == 0`), and for
+    `// %` only when the divisor is nonzero
+  - `/`: int or float operands, nonzero divisor, finite result
+  - comparisons: int and float operands in any mix
+  - `| ^ &`: int/int; `<<`: int/int with a count of 0-127 and the result in
+    range; `>>`: int/int with a count >= 0
+  - `and`/`or`: bool/bool
+`type(x) is int` leaves bools out. A fast path returns only what the
+generic function would return; every other case goes to `binary_op` /
+`compare_op` / `bool_op`, so each error kind and message comes from one
+place.
 """
 
 from __future__ import annotations
@@ -23,7 +32,6 @@ from __future__ import annotations
 import math
 import operator
 import struct
-from functools import partial
 
 from .errors import MiniRuntimeError
 
@@ -63,8 +71,16 @@ def is_num(v) -> bool:
 def plain_eq(a, b) -> bool:
     """Deep structural equality; type-sensitive, floats bit-exact."""
     ta = type(a)
-    if ta is type(b) and (ta is int or ta is bool or ta is str):
-        return a == b
+    if ta is type(b):
+        if ta is int or ta is bool or ta is str:
+            return a == b
+        if ta is float:
+            if a == b:
+                if a:
+                    return True  # equal nonzero floats have the same bits
+            elif a == a or b == b:
+                return False     # unequal, and not both nan
+            return struct.pack("<d", a) == struct.pack("<d", b)
     ta, tb = type_name(a), type_name(b)
     if ta != tb:
         return False
@@ -180,23 +196,89 @@ def bool_op(op: str, a, b):
     return (a and b) if op == "and" else (a or b)
 
 
-def _int_shortcut(op: str, generic, int_fn, checked: bool):
-    """`generic(op, a, b)`, computed as `int_fn(a, b)` when both operands
-    are ints and, if `checked`, the result is in 64-bit range."""
-    def fn(a, b):
-        if type(a) is int and type(b) is int:
-            r = int_fn(a, b)
-            if not checked or INT_MIN <= r <= INT_MAX:
+def _arith(op: str, fn, divides: bool = False):
+    """Kernel for `+ - * // %`; `divides` skips the fast path on a zero
+    divisor."""
+    def kernel(a, b):
+        ta, tb = type(a), type(b)
+        if ta is int and tb is int:
+            if b or not divides:
+                r = fn(a, b)
+                if INT_MIN <= r <= INT_MAX:
+                    return r
+        elif ((ta is float or ta is int) and (tb is float or tb is int)
+              and (b or not divides)):
+            r = fn(a, b)
+            if r - r == 0:
                 return r
-        return generic(op, a, b)
-    return fn
+        return binary_op(op, a, b)
+    return kernel
 
 
-OPERATORS = {op: partial(binary_op, op) for op in ARITH_OPS}
-OPERATORS.update({op: partial(bool_op, op) for op in ("and", "or")})
-OPERATORS.update({op: _int_shortcut(op, binary_op, fn, True) for op, fn in (
-    ("+", operator.add), ("-", operator.sub), ("*", operator.mul))})
-OPERATORS.update({op: _int_shortcut(op, compare_op, fn, False) for op, fn in zip(
+def _truediv(a, b):
+    ta, tb = type(a), type(b)
+    if (ta is int or ta is float) and (tb is int or tb is float) and b:
+        r = float(a) / float(b)
+        if r - r == 0:
+            return r
+    return binary_op("/", a, b)
+
+
+def _bitwise(op: str, fn):
+    def kernel(a, b):
+        if type(a) is int and type(b) is int:
+            return fn(a, b)
+        return binary_op(op, a, b)
+    return kernel
+
+
+def _lshift(a, b):
+    if type(a) is int and type(b) is int and 0 <= b <= 127:
+        r = a << b
+        if INT_MIN <= r <= INT_MAX:
+            return r
+    return binary_op("<<", a, b)
+
+
+def _rshift(a, b):
+    if type(a) is int and type(b) is int and b >= 0:
+        return a >> (b if b < 127 else 127)
+    return binary_op(">>", a, b)
+
+
+def _compare(op: str, fn):
+    def kernel(a, b):
+        ta, tb = type(a), type(b)
+        if (ta is int or ta is float) and (tb is int or tb is float):
+            return fn(a, b)
+        return compare_op(op, a, b)
+    return kernel
+
+
+def _boolean(op: str, fn):
+    def kernel(a, b):
+        if type(a) is bool and type(b) is bool:
+            return fn(a, b)
+        return bool_op(op, a, b)
+    return kernel
+
+
+OPERATORS = {
+    "+": _arith("+", operator.add),
+    "-": _arith("-", operator.sub),
+    "*": _arith("*", operator.mul),
+    "//": _arith("//", operator.floordiv, divides=True),
+    "%": _arith("%", operator.mod, divides=True),
+    "/": _truediv,
+    "|": _bitwise("|", operator.or_),
+    "^": _bitwise("^", operator.xor),
+    "&": _bitwise("&", operator.and_),
+    "<<": _lshift,
+    ">>": _rshift,
+    "and": _boolean("and", operator.and_),
+    "or": _boolean("or", operator.or_),
+}
+OPERATORS.update({op: _compare(op, fn) for op, fn in zip(
     COMPARE_OPS, (operator.eq, operator.ne, operator.lt, operator.le,
                   operator.gt, operator.ge))})
 

@@ -13,8 +13,7 @@ Mutant id 0 is the original; ids 1..n number (point, replacement) pairs in
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .lang.nodes import (
     Assert, Assign, Ast, BinOp, Compare, Expr, ExprStmt, FunctionDef, If,
@@ -116,9 +115,10 @@ def enumerate_mutants(points: list[MutationPoint]) -> list[Mutant]:
     return mutants
 
 
-def _transform_expr(e: Expr, points: list[MutationPoint],
-                    mutants_by_point: dict[int, list[Mutant]],
+def _transform_expr(e: Expr, by_point: dict[int, list[Mutant]],
                     counter: list[int]) -> Expr:
+    """A new expression with every BinOp/Compare, in pre-order, replaced by
+    a TaintChoice; `Literal` and `Var` leaves are shared, not copied."""
     from .lang.nodes import BoolOp, Call, Index, ListLit, UnaryOp
 
     if isinstance(e, (BinOp, Compare)):
@@ -126,67 +126,71 @@ def _transform_expr(e: Expr, points: list[MutationPoint],
         counter[0] += 1
         kind = "cmp" if isinstance(e, Compare) else "bin"
         variants = {ORIGINAL: e.op}
-        for m in mutants_by_point.get(point_id, []):
+        for m in by_point.get(point_id, []):
             variants[m.mid] = m.replacement_op
-        left = _transform_expr(e.left, points, mutants_by_point, counter)
-        right = _transform_expr(e.right, points, mutants_by_point, counter)
+        left = _transform_expr(e.left, by_point, counter)
+        right = _transform_expr(e.right, by_point, counter)
         return TaintChoice(e.loc, kind, point_id, variants, left, right)
     if isinstance(e, BoolOp):
-        e.left = _transform_expr(e.left, points, mutants_by_point, counter)
-        e.right = _transform_expr(e.right, points, mutants_by_point, counter)
-        return e
-    if isinstance(e, UnaryOp):
-        e.operand = _transform_expr(e.operand, points, mutants_by_point, counter)
-        return e
-    if isinstance(e, Call):
-        e.args = [_transform_expr(a, points, mutants_by_point, counter) for a in e.args]
-        return e
-    if isinstance(e, ListLit):
-        e.items = [_transform_expr(a, points, mutants_by_point, counter) for a in e.items]
-        return e
+        return replace(e, left=_transform_expr(e.left, by_point, counter),
+                       right=_transform_expr(e.right, by_point, counter))
     if isinstance(e, Index):
-        e.base = _transform_expr(e.base, points, mutants_by_point, counter)
-        e.index = _transform_expr(e.index, points, mutants_by_point, counter)
-        return e
+        return replace(e, base=_transform_expr(e.base, by_point, counter),
+                       index=_transform_expr(e.index, by_point, counter))
+    if isinstance(e, UnaryOp):
+        return replace(e, operand=_transform_expr(e.operand, by_point, counter))
+    if isinstance(e, Call):
+        return replace(e, args=[_transform_expr(a, by_point, counter)
+                                for a in e.args])
+    if isinstance(e, ListLit):
+        return replace(e, items=[_transform_expr(a, by_point, counter)
+                                 for a in e.items])
     return e
 
 
-def _transform_block(body: list[Stmt], points, mutants_by_point, counter) -> None:
+def _transform_block(body: list[Stmt], by_point, counter) -> list[Stmt]:
+    """A new statement list with every expression transformed and every
+    branch/loop condition wrapped in a TaintedCond."""
+    out = []
     for s in body:
         if isinstance(s, Assign):
-            s.value = _transform_expr(s.value, points, mutants_by_point, counter)
-        elif isinstance(s, Return) and s.value is not None:
-            s.value = _transform_expr(s.value, points, mutants_by_point, counter)
+            s = replace(s, value=_transform_expr(s.value, by_point, counter))
+        elif isinstance(s, Return):
+            s = replace(s, value=None if s.value is None
+                        else _transform_expr(s.value, by_point, counter))
         elif isinstance(s, Assert):
-            s.test = _transform_expr(s.test, points, mutants_by_point, counter)
+            s = replace(s, test=_transform_expr(s.test, by_point, counter))
         elif isinstance(s, ExprStmt):
-            s.value = _transform_expr(s.value, points, mutants_by_point, counter)
+            s = replace(s, value=_transform_expr(s.value, by_point, counter))
         elif isinstance(s, If):
-            cond = _transform_expr(s.cond, points, mutants_by_point, counter)
-            s.cond = TaintedCond(s.loc, cond)
-            _transform_block(s.then_body, points, mutants_by_point, counter)
-            _transform_block(s.else_body, points, mutants_by_point, counter)
+            cond = _transform_expr(s.cond, by_point, counter)
+            s = replace(s, cond=TaintedCond(s.loc, cond),
+                        then_body=_transform_block(s.then_body, by_point, counter),
+                        else_body=_transform_block(s.else_body, by_point, counter))
         elif isinstance(s, While):
-            cond = _transform_expr(s.cond, points, mutants_by_point, counter)
-            s.cond = TaintedCond(s.loc, cond)
-            _transform_block(s.body, points, mutants_by_point, counter)
+            cond = _transform_expr(s.cond, by_point, counter)
+            s = replace(s, cond=TaintedCond(s.loc, cond),
+                        body=_transform_block(s.body, by_point, counter))
+        out.append(s)
+    return out
 
 
 def generate_meta_mutant(ast: Ast, points: list[MutationPoint],
                          mutants: list[Mutant] | None = None) -> Ast:
-    """Returns a deep-copied AST where each mutated operator occurrence is a
+    """Returns a new AST where each mutated operator occurrence is a
     TaintChoice, every branch/loop condition is wrapped in TaintedCond, and
-    every function is marked wrapped. The input AST is left untouched."""
+    every function is marked wrapped. Statements and compound expressions
+    are rebuilt and the immutable leaves shared, so the input AST is left
+    untouched without a deep copy."""
     if mutants is None:
         mutants = enumerate_mutants(points)
-    meta = copy.deepcopy(ast)
     by_point: dict[int, list[Mutant]] = {}
     for m in mutants:
         by_point.setdefault(m.point_id, []).append(m)
     counter = [0]
-    for fn in meta.functions:
-        fn.wrapped = True
-        _transform_block(fn.body, points, by_point, counter)
+    meta = Ast([replace(fn, params=list(fn.params), wrapped=True,
+                        body=_transform_block(fn.body, by_point, counter))
+                for fn in ast.functions])
     if counter[0] != len(points):
         raise RuntimeError("mutation points were not discovered from this AST")
     return meta

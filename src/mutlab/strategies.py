@@ -113,20 +113,28 @@ def _verdict_of(outcome: Outcome):
     return ("killed", "timeout")
 
 
-class _IsolatedRuns:
-    """Per-test cache of isolated mutant runs (shared by the baselines)."""
+# the baselines that read site events (split-stream: the first execution
+# of a mutant's own site; modulo-state: the whole trace)
+EVENT_STRATEGIES = ("split-stream", "modulo-state")
 
-    def __init__(self, program: CompiledProgram, test: str, budget: int):
+
+class _IsolatedRuns:
+    """Per-test cache of isolated mutant runs (shared by the baselines).
+    Site events are recorded only when `record_events` is set."""
+
+    def __init__(self, program: CompiledProgram, test: str, budget: int,
+                 record_events: bool):
         self.program = program
         self.test = test
         self.budget = budget
+        self.record_events = record_events
         self._cache: dict[int, Outcome] = {}
 
     def get(self, mid: int) -> Outcome:
         if mid not in self._cache:
             self._cache[mid] = run_entry(self.program, self.test, [],
                                          select=mid, budget=self.budget,
-                                         record_events=True)
+                                         record_events=self.record_events)
         return self._cache[mid]
 
 
@@ -249,6 +257,7 @@ def analyze_program(ast: Ast, cfg: AnalysisConfig | None = None) -> ProgramAnaly
     tests = [f.name for f in ast.functions if f.is_test]
     point_of = {m.mid: m.point_id for m in mutants}
     mids = [m.mid for m in mutants]
+    record_events = any(name in EVENT_STRATEGIES for name in cfg.strategies)
 
     analysis = ProgramAnalysis(points, mutants, tests, {})
     runs = {name: StrategyRun(name, {}, {}, 0, 0) for name in cfg.strategies}
@@ -256,13 +265,13 @@ def analyze_program(ast: Ast, cfg: AnalysisConfig | None = None) -> ProgramAnaly
 
     for test in tests:
         original = run_entry(program, test, [], select=0,
-                             budget=HARD_BUDGET, record_events=True)
+                             budget=HARD_BUDGET, record_events=record_events)
         analysis.original_stmts[test] = original.stmts
         if original.status != "pass":
             analysis.invalid_test = test
             return analysis
         budget = budget_for(original.stmts, cfg.budget_mult)
-        iso = _IsolatedRuns(program, test, budget)
+        iso = _IsolatedRuns(program, test, budget, record_events)
 
         for name in cfg.strategies:
             if name == "traditional":

@@ -78,10 +78,15 @@ def make(taints: dict):
 
 
 def with_taint(v, m: int, mval):
-    """Install mval as mutant m's entry on v (merge-back channel)."""
+    """Install mval as mutant m's entry on v (merge-back channel). The
+    other entries are already pruned, so only the new one is compared
+    with the original."""
     t = entries(v)
-    t[m] = mval
-    return make(t)
+    if plain_eq(mval, t[ORIGINAL]):
+        t.pop(m, None)
+    else:
+        t[m] = mval
+    return Tainted(t) if len(t) > 1 else t[ORIGINAL]
 
 
 def render(v) -> str:
@@ -97,24 +102,55 @@ def apply_binary(a, op: str, op_mutations: dict, b, *,
     Result entries: the original entry is `a op b` on original values; each
     data-taint id gets the (possibly mutated-for-it) operator applied to its
     own entries (with fallback); each operator-mutation id gets its mutated
-    operator applied likewise. `restrict`, when given, limits non-original
-    entries to that id set. `on_kill(mid, kind)` reports per-mutant errors.
+    operator applied likewise (an ORIGINAL key in `op_mutations` is
+    ignored, so a choice site's whole variant map can be passed).
+    `restrict`, when given, limits non-original entries to that id set.
+    `on_kill(mid, kind)` reports per-mutant errors, in id order.
+
+    Each operand's taint map is read once; an untainted operation with no
+    operator mutation left returns the plain result at once. Entries equal
+    to the original are pruned as they are computed (as `make` would), and
+    the charge is one taint op per computed id, at least one.
     """
-    a0, b0 = value_of(a), value_of(b)
-    out = {ORIGINAL: OPERATORS[op](a0, b0)}  # mainline errors propagate
-    ids = taint_keys(a) | taint_keys(b) | set(op_mutations)
-    if restrict is not None:
-        ids &= restrict
+    ta = a.taints if type(a) is Tainted else None
+    tb = b.taints if type(b) is Tainted else None
+    a0 = a if ta is None else ta[ORIGINAL]
+    b0 = b if tb is None else tb[ORIGINAL]
+    fn = OPERATORS[op]
+    base = fn(a0, b0)  # mainline errors propagate
+    if ta is None and tb is None and not op_mutations:
+        ids = ()
+    else:
+        ids = set(op_mutations)
+        if ta is not None:
+            ids.update(ta)
+        if tb is not None:
+            ids.update(tb)
+        ids.discard(ORIGINAL)
+        if restrict is not None:
+            ids &= restrict
+    if stats is not None:
+        stats.taint_ops += len(ids) or 1
+    if not ids:
+        return base
+    out = {ORIGINAL: base}
+    tbase = type(base)
     for m in sorted(ids):
-        mop = op_mutations.get(m, op)
+        mop = op_mutations.get(m)
         try:
-            out[m] = OPERATORS[mop](taint_get(a, m), taint_get(b, m))
+            v = (fn if mop is None else OPERATORS[mop])(
+                a0 if ta is None else ta.get(m, a0),
+                b0 if tb is None else tb.get(m, b0))
         except MiniRuntimeError as err:
             if on_kill is not None:
                 on_kill(m, err.kind)
-    if stats is not None:
-        stats.taint_ops += max(len(ids), 1)
-    return make(out)
+            continue
+        if type(v) is tbase and (tbase is int or tbase is bool or tbase is str):
+            if v != base:
+                out[m] = v
+        elif not plain_eq(v, base):
+            out[m] = v
+    return Tainted(out) if len(out) > 1 else base
 
 
 def apply_unary(op: str, a, *, restrict: set | None = None,

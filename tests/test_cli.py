@@ -155,3 +155,41 @@ def test_python_dash_m_runs_the_cli():
         cwd=root, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["schema"] == SCHEMA
+
+
+DEEP_RECURSION = """\
+def down(n):
+    if n == 0:
+        return 0
+    return down(n - 1) + 1
+
+def test_down():
+    assert down(300) == 300
+"""
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "--strategy", "exec-taints"],
+    ["compare", "--all"],
+])
+def test_deep_recursion_is_an_internal_error_without_traceback(tmp_path, command):
+    program = tmp_path / "down.ml0"
+    program.write_text(DEEP_RECURSION)
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mutlab", *command, "--program", str(program)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 4
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("error: internal: ")
+    assert proc.stdout == ""
+
+
+def test_unexpected_exception_is_exit_4(good, capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise KeyError("x")
+    monkeypatch.setattr("mutlab.cli.analyze_program", boom)
+    assert main(["analyze", "--program", good, "--strategy", "traditional"]) == 4
+    assert capsys.readouterr().err == "error: internal: KeyError('x')\n"

@@ -5,7 +5,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from mutlab.cli import CORPUS_DIR
@@ -231,6 +231,47 @@ INTS = st.one_of(st.integers(INT_MIN, INT_MAX),
 
 @given(st.sampled_from(sorted(OPERATORS)), INTS, INTS)
 def test_operator_int_fast_paths_match_generic(op, a, b):
+    assert_same_result(op, a, b)
+
+
+# operands of the typed fast paths: ints, floats and bools, mixed, plus the
+# edges where a fast path must hand over (5e-324 and 2.225073858507201e-308
+# are the smallest and largest subnormals; 63-128 are shift counts)
+SPECIAL_NUMBERS = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+    2.225073858507201e-308, 1e308, -1e308, INT_MIN, INT_MAX,
+    -1, 0, 63, 64, 127, 128,
+]
+NUMBERS = st.one_of(st.integers(INT_MIN, INT_MAX), st.floats(),
+                    st.booleans(), st.sampled_from(SPECIAL_NUMBERS))
+
+
+@given(st.sampled_from(sorted(OPERATORS)), NUMBERS, NUMBERS)
+@example("//", INT_MIN, -1)
+@example("%", INT_MIN, -1)
+@example("*", INT_MIN, -1)
+@example("/", 1e308, 1e-308)
+@example("//", 1e308, 5e-324)
+@example("%", -5.0, math.inf)
+@example("*", 0, math.inf)
+@example("+", 1e308, 1e308)
+@example("<<", 1, -1)
+@example("<<", 1, 0)
+@example("<<", 1, 63)
+@example("<<", -1, 63)
+@example("<<", 1, 64)
+@example("<<", 1, 127)
+@example("<<", 0, 127)
+@example("<<", 1, 128)
+@example("<<", 0, 128)
+@example(">>", INT_MIN, -1)
+@example(">>", INT_MIN, 0)
+@example(">>", INT_MIN, 63)
+@example(">>", INT_MAX, 64)
+@example(">>", -5, 127)
+@example(">>", -5, 128)
+@example(">>", 5, 128)
+def test_operator_fast_paths_match_generic_on_mixed_numbers(op, a, b):
     assert_same_result(op, a, b)
 
 

@@ -52,7 +52,7 @@ class TestMemoState:
         k = make_call_key("f", [3])
         ms.store(k, 1, 42)
         ms.enter("f", [3])
-        ms.note({0: "+", 2: "-"})                 # M2's choice site ran inside
+        ms.note(0, {0: "+", 2: "-"})              # M2's choice site ran inside
         assert ms.leave() == 1
         assert ms.lookup(k, 2) == (False, None)   # M2's mutation ran inside
         assert ms.lookup(k, 3) == (True, 42)      # other mutants still share
@@ -61,7 +61,7 @@ class TestMemoState:
         ms = MemoState()
         k = make_call_key("f", [3])
         ms.enter("f", [3])
-        ms.note({1: "*"})
+        ms.note(0, {1: "*"})
         ms.leave()
         ms.store(k, 1, 42)
         assert ms.stats.stores == 0
@@ -72,7 +72,7 @@ class TestMemoState:
         for expected in (2, 0):
             ms.enter("g", [2])
             ms.enter("f", [1])
-            ms.note({1: "+", 2: "-"})
+            ms.note(0, {1: "+", 2: "-"})
             assert ms.leave() == expected     # (M1, f(1)), (M2, f(1))
             assert ms.leave() == expected     # merged into g's set on return
         assert ms.frames == []
@@ -81,7 +81,7 @@ class TestMemoState:
         ms = MemoState()
         ms.enter("g", [make({0: 2, 1: 5})])    # M1 calls g(5), the rest g(2)
         ms.enter("f", [1])
-        ms.note({0: "<", 1: ">", 2: ">="})
+        ms.note(0, {0: "<", 1: ">", 2: ">="})
         assert ms.mutation_cache == set()      # nothing written while open
         assert ms.leave() == 2
         assert ms.leave() == 2
@@ -94,7 +94,7 @@ class TestMemoState:
         ms = MemoState()
         ms.enter("test_t", [])
         ms.enter("f", [3])
-        ms.note({1: "+"})
+        ms.note(0, {1: "+"})
         ms.clear_if_all_merged()
         assert ms.stats.clears == 1            # only a pending set was non-empty
         assert ms.leave() == 0
@@ -108,11 +108,11 @@ class TestMemoState:
         k = make_call_key("f", [3])
         ms.store(k, 1, 42)
         ms.enter("f", [3])
-        ms.note({2: "-"})
+        ms.note(0, {2: "-"})
         assert ms.lookup(k, 2) == (False, None)
         assert ms.lookup(k, 3) == (True, 42)
         ms.enter("g", [make({0: 4, 5: 7})])
-        ms.note({5: "*"})
+        ms.note(1, {5: "*"})
         ms.store(make_call_key("g", [7]), 5, 1)   # M5's own view of the frame
         assert ms.stats.stores == 1
         ms.store(make_call_key("g", [4]), 5, 1)   # a call M5 did not make
@@ -124,7 +124,7 @@ class TestMemoState:
         ms.store(k, 2, 6)                        # M2 computed p(5) earlier
         ms.enter("p", [make({0: 2, 1: 5})])      # M1 calls p(5), the rest p(2)
         ms.enter("c", [make({0: 2, 1: 5})])
-        ms.note({0: "+", 1: "*"})                # M1's site runs in c, not in p
+        ms.note(0, {0: "+", 1: "*"})             # M1's site runs in c, not in p
         assert ms.lookup(k, 1) == (False, None)  # M1's p(5) is still open
         assert ms.lookup(k, 2) == (True, 6)
         assert ms.lookup(make_call_key("p", [2]), 1) == (False, None)  # no entry
@@ -134,6 +134,34 @@ class TestMemoState:
         assert ms.lookup(k, 1) == (False, None)
         ms.leave()
         assert ms.lookup(k, 1) == (False, None)  # now a mutation-cache record
+
+    def test_site_run_many_times_writes_the_records_of_one_run(self):
+        written = []
+        for times in (1, 7):
+            ms = MemoState()
+            ms.enter("g", [make({0: 2, 1: 5})])
+            ms.enter("f", [1])
+            for _ in range(times):
+                ms.note(3, {0: "<", 1: ">", 2: ">="})
+            ms.note(4, {0: "+", 6: "-"})
+            leaves = (ms.leave(), ms.leave())
+            written.append((leaves, ms.mutation_cache, ms.stats.as_dict()))
+        assert written[0] == written[1]
+        assert written[0][0] == (3, 3)
+
+    def test_site_noted_two_frames_deeper_still_vetoes(self):
+        ms = MemoState()
+        k = make_call_key("p", [5])
+        ms.store(k, 2, 6)
+        ms.enter("p", [5])
+        ms.enter("c", [1])
+        ms.enter("d", [0])
+        ms.note(7, {0: "+", 2: "*"})             # M2's site runs in d
+        assert ms.lookup(k, 2) == (False, None)  # p(5) is open for M2
+        assert ms.lookup(k, 3) == (True, 6)
+        assert ms.lookup(k, 0) == (True, 6)      # the original is never vetoed
+        ms.store(make_call_key("c", [1]), 2, 0)
+        assert ms.stats.stores == 1              # c(1) is open for M2 too
 
     def test_clear_only_when_all_merged(self):
         ms = MemoState()

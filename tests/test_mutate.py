@@ -1,5 +1,10 @@
 """Mutation-point discovery, mutant enumeration, meta-mutant generation."""
 
+import hashlib
+
+import pytest
+
+from mutlab.cli import CORPUS_DIR
 from mutlab.lang import (
     TaintChoice, TaintedCond, compile_program, parse_program, run_entry,
     walk_exprs, walk_stmts,
@@ -88,3 +93,25 @@ def test_selecting_one_mutant_changes_behavior():
     # M1 is `+` -> `-` at point 0: f(1,2) = 1 - 4 = -3, then c - 1 = -4
     out = run_entry(prog, "test_f", [], select=1)
     assert out.status == "assert"
+
+
+# sha256 of repr(generate_meta_mutant(...)) per corpus program, computed
+# with the deep-copying generator; the tree built without a copy must print
+# the same, and generation must leave the input AST as it was.
+META_PINS = {
+    "caesar_cypher": "88537530e77d76bdf6a2dd2dba9b5a5b7bdee0092aa34991d6d9547de4d8dd6b",
+    "entropy": "72c25322e97ad3e8fc4595a985363f63f6ae2f86e856753d993fcb1dbf4eefcc",
+    "euler": "7cb5672a7c31430a573963b513c3c3e2afdb3339463a8207b4cdf4922815873d",
+    "newton": "e1ff976a2c97de0764a2f48c1dd8431d03ca6a7d9d60cd7b0f0afe4bee4fee78",
+    "prime": "3fc7763424fa94467b83de59cb00c62ea9d0cdf828253ac0768a44c5072ad855",
+}
+
+
+@pytest.mark.parametrize("name", sorted(META_PINS))
+def test_meta_mutant_pinned_on_corpus(name):
+    ast = parse_program((CORPUS_DIR / f"{name}.ml0").read_text())
+    before = repr(ast)
+    points = discover_mutation_points(ast)
+    meta = generate_meta_mutant(ast, points, enumerate_mutants(points))
+    assert hashlib.sha256(repr(meta).encode()).hexdigest() == META_PINS[name]
+    assert repr(ast) == before

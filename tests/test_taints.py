@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mutlab.lang.errors import MiniRuntimeError
+from mutlab.lang.values import ARITH_OPS, COMPARE_OPS, OPERATORS, canon_key
 from mutlab.taints import (
     Tainted, apply_binary, apply_unary, entries, make, partition_condition,
-    taint_get, value_of, with_taint,
+    taint_get, taint_keys, value_of, with_taint,
 )
 
 
@@ -153,3 +154,73 @@ class TestProperties:
         pruned = make(full)
         for m in range(0, 7):
             assert taint_get(pruned, m) == full.get(m, a0)
+
+
+# --- the lean apply_binary against the straightforward composition ---
+
+def reference_apply_binary(a, op, op_mutations, b, *, restrict, on_kill,
+                           stats):
+    """apply_binary as plain composition: every id through the operator
+    table with fallback lookups, then `make` prunes."""
+    out = {0: OPERATORS[op](value_of(a), value_of(b))}
+    ids = taint_keys(a) | taint_keys(b) | set(op_mutations)
+    if restrict is not None:
+        ids &= restrict
+    for m in sorted(ids):
+        try:
+            out[m] = OPERATORS[op_mutations.get(m, op)](taint_get(a, m),
+                                                        taint_get(b, m))
+        except MiniRuntimeError as err:
+            on_kill(m, err.kind)
+    stats.taint_ops += max(len(ids), 1)
+    return make(out)
+
+
+class _Stats:
+    taint_ops = 0
+
+
+def _run(fn, a, op, muts, b, restrict):
+    kills, stats = [], _Stats()
+    try:
+        v = fn(a, op, muts, b, restrict=restrict,
+               on_kill=lambda m, kind: kills.append((m, kind)), stats=stats)
+    except MiniRuntimeError as err:
+        return ("err", err.kind, err.message), kills, stats.taint_ops
+    taint_map = [(m, canon_key(x)) for m, x in entries(v).items()]
+    return taint_map, kills, stats.taint_ops
+
+
+OPERANDS = st.one_of(st.integers(-3, 3), st.sampled_from(
+    [0.0, -0.0, 0.5, 2.0, float("inf"), float("nan"), True, False, "a", 2**62]))
+TAINT_MAPS = st.builds(lambda a0, d: make({0: a0, **d}), OPERANDS,
+                       st.dictionaries(st.integers(1, 8), OPERANDS, max_size=5))
+
+
+@st.composite
+def compositions(draw):
+    ops = draw(st.sampled_from([ARITH_OPS, COMPARE_OPS, ("and", "or")]))
+    op = draw(st.sampled_from(ops))
+    muts = draw(st.dictionaries(st.integers(1, 8), st.sampled_from(ops),
+                                max_size=5))
+    restrict = draw(st.none() | st.sets(st.integers(1, 8)))
+    return draw(TAINT_MAPS), op, muts, draw(TAINT_MAPS), restrict
+
+
+@given(compositions(), st.booleans())
+@settings(max_examples=500)
+def test_apply_binary_matches_reference_composition(case, as_variants):
+    a, op, muts, b, restrict = case
+    want = _run(reference_apply_binary, a, op, muts, b, restrict)
+    # a choice site passes its whole variant map, ORIGINAL included
+    passed = {0: op, **muts} if as_variants else muts
+    assert _run(apply_binary, a, op, passed, b, restrict) == want
+
+
+@given(TAINT_MAPS, st.integers(1, 8), OPERANDS)
+def test_with_taint_matches_make(v, m, mval):
+    # merge-back compares only the new entry: the others are already pruned
+    want = make({**entries(v), m: mval})
+    got = with_taint(v, m, mval)
+    assert [(k, canon_key(x)) for k, x in entries(got).items()] == \
+        [(k, canon_key(x)) for k, x in entries(want).items()]
