@@ -232,9 +232,6 @@ def main(argv=None) -> int:
         args.budget_mult = _budget_mult(args.budget_mult)
     try:
         return args.fn(args)
-    except RecursionError:
-        print("error: internal: Python recursion limit reached "
-              "(the program recurses too deeply)", file=sys.stderr)
     except Exception as err:  # a defect of mutlab, not of the program
         print(f"error: internal: {err!r}", file=sys.stderr)
     return EXIT_INTERNAL

@@ -97,7 +97,6 @@ class _MemoRun(PlainRun):
         super().__init__(engine.program, select=mid, budget=engine.child_budget)
         self.memo = engine.memo
         self.infra = engine.infra
-        self.sites = engine.memo.frames[-1][2]  # the innermost frame's notes
 
     def call_fn(self, fn: CompiledFn, args: list):
         key = make_call_key(fn.name, args)
@@ -105,18 +104,17 @@ class _MemoRun(PlainRun):
         hit, cached = self.memo.lookup(key, self.select)
         if hit:
             return cached
-        outer, self.sites = self.sites, self.memo.enter(fn.name, args)
+        self.memo.enter(fn.name, args)
         try:
             rv = self.run_fn(fn, dict(zip(fn.params, args)))
         finally:
-            self.sites = outer
             self.infra.mcache_writes += self.memo.leave()
         self.infra.memo_stores += 1
         self.memo.store(key, self.select, rv)
         return rv
 
     def at_choice(self, e: TaintChoice):
-        self.sites[e.point_id] = e.variants  # memo.note, without the call
+        self.memo.note(e.point_id, e.variants)
 
 
 class TaintEngine:

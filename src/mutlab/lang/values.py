@@ -11,8 +11,9 @@ Semantics pinned here:
   - bools are not arithmetic operands
   - `and`/`or` take bool operands and evaluate both sides
 
-`OPERATORS` maps every binary operator token to a kernel `fn(a, b)` with a
-fast path for the operand types that reach it:
+`OPERATORS` maps every binary operator token to a function `fn(a, b)`. All
+but `and`/`or`, which are `bool_op` itself, are kernels with a fast path for
+the operand types that reach them:
   - `+ - * // %`: int/int when the result is in 64-bit range; float/float
     and mixed int/float when the result is finite (`r - r == 0`), and for
     `// %` only when the divisor is nonzero
@@ -20,11 +21,9 @@ fast path for the operand types that reach it:
   - comparisons: int and float operands in any mix
   - `| ^ &`: int/int; `<<`: int/int with a count of 0-127 and the result in
     range; `>>`: int/int with a count >= 0
-  - `and`/`or`: bool/bool
 `type(x) is int` leaves bools out. A fast path returns only what the
 generic function would return; every other case goes to `binary_op` /
-`compare_op` / `bool_op`, so each error kind and message comes from one
-place.
+`compare_op`, so each error kind and message comes from one place.
 """
 
 from __future__ import annotations
@@ -32,6 +31,7 @@ from __future__ import annotations
 import math
 import operator
 import struct
+from functools import partial
 
 from .errors import MiniRuntimeError
 
@@ -255,14 +255,6 @@ def _compare(op: str, fn):
     return kernel
 
 
-def _boolean(op: str, fn):
-    def kernel(a, b):
-        if type(a) is bool and type(b) is bool:
-            return fn(a, b)
-        return bool_op(op, a, b)
-    return kernel
-
-
 OPERATORS = {
     "+": _arith("+", operator.add),
     "-": _arith("-", operator.sub),
@@ -275,8 +267,8 @@ OPERATORS = {
     "&": _bitwise("&", operator.and_),
     "<<": _lshift,
     ">>": _rshift,
-    "and": _boolean("and", operator.and_),
-    "or": _boolean("or", operator.or_),
+    "and": partial(bool_op, "and"),
+    "or": partial(bool_op, "or"),
 }
 OPERATORS.update({op: _compare(op, fn) for op, fn in zip(
     COMPARE_OPS, (operator.eq, operator.ne, operator.lt, operator.le,

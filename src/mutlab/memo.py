@@ -80,14 +80,9 @@ class MemoState:
 
     # --- per-frame site notes ---
 
-    def enter(self, fn_name: str, args: list) -> dict:
-        """Open a frame for a call of `fn_name` with (possibly tainted) args.
-        Returns the frame's site notes: while the frame is innermost, a run
-        may store `sites[site] = variants` there itself instead of calling
-        `note`."""
-        sites: dict = {}
-        self.frames.append((fn_name, args, sites))
-        return sites
+    def enter(self, fn_name: str, args: list) -> None:
+        """Open a frame for a call of `fn_name` with (possibly tainted) args."""
+        self.frames.append((fn_name, args, {}))
 
     def note(self, site: int, variants: dict) -> None:
         """The choice site `site`, with these variant ids, ran in the
