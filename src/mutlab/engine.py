@@ -359,6 +359,11 @@ class TaintEngine:
 HARD_BUDGET = 2_000_000  # statement cap for an unbudgeted original run
 
 
+def budget_for(original_stmts: int, mult: int) -> int:
+    """Step budget of every mutant execution, from the original's stmts."""
+    return max(mult * original_stmts, 100)
+
+
 def run_test(program: CompiledProgram, test: str, mutant_ids: list[int],
              point_of_mutant: dict[int, int], cfg: EngineConfig) -> TestReport:
     """Execute one test under the taint engine and classify every mutant."""
@@ -366,7 +371,7 @@ def run_test(program: CompiledProgram, test: str, mutant_ids: list[int],
     if pre.status != "pass":
         return TestReport(test, False, {}, pre.stmts, [pre.stmts],
                           InfraStats(), {}, [])
-    child_budget = max(cfg.budget_mult * pre.stmts, 100)
+    child_budget = budget_for(pre.stmts, cfg.budget_mult)
 
     eng = TaintEngine(program, mutant_ids, cfg, child_budget,
                       budget=cfg.budget_mult * pre.stmts + HARD_BUDGET)

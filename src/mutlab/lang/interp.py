@@ -84,13 +84,11 @@ class CompiledFn:
     name: str
     params: list[str]
     code: list[Instr]
-    is_test: bool
 
 
 @dataclass
 class CompiledProgram:
     functions: dict[str, CompiledFn]
-    ast: Ast
 
 
 def compile_fn(fn: FunctionDef) -> CompiledFn:
@@ -141,11 +139,11 @@ def compile_fn(fn: FunctionDef) -> CompiledFn:
     compile_block(fn.body)
     emit(IReturn(fn.loc, None))
     code[-1].counted = False  # implicit return is not a statement
-    return CompiledFn(fn.name, list(fn.params), code, fn.is_test)
+    return CompiledFn(fn.name, list(fn.params), code)
 
 
 def compile_program(ast: Ast) -> CompiledProgram:
-    return CompiledProgram({f.name: compile_fn(f) for f in ast.functions}, ast)
+    return CompiledProgram({f.name: compile_fn(f) for f in ast.functions})
 
 
 # --- expression compiler ---

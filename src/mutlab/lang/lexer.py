@@ -11,13 +11,13 @@ KEYWORDS = {
     "and", "or", "not", "True", "False",
 }
 
-# longest first so '<<' wins over '<'
-OPERATORS = [
+# matched longest first, so '<<' wins over '<'
+OPERATORS = {
     "//=", "<<", ">>", "==", "!=", "<=", ">=", "//",
     "+=", "-=", "*=", "/=", "%=",
     "+", "-", "*", "/", "%", "<", ">", "=", "|", "^", "&",
     "(", ")", "[", "]", ",", ":",
-]
+}
 
 
 @dataclass
@@ -124,8 +124,9 @@ def _lex_line(line: str, lineno: int, start: int, out: list[Token]) -> None:
             out.append(Token("STRING", "".join(buf), lineno, col))
             i = j + 1
             continue
-        for op in OPERATORS:
-            if line.startswith(op, i):
+        for k in (3, 2, 1):
+            op = line[i:i + k]
+            if op in OPERATORS:
                 out.append(Token("OP", op, lineno, col))
                 i += len(op)
                 break

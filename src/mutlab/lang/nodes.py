@@ -96,10 +96,6 @@ class TaintChoice(Expr):
     left: Expr
     right: Expr
 
-    @property
-    def original_op(self) -> str:
-        return self.variants[0]
-
 
 @dataclass
 class TaintedCond(Expr):
@@ -165,12 +161,6 @@ class FunctionDef:
 @dataclass
 class Ast:
     functions: list[FunctionDef]
-
-    def function(self, name: str) -> FunctionDef:
-        for f in self.functions:
-            if f.name == name:
-                return f
-        raise KeyError(name)
 
     @property
     def tests(self) -> list[str]:

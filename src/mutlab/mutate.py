@@ -16,8 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .lang.nodes import (
-    Assert, Assign, Ast, BinOp, Compare, Expr, ExprStmt, FunctionDef, If,
-    Loc, Return, Stmt, TaintChoice, TaintedCond, While,
+    Assert, Assign, Ast, BinOp, BoolOp, Call, Compare, Expr, ExprStmt, If,
+    Index, ListLit, Loc, Return, Stmt, TaintChoice, TaintedCond, UnaryOp,
+    While, walk_exprs, walk_stmts,
 )
 
 ARITH_CATALOG = ["+", "-", "*", "/", "%", "<<", ">>", "|", "^", "&", "//"]
@@ -44,31 +45,6 @@ class Mutant:
     replacement_op: str
 
 
-def _walk_expr_binops(e: Expr):
-    """Pre-order walk yielding BinOp/Compare nodes (operator before operands,
-    matching source reading order)."""
-    from .lang.nodes import BoolOp, Call, Index, ListLit, UnaryOp
-
-    if isinstance(e, (BinOp, Compare)):
-        yield e
-        yield from _walk_expr_binops(e.left)
-        yield from _walk_expr_binops(e.right)
-    elif isinstance(e, BoolOp):
-        yield from _walk_expr_binops(e.left)
-        yield from _walk_expr_binops(e.right)
-    elif isinstance(e, UnaryOp):
-        yield from _walk_expr_binops(e.operand)
-    elif isinstance(e, Call):
-        for a in e.args:
-            yield from _walk_expr_binops(a)
-    elif isinstance(e, ListLit):
-        for a in e.items:
-            yield from _walk_expr_binops(a)
-    elif isinstance(e, Index):
-        yield from _walk_expr_binops(e.base)
-        yield from _walk_expr_binops(e.index)
-
-
 def _stmt_exprs(s: Stmt):
     if isinstance(s, Assign):
         yield s.value
@@ -86,12 +62,14 @@ def _stmt_exprs(s: Stmt):
 
 
 def _walk_points(ast: Ast):
-    from .lang.nodes import walk_stmts
-
+    """BinOp/Compare nodes in pre-order (operator before operands, matching
+    source reading order)."""
     for fn in ast.functions:
         for s in walk_stmts(fn.body):
-            for e in _stmt_exprs(s):
-                yield from _walk_expr_binops(e)
+            for root in _stmt_exprs(s):
+                for e in walk_exprs(root):
+                    if isinstance(e, (BinOp, Compare)):
+                        yield e
 
 
 def discover_mutation_points(ast: Ast) -> list[MutationPoint]:
@@ -119,8 +97,6 @@ def _transform_expr(e: Expr, by_point: dict[int, list[Mutant]],
                     counter: list[int]) -> Expr:
     """A new expression with every BinOp/Compare, in pre-order, replaced by
     a TaintChoice; `Literal` and `Var` leaves are shared, not copied."""
-    from .lang.nodes import BoolOp, Call, Index, ListLit, UnaryOp
-
     if isinstance(e, (BinOp, Compare)):
         point_id = counter[0]
         counter[0] += 1

@@ -13,17 +13,21 @@ Seven strategies over the same mutant set:
 - exec-taints-{nf-nm, nf, nm, ""}: the taint engine with fork/memo off
   or on (nf = no fork, nm = no memo).
 
-Verdicts for the three baselines come from isolated runs, so any verdict
-disagreement with the taint engine is an internal-consistency failure.
-Every mutant execution (isolated, child, re-execution) gets the same step
-budget derived from the original run, so timeout verdicts agree.
+The three baselines share one pass per test that runs each covered mutant
+once in isolation (as with mutant schemata, every baseline executes the
+same runs). The pass yields the verdicts of all three; each baseline is
+only a cost function `(original, outcomes, point_of) -> stmts` over its
+outcomes. Any verdict disagreement with the taint engine is therefore an
+internal-consistency failure. Every mutant execution (isolated, child,
+re-execution) gets the same step budget derived from the original run
+(`budget_for`), so timeout verdicts agree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .engine import EngineConfig, HARD_BUDGET, run_test
+from .engine import EngineConfig, HARD_BUDGET, budget_for, run_test
 from .lang.interp import CompiledProgram, Outcome, compile_program, run_entry
 from .lang.nodes import Ast
 from .lang.values import canon_key
@@ -82,12 +86,8 @@ class ProgramAnalysis:
     def counts(self, strategy: str) -> dict:
         out = {"killed": 0, "survived": 0, "not_covered": 0}
         for v in self.runs[strategy].verdicts.values():
-            out[v[0] if v[0] != "killed" else "killed"] += 1
+            out[v[0]] += 1
         return out
-
-
-def budget_for(original_stmts: int, mult: int) -> int:
-    return max(mult * original_stmts, 100)
 
 
 def merge_verdict(old, new):
@@ -118,24 +118,21 @@ def _verdict_of(outcome: Outcome):
 EVENT_STRATEGIES = ("split-stream", "modulo-state")
 
 
-class _IsolatedRuns:
-    """Per-test cache of isolated mutant runs (shared by the baselines).
-    Site events are recorded only when `record_events` is set."""
-
-    def __init__(self, program: CompiledProgram, test: str, budget: int,
-                 record_events: bool):
-        self.program = program
-        self.test = test
-        self.budget = budget
-        self.record_events = record_events
-        self._cache: dict[int, Outcome] = {}
-
-    def get(self, mid: int) -> Outcome:
-        if mid not in self._cache:
-            self._cache[mid] = run_entry(self.program, self.test, [],
-                                         select=mid, budget=self.budget,
-                                         record_events=self.record_events)
-        return self._cache[mid]
+def _isolated_runs(program: CompiledProgram, test: str, mutants: list[Mutant],
+                   original: Outcome, budget: int, record_events: bool):
+    """The one pass the baselines share: each covered mutant runs once in
+    isolation. Returns the per-test verdicts and {mid: Outcome} of the
+    covered mutants, both in mutant order."""
+    verdicts, outcomes = {}, {}
+    for m in mutants:
+        if m.point_id not in original.covered_points:
+            verdicts[m.mid] = ("not_covered",)
+            continue
+        outcome = outcomes[m.mid] = run_entry(program, test, [], select=m.mid,
+                                              budget=budget,
+                                              record_events=record_events)
+        verdicts[m.mid] = _verdict_of(outcome)
+    return verdicts, outcomes
 
 
 def _event_key(event) -> tuple:
@@ -195,55 +192,29 @@ def _trie_cost(members: list[tuple[list, int]], depth: int, base: int) -> int:
     return cost
 
 
-def run_traditional(program: CompiledProgram, test: str, mutants: list[Mutant],
-                    original: Outcome, iso: _IsolatedRuns):
-    verdicts, stmts = {}, original.stmts  # the coverage run
-    point_of = {m.mid: m.point_id for m in mutants}
-    for m in mutants:
-        if point_of[m.mid] not in original.covered_points:
-            verdicts[m.mid] = ("not_covered",)
-            continue
-        outcome = iso.get(m.mid)
-        verdicts[m.mid] = _verdict_of(outcome)
-        stmts += outcome.stmts
-    return verdicts, stmts
+def run_traditional(original: Outcome, outcomes: dict, point_of: dict) -> int:
+    # the coverage run plus every isolated run
+    return original.stmts + sum(o.stmts for o in outcomes.values())
 
 
-def run_split_stream(program: CompiledProgram, test: str, mutants: list[Mutant],
-                     original: Outcome, iso: _IsolatedRuns):
-    verdicts, stmts = {}, original.stmts  # the shared main stream
-    point_of = {m.mid: m.point_id for m in mutants}
-    for m in mutants:
-        if point_of[m.mid] not in original.covered_points:
-            verdicts[m.mid] = ("not_covered",)
-            continue
-        outcome = iso.get(m.mid)
-        verdicts[m.mid] = _verdict_of(outcome)
+def run_split_stream(original: Outcome, outcomes: dict, point_of: dict) -> int:
+    stmts = original.stmts  # the shared main stream
+    for mid, outcome in outcomes.items():
         # shared prefix: execution up to the statement where this mutant's
         # site first executes (identical to the original until then)
         prefix = 0
         for point_id, stmts_before, _tag in outcome.events:
-            if point_id == point_of[m.mid]:
+            if point_id == point_of[mid]:
                 prefix = stmts_before
                 break
         stmts += outcome.stmts - prefix
-    return verdicts, stmts
+    return stmts
 
 
-def run_modulo_state(program: CompiledProgram, test: str, mutants: list[Mutant],
-                     original: Outcome, iso: _IsolatedRuns):
-    verdicts = {}
-    point_of = {m.mid: m.point_id for m in mutants}
-    members: list[tuple[list, int]] = [(original.events, original.stmts)]
-    for m in mutants:
-        if point_of[m.mid] not in original.covered_points:
-            verdicts[m.mid] = ("not_covered",)
-            continue
-        outcome = iso.get(m.mid)
-        verdicts[m.mid] = _verdict_of(outcome)
-        members.append((outcome.events, outcome.stmts))
-    stmts = _trie_cost(members, 0, 0)
-    return verdicts, stmts
+def run_modulo_state(original: Outcome, outcomes: dict, point_of: dict) -> int:
+    members = [(original.events, original.stmts)]
+    members += [(o.events, o.stmts) for o in outcomes.values()]
+    return _trie_cost(members, 0, 0)
 
 
 def analyze_program(ast: Ast, cfg: AnalysisConfig | None = None) -> ProgramAnalysis:
@@ -254,10 +225,15 @@ def analyze_program(ast: Ast, cfg: AnalysisConfig | None = None) -> ProgramAnaly
     mutants = enumerate_mutants(points)
     meta = generate_meta_mutant(ast, points, mutants)
     program = compile_program(meta)
-    tests = [f.name for f in ast.functions if f.is_test]
+    tests = ast.tests
     point_of = {m.mid: m.point_id for m in mutants}
     mids = [m.mid for m in mutants]
     record_events = any(name in EVENT_STRATEGIES for name in cfg.strategies)
+    # built per call, not at import, so that a wrapper swapped in for one of
+    # these module attributes (bench/tracing.py does) is the one called
+    cost_of = {"traditional": run_traditional,
+               "split-stream": run_split_stream,
+               "modulo-state": run_modulo_state}
 
     analysis = ProgramAnalysis(points, mutants, tests, {})
     runs = {name: StrategyRun(name, {}, {}, 0, 0) for name in cfg.strategies}
@@ -270,22 +246,17 @@ def analyze_program(ast: Ast, cfg: AnalysisConfig | None = None) -> ProgramAnaly
         if original.status != "pass":
             analysis.invalid_test = test
             return analysis
-        budget = budget_for(original.stmts, cfg.budget_mult)
-        iso = _IsolatedRuns(program, test, budget, record_events)
+        # drop the last test's outcomes before this test's pass runs
+        iso_verdicts, outcomes = {}, {}
+        if any(name in cost_of for name in cfg.strategies):
+            iso_verdicts, outcomes = _isolated_runs(
+                program, test, mutants, original,
+                budget_for(original.stmts, cfg.budget_mult), record_events)
 
         for name in cfg.strategies:
-            if name == "traditional":
-                verdicts, stmts = run_traditional(program, test, mutants,
-                                                  original, iso)
-                infra = 0
-            elif name == "split-stream":
-                verdicts, stmts = run_split_stream(program, test, mutants,
-                                                   original, iso)
-                infra = 0
-            elif name == "modulo-state":
-                verdicts, stmts = run_modulo_state(program, test, mutants,
-                                                   original, iso)
-                infra = 0
+            if name in cost_of:
+                verdicts, infra = iso_verdicts, 0
+                stmts = cost_of[name](original, outcomes, point_of)
             elif name in ENGINE_VARIANTS:
                 fork, memo = ENGINE_VARIANTS[name]
                 ecfg = EngineConfig(fork=fork, memo=memo,

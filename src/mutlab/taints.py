@@ -28,9 +28,6 @@ class Tainted:
     def __init__(self, taints: dict):
         self.taints = taints
 
-    def value(self):
-        return self.taints[ORIGINAL]
-
     def __repr__(self):
         return render(self)
 

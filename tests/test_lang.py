@@ -14,6 +14,7 @@ from mutlab.lang import (
     MiniRuntimeError, MiniSyntaxError, compile_program, eval_plain,
     parse_program, run_entry, to_source,
 )
+from mutlab.lang.lexer import OPERATORS as LEX_OPERATORS, _lex_line
 from mutlab.lang.values import (
     ARITH_OPS, COMPARE_OPS, INT_MAX, INT_MIN, OPERATORS, binary_op, bool_op,
     canon_key, compare_op, plain_eq,
@@ -77,6 +78,43 @@ class TestParser:
                "    return -c\n")
         once = to_source(parse_program(src))
         assert to_source(parse_program(once)) == once
+
+
+# the lexer's operator list before it became a set, in its matching order
+REFERENCE_OPERATORS = [
+    "//=", "<<", ">>", "==", "!=", "<=", ">=", "//",
+    "+=", "-=", "*=", "/=", "%=",
+    "+", "-", "*", "/", "%", "<", ">", "=", "|", "^", "&",
+    "(", ")", "[", "]", ",", ":",
+]
+
+
+def reference_op_tokens(text):
+    """(op, col) pairs of an operator-only text, by trying each operator in
+    turn at every position and taking the first that matches."""
+    out, i = [], 0
+    while i < len(text):
+        for op in REFERENCE_OPERATORS:
+            if text.startswith(op, i):
+                out.append((op, i + 1))
+                i += len(op)
+                break
+        else:
+            raise AssertionError(f"no operator at {i} in {text!r}")
+    return out
+
+
+def test_lexer_operators_match_first_match_reference():
+    assert LEX_OPERATORS == set(REFERENCE_OPERATORS)
+    texts = list(REFERENCE_OPERATORS)
+    texts += [a + b for a, b in itertools.product(REFERENCE_OPERATORS,
+                                                  repeat=2)]
+    for text in texts:
+        tokens = []
+        _lex_line(text, 1, 0, tokens)
+        assert all(t.kind == "OP" and t.line == 1 for t in tokens), text
+        assert [(t.value, t.col) for t in tokens] == \
+            reference_op_tokens(text), text
 
 
 class TestValues:

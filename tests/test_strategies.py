@@ -1,9 +1,14 @@
 """Baseline strategies, trie cost accounting, verdict merging, and
 cross-strategy consistency on small programs."""
 
+import hashlib
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mutlab.strategies as strategies
+from mutlab.cli import CORPUS_DIR, main
 from mutlab.lang import parse_program
 from mutlab.strategies import (
     AnalysisConfig, STRATEGY_NAMES, _trie_cost, analyze_program,
@@ -144,3 +149,46 @@ class TestAnalyzeProgram:
         c = analysis.counts("traditional")
         assert sum(c.values()) == len(analysis.mutants)
         assert c["killed"] > 0
+
+    def test_baselines_share_one_isolated_run_per_covered_mutant(
+            self, monkeypatch):
+        selected = []
+        run_entry = strategies.run_entry
+
+        def counting(*args, **kwargs):
+            selected.append(kwargs.get("select", 0))
+            return run_entry(*args, **kwargs)
+
+        monkeypatch.setattr(strategies, "run_entry", counting)
+        analysis = analyze_program(parse_program(SRC), AnalysisConfig(
+            strategies=["exec-taints"]))
+        assert [mid for mid in selected if mid] == []
+        selected.clear()
+        analysis = analyze_program(parse_program(SRC), AnalysisConfig(
+            strategies=["traditional", "split-stream", "modulo-state"]))
+        covered = [mid for verdicts in analysis.runs["traditional"]
+                   .per_test.values()
+                   for mid, v in verdicts.items() if v != NC]
+        assert sorted(mid for mid in selected if mid) == sorted(covered)
+
+
+# sha256 of `mutlab compare --program corpus/<name>.ml0 --all` (JSON, default
+# budget multiplier), computed when each baseline still looped over the
+# mutants itself; the shared pass must report the same bytes, every
+# baseline's `program_stmts` included.
+REPORT_PINS = {
+    "caesar_cypher": "761f52b763f09f99379fcaeff5d6ee67eeb4be9b88881f8119f0ed45b5b260f5",
+    "entropy": "7b8d77405a7055768096be9136dbb78ad0a025e4beaeca766fd61a91d9ec93af",
+    "euler": "1dabdba58e8b1a6cf3e8da2da52a09c109e4c9e85680287c71069a1b0ec3a6f3",
+    "newton": "3bfdfb5b694566398d7f1f8d14671c6d3395fac654153a38af35c182d19c99eb",
+    "prime": "4fb63dd9664597396ac0c886a52f19bea7b284d911d4885d849cdb73278d6e98",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_PINS))
+def test_compare_report_pinned_on_corpus(name, tmp_path, monkeypatch):
+    monkeypatch.delenv("MUTLAB_BUDGET_MULT", raising=False)
+    out = tmp_path / "report.json"
+    assert main(["compare", "--program", str(CORPUS_DIR / f"{name}.ml0"),
+                 "--all", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_PINS[name]
