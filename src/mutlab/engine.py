@@ -91,7 +91,9 @@ class TestReport:
 class _MemoRun(PlainRun):
     """A diverged mutant's run that shares wrapped calls through the memo:
     a call is served from it when the mutation cache allows, and otherwise
-    runs in its own memo frame and is stored."""
+    runs in its own memo frame and is stored. Every lookup may find the
+    memo changed, so a loop back at an earlier state is cut short only
+    when no lookup happened in between."""
 
     def __init__(self, engine: TaintEngine, mid: int):
         super().__init__(engine.program, select=mid, budget=engine.child_budget)
@@ -115,6 +117,10 @@ class _MemoRun(PlainRun):
 
     def at_choice(self, e: TaintChoice):
         self.memo.note(e.point_id, e.variants)
+
+    def shared_epoch(self):
+        # the memo may change at every lookup
+        return self.infra.memo_lookups
 
 
 class TaintEngine:

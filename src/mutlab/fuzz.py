@@ -57,7 +57,10 @@ def _expr(rng: random.Random, names: list[str], depth: int) -> str:
     return f"({left} {op} {right})"
 
 
-def _gen_function(st: _GenState, name: str, callees: list[str]) -> str:
+def _gen_function(st: _GenState, name: str,
+                  callees: dict[str, int]) -> tuple[str, int]:
+    """Source text of one function that may call `callees` (name -> number
+    of parameters), and its own number of parameters."""
     rng = st.rng
     params = ["a", "b"][: rng.randint(1, 2)]
     lines = [f"def {name}({', '.join(params)}):"]
@@ -66,9 +69,9 @@ def _gen_function(st: _GenState, name: str, callees: list[str]) -> str:
     for k in range(body_vars):
         var = f"v{k}"
         if callees and rng.random() < 0.5:
-            callee = rng.choice(callees)
+            callee = rng.choice(list(callees))
             args = ", ".join(_expr(rng, names, 1)
-                             for _ in range(_arity(callee)))
+                             for _ in range(callees[callee]))
             lines.append(f"    {var} = {callee}({args})")
         else:
             lines.append(f"    {var} = {_expr(rng, names, 2)}")
@@ -91,14 +94,7 @@ def _gen_function(st: _GenState, name: str, callees: list[str]) -> str:
         lines.append(f"    return {_expr(rng, names, 2)}")
     else:
         lines.append(f"    return {_expr(rng, names, 2)}")
-    return "\n".join(lines)
-
-
-_ARITIES: dict[str, int] = {}
-
-
-def _arity(name: str) -> int:
-    return _ARITIES[name]
+    return "\n".join(lines), len(params)
 
 
 def _candidate(seed: int, salt: int) -> str:
@@ -106,16 +102,14 @@ def _candidate(seed: int, salt: int) -> str:
     st = _GenState(rng)
     n_funcs = rng.randint(1, MAX_FUNCS)
     chunks = []
-    defined: list[str] = []
+    arities: dict[str, int] = {}
     for k in range(n_funcs):
         name = f"f{k}"
-        src = _gen_function(st, name, defined)
-        _ARITIES[name] = src.split("(")[1].split(")")[0].count(",") + 1
+        src, arities[name] = _gen_function(st, name, arities)
         chunks.append(src)
-        defined.append(name)
-    entry = defined[-1]
-    args = ", ".join(str(rng.randint(1, 9)) for _ in range(_arity(entry)))
-    chunks.append(f"def test_fuzz():\n    r = {entry}({args})\n"
+    # the test calls the last function
+    args = ", ".join(str(rng.randint(1, 9)) for _ in range(arities[name]))
+    chunks.append(f"def test_fuzz():\n    r = {name}({args})\n"
                   f"    assert r == EXPECTED")
     return "\n\n".join(chunks) + "\n"
 

@@ -15,10 +15,16 @@ forked mutant resumes at its branch target on its concretized environment.
 Subclasses hook into a program-function call (`call_fn`, reached through
 `call`) and into a choice site once its operands are evaluated
 (`at_choice`); the compiled closures call both hooks.
+
+A while loop's back edge is its own instruction (`ILoop`). After 8, then 9,
+10, ... back edges a frame checks its state (pc, env) against the last
+checkpoint: runs are deterministic, so a bit-identical state repeats
+forever, and a budgeted run ends there as running to its budget would.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -30,7 +36,7 @@ from .nodes import (
     TaintedCond, UnaryOp, Var, While,
 )
 from . import values
-from .values import BUILTINS, OPERATORS
+from .values import BUILTINS, OPERATORS, plain_eq
 
 
 # --- instructions ---
@@ -77,6 +83,11 @@ class IJump(Instr):
 
     def __post_init__(self):
         self.counted = False
+
+
+@dataclass
+class ILoop(IJump):
+    """A while loop's back edge: a jump to the loop's condition."""
 
 
 @dataclass
@@ -131,7 +142,7 @@ def compile_fn(fn: FunctionDef) -> CompiledFn:
                 emit(br, s.cond)
                 br.true_pc = len(code)
                 compile_block(s.body)
-                emit(IJump(s.loc, target=top))
+                emit(ILoop(s.loc, target=top))
                 br.false_pc = len(code)
             else:
                 raise TypeError(f"cannot compile {s!r}")
@@ -254,6 +265,9 @@ class Outcome:
     value: object = None
 
 
+FIRST_GAP = 8  # back edges of a frame before its first loop checkpoint
+
+
 class PlainRun:
     """Executes one variant: at every TaintChoice the operator for
     `select` is applied when present, otherwise the original."""
@@ -286,9 +300,15 @@ class PlainRun:
         """A choice site's operands are evaluated; its operator is next."""
         self.covered_points.add(e.point_id)
 
+    def shared_epoch(self):
+        """Changes whenever state a call may read beyond its arguments may
+        have changed; a plain run has none."""
+        return 0
+
     def run_fn(self, fn: CompiledFn, env: dict, pc: int = 0):
         code = fn.code
         limit = math.inf if self.budget is None else self.budget
+        edges, checkpoint = FIRST_GAP, None
         while True:
             instr = code[pc]
             if instr.counted:
@@ -304,6 +324,13 @@ class PlainRun:
                 if cond is not True and cond is not False:
                     values.require_bool(cond, "condition")
                 pc = instr.true_pc if cond else instr.false_pc
+            elif kind is ILoop:
+                pc = instr.target
+                edges -= 1
+                if not edges:
+                    checkpoint, edges = self.at_checkpoint(pc, env, checkpoint)
+            elif kind is IReturn:
+                return instr.ev(self, env)
             elif kind is IJump:
                 pc = instr.target
             elif kind is IAssert:
@@ -315,10 +342,43 @@ class PlainRun:
             elif kind is IExpr:
                 instr.ev(self, env)
                 pc += 1
-            elif kind is IReturn:
-                return instr.ev(self, env)
             else:
                 raise TypeError(f"bad instruction {instr!r}")
+
+    def at_checkpoint(self, pc: int, env: dict, last):
+        """A frame is at a loop head, `gap` back edges after its `last`
+        checkpoint (None before the first). A budgeted run whose state
+        (pc, env) is bit-identical to the checkpoint's, with the same shared
+        epoch, repeats forever and ends here (`run_to_budget`). Returns the
+        new checkpoint and the back edges to the next, one more than before."""
+        epoch = self.shared_epoch()
+        if last is None:
+            gap = FIRST_GAP
+        else:
+            at, env0, stmts0, mark, epoch0, gap = last
+            # == rules out most states fast; plain_eq checks type and bits
+            if (at == pc and env0 == env and epoch0 == epoch
+                    and self.budget is not None
+                    and all(plain_eq(v, env[k]) for k, v in env0.items())):
+                self.run_to_budget(stmts0, mark)
+            gap += 1
+        mark = 0 if self.events is None else len(self.events)
+        return (pc, dict(env), self.stmts, mark, epoch, gap), gap
+
+    def run_to_budget(self, stmts0: int, mark: int):
+        """The run repeats every `self.stmts - stmts0` statements from here
+        on, so only its budget ends it: record the remaining cycles' events
+        (`self.events[mark:]` shifted by whole periods), charge
+        `budget + 1` statements and time out, exactly as running on would."""
+        events = self.events
+        if events is not None and len(events) > mark:
+            period, cycle = self.stmts - stmts0, events[mark:]
+            events.extend(itertools.takewhile(
+                lambda e: e[1] < self.budget,
+                ((point, at + k * period, tag)
+                 for k in itertools.count(1) for point, at, tag in cycle)))
+        self.stmts = self.budget + 1
+        raise StepBudgetExceeded()
 
 
 def run_entry(program: CompiledProgram, entry: str, args: list,

@@ -174,15 +174,10 @@ def _trie_cost(members: list[tuple[list, int]], depth: int, base: int) -> int:
             # deterministic without comparing ints to strings
             for key, sub in sorted(groups.items(), key=lambda kv: repr(kv[0])):
                 if key == ("end",):
-                    # terminated streams each ran alone past the last
-                    # shared event; identical traces are charged once,
-                    # at the longest run among them
-                    by_sig: dict = {}
-                    for trace, total in sub:
-                        sig = tuple(_event_key(e) for e in trace)
-                        by_sig[sig] = max(by_sig.get(sig, 0), total)
-                    for total in by_sig.values():
-                        cost += total - base
+                    # streams that end here all have exactly the `depth`
+                    # shared events, so identical traces: charged once, at
+                    # the longest run among them
+                    cost += max(t for _, t in sub) - base
                 else:
                     boundary = sub[0][0][depth][1]
                     work.append((sub, depth + 1, boundary))

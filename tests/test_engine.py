@@ -8,11 +8,13 @@ import pytest
 
 from mutlab.cli import CORPUS_DIR
 from mutlab.engine import EngineConfig, run_test
-from mutlab.lang import compile_program, parse_program
+from mutlab.lang import PlainRun, compile_program, parse_program
 from mutlab.mutate import (
     discover_mutation_points, enumerate_mutants, generate_meta_mutant,
 )
-from mutlab.strategies import AnalysisConfig, analyze_program, check_consistency
+from mutlab.strategies import (
+    STRATEGY_NAMES, AnalysisConfig, analyze_program, check_consistency,
+)
 from mutlab.taints import apply_binary, entries
 
 ALL_CONFIGS = [EngineConfig(fork=f, memo=m)
@@ -406,6 +408,49 @@ def test_memo_respects_mutation_in_unexecuted_call_key():
     for name, run in analysis.runs.items():
         assert run.verdicts[5] == ("killed", "assertion"), name
     assert check_consistency(analysis) == []
+
+
+# Mutants of `i + 1` such as `i * 1` keep i at 0: the loop returns to the
+# same state every iteration, and every iteration calls h.
+CYCLE_WITH_CALL = """\
+def h(x):
+    return x + 0
+
+def test_c():
+    i = 0
+    s = 0
+    while i < 3:
+        s = h(s)
+        i = i + 1
+    assert s == 0
+"""
+
+
+def test_cycling_loop_with_a_call_runs_to_budget_under_memo(monkeypatch):
+    # a memo run looks every call up, and the memo may have changed since
+    # the last lookup, so its cycles are not cut short; without the memo
+    # they are, and all seven strategies still agree
+    fired = []
+    run_to_budget = PlainRun.run_to_budget
+
+    def counting(run, *args):
+        fired.append(type(run).__name__)
+        run_to_budget(run, *args)
+
+    monkeypatch.setattr(PlainRun, "run_to_budget", counting)
+    ast = parse_program(CYCLE_WITH_CALL)
+    for name in STRATEGY_NAMES:
+        fired.clear()
+        analysis = analyze_program(ast, AnalysisConfig(strategies=[name]))
+        [times_one] = [m.mid for m in analysis.mutants if m.loc.line == 9
+                       and m.replacement_op == "*"]
+        assert analysis.runs[name].verdicts[times_one] == \
+            ("killed", "timeout"), name
+        if name in ("exec-taints", "exec-taints-nf"):
+            assert fired == [], name
+        else:
+            assert fired and "_MemoRun" not in fired, name
+    assert check_consistency(analyze_program(ast)) == []
 
 
 @pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=CONFIG_IDS)

@@ -2,11 +2,27 @@
 strategy agreement on a sample of seeds (the full sweep runs in the
 acceptance suite)."""
 
+import hashlib
+
 import pytest
 
 from mutlab.fuzz import fuzz_program
 from mutlab.lang import eval_plain, parse_program
 from mutlab.strategies import analyze_program, check_consistency
+
+
+# sha256 over `fuzz_program(s)` plus a NUL byte for seeds 0-999, taken when
+# each generated function's arity was parsed back out of its signature text.
+# Taking it from the generated parameters must not change one byte.
+FUZZ_TEXTS_SHA256 = \
+    "00c8be0a0d3edad084a584ef060059150359631d5fe259d032dcb268a6ef5569"
+
+
+def test_generated_texts_pinned():
+    digest = hashlib.sha256()
+    for seed in range(1000):
+        digest.update(fuzz_program(seed).encode() + b"\0")
+    assert digest.hexdigest() == FUZZ_TEXTS_SHA256
 
 
 def test_generation_is_deterministic():

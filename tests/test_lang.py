@@ -5,14 +5,15 @@ import itertools
 import math
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mutlab.cli import CORPUS_DIR
 from mutlab.engine import HARD_BUDGET
+from mutlab.fuzz import fuzz_program
 from mutlab.lang import (
-    MiniRuntimeError, MiniSyntaxError, compile_program, eval_plain,
-    parse_program, run_entry, to_source,
+    MiniRuntimeError, MiniSyntaxError, PlainRun, compile_program, eval_plain,
+    interp, parse_program, run_entry, to_source,
 )
 from mutlab.lang.lexer import OPERATORS as LEX_OPERATORS, _lex_line
 from mutlab.lang.values import (
@@ -337,9 +338,9 @@ OUTCOME_PINS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(OUTCOME_PINS))
-def test_plain_run_outcomes_pinned_on_corpus(name):
-    ast = parse_program((CORPUS_DIR / f"{name}.ml0").read_text())
+def outcome_digest(ast):
+    """sha256 over every plain run, with events, of the original and each
+    mutant of each test of `ast`, each mutant at its isolated budget."""
     points = discover_mutation_points(ast)
     mutants = enumerate_mutants(points)
     program = compile_program(generate_meta_mutant(ast, points, mutants))
@@ -354,4 +355,228 @@ def test_plain_run_outcomes_pinned_on_corpus(name):
             digest.update(repr((mid, o.status, o.kind, o.loc, o.stmts,
                                 sorted(o.covered_points), o.events,
                                 o.value)).encode())
-    assert digest.hexdigest() == OUTCOME_PINS[name]
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(OUTCOME_PINS))
+def test_plain_run_outcomes_pinned_on_corpus(name):
+    ast = parse_program((CORPUS_DIR / f"{name}.ml0").read_text())
+    assert outcome_digest(ast) == OUTCOME_PINS[name]
+
+
+# The same digest for fuzz seeds 0-9, taken while every run that loops
+# forever still ran until its budget stopped it. Many of these runs do, so
+# a run cut short at a repeated loop state must keep its statement count
+# and its site events, the ones past the cut included.
+FUZZ_OUTCOME_PINS = {
+    0: "d5c461d51a1fa07b7a30965830a47ee0bc35d5d9ce56d39c3da76c30b1607a26",
+    1: "e82c29b49c0acfa8a96c8f717f934d43d20774f46db7fde2140ea46911069eeb",
+    2: "6920e7bbda27b9f2ad6371a1c265567f6b30dec241ec596a7c51435cf57836ad",
+    3: "85f66c111ce86f7cb86f54c2859371c50a8b81c8ca3f1c0f248c8f7884cab31d",
+    4: "73c4d745745f7e59dfb291fca88292957ed423cb7b9c48d4ad87709836df0c74",
+    5: "da63ea6ace7c58b2841d993ce6a55105c36fda5a44ef013d12e6b5fdd985dcc2",
+    6: "4f1b21b9ce8f87e7df207aa96806d43c7bbf2ccd323765b8cec26e29f372ad79",
+    7: "206a6705fe5048189110c5d2034703d4687e2eb3ccafbe41995b8d6bc5630cea",
+    8: "1045f1c419edc472472d03539f2e446a2929b71e0b518fda860fe2eb634097a4",
+    9: "93199f6349ef03903a2dc9a980c330b3792b528fb3c77f839e796aa648fcf310",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FUZZ_OUTCOME_PINS))
+def test_plain_run_outcomes_pinned_on_fuzz(seed):
+    ast = parse_program(fuzz_program(seed))
+    assert outcome_digest(ast) == FUZZ_OUTCOME_PINS[seed]
+
+
+# --- a loop back at a state it had before is a timeout ---
+
+class NoShortcut(PlainRun):
+    """The plain run with a repeat check that never fires: a loop back at an
+    earlier state runs on until its budget stops it."""
+
+    def run_to_budget(self, stmts0, mark):
+        pass
+
+
+def meta_program(src):
+    ast = parse_program(src)
+    points = discover_mutation_points(ast)
+    return compile_program(generate_meta_mutant(ast, points,
+                                                enumerate_mutants(points)))
+
+
+def with_and_without_shortcut(program, entry, select=0, budget=None):
+    """The outcome of one run with events, the same run's outcome without
+    the shortcut, and the number of times the shortcut fired."""
+    fired = []
+    run_to_budget = PlainRun.run_to_budget
+
+    def counting(run, *args):
+        fired.append(run.stmts)
+        run_to_budget(run, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PlainRun, "run_to_budget", counting)
+        got = run_entry(program, entry, [], select=select, budget=budget,
+                        record_events=True)
+        mp.setattr(interp, "PlainRun", NoShortcut)
+        want = run_entry(program, entry, [], select=select, budget=budget,
+                         record_events=True)
+    return got, want, len(fired)
+
+
+def observed(o):
+    # repr tells 1 from 1.0 and 0.0 from -0.0
+    return repr((o.status, o.kind, o.loc, o.stmts, sorted(o.covered_points),
+                 o.events, o.value))
+
+
+CYCLING = {
+    "period-1": """\
+def f():
+    i = 3
+    while i > 0:
+        i = i * 1
+    return i
+""",
+    "period-2": """\
+def f():
+    i = 0
+    while i < 5:
+        i = i ^ 1
+    return i
+""",
+    # the outer loop ends its first two inner loops, the third cycles
+    "inner-loop": """\
+def f():
+    n = 0
+    while n < 5:
+        n = n + 1
+        j = 0
+        while j < 4:
+            j = j + 2 - n // 3 * 2
+    return n
+""",
+    # each cycle runs a helper with a loop of its own; a budget can end the
+    # last cycle inside it
+    "helper-call": """\
+def h(x):
+    k = 0
+    while k < 2:
+        k = k + 1
+    return x * 2 - x
+
+def f():
+    i = 1
+    t = 0
+    while i > 0:
+        t = t + h(i) - i
+        i = h(i)
+    return t
+""",
+    # x and a cycle with period 3 through values equal under ==, which
+    # flow into the site events: 1 and 1.0, 0.0 and -0.0
+    "equal-values": """\
+def f():
+    x = 1
+    y = 1
+    z = 1.0
+    a = 0.0
+    b = 0.0
+    c = -0.0
+    while x == 1:
+        w = x * 1
+        v = a * 1.0
+        t = x
+        x = y
+        y = z
+        z = t
+        t = a
+        a = b
+        b = c
+        c = t
+    return x
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CYCLING))
+def test_repeated_loop_state_ends_as_running_to_budget(name):
+    program = meta_program(CYCLING[name])
+    for budget in range(400, 440):
+        got, want, fired = with_and_without_shortcut(program, "f",
+                                                     budget=budget)
+        assert want.status == "timeout" and want.stmts == budget + 1
+        assert fired == 1, budget
+        assert observed(got) == observed(want), budget
+
+
+def test_loop_that_never_repeats_runs_to_budget():
+    program = meta_program("""\
+def f():
+    i = 0
+    while i < 10:
+        i = i - 1
+    return i
+""")
+    for budget in range(400, 410):
+        got, want, fired = with_and_without_shortcut(program, "f",
+                                                     budget=budget)
+        assert fired == 0
+        assert got.status == "timeout"
+        assert observed(got) == observed(want)
+
+
+def test_same_variables_at_another_loop_head_are_no_repeat():
+    # the checkpoint at the 8th back edge finds i == 8 at the first loop's
+    # head, the check 8 back edges later i == 8 at the second loop's head
+    program = meta_program("""\
+def f():
+    i = 0
+    while i < 8:
+        i = i + 1
+    i = 0
+    while i < 50:
+        i = i + 1
+    return i
+""")
+    got, want, fired = with_and_without_shortcut(program, "f", budget=400)
+    assert fired == 0 and got.status == "pass"
+    assert observed(got) == observed(want)
+
+
+def test_unbudgeted_run_never_takes_the_shortcut(monkeypatch):
+    class Stop(Exception):
+        pass
+
+    checkpoints = []
+    at_checkpoint = PlainRun.at_checkpoint
+
+    def stop_at_the_50th(run, *args):
+        checkpoints.append(run.stmts)
+        if len(checkpoints) == 50:
+            raise Stop
+        return at_checkpoint(run, *args)
+
+    def fail(run, *args):
+        pytest.fail("shortcut taken without a budget")
+
+    monkeypatch.setattr(PlainRun, "at_checkpoint", stop_at_the_50th)
+    monkeypatch.setattr(PlainRun, "run_to_budget", fail)
+    with pytest.raises(Stop):
+        PlainRun(meta_program(CYCLING["period-1"])).call("f", [])
+
+
+@given(st.integers(0, 199))
+@settings(max_examples=25, deadline=None)
+def test_isolated_runs_match_reference_on_fuzz(seed):
+    ast = parse_program(fuzz_program(seed))
+    points = discover_mutation_points(ast)
+    mutants = enumerate_mutants(points)
+    program = compile_program(generate_meta_mutant(ast, points, mutants))
+    [test] = ast.tests
+    original = run_entry(program, test, [], budget=HARD_BUDGET)
+    budget = budget_for(original.stmts, 10)
+    for m in mutants:
+        got, want, _ = with_and_without_shortcut(program, test, m.mid, budget)
+        assert observed(got) == observed(want), m.mid

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 import mutlab.strategies as strategies
 from mutlab.cli import CORPUS_DIR, main
-from mutlab.lang import parse_program
+from mutlab.fuzz import fuzz_program
+from mutlab.lang import PlainRun, parse_program
 from mutlab.strategies import (
-    AnalysisConfig, STRATEGY_NAMES, _trie_cost, analyze_program,
+    AnalysisConfig, STRATEGY_NAMES, _event_key, _trie_cost, analyze_program,
     check_consistency, merge_verdict,
 )
 
@@ -85,6 +86,60 @@ class TestTrieCost:
         # than the longest single stream
         assert cost <= sum(t for _, t in members)
         assert cost >= max(t for _, t in members)
+
+    @given(st.lists(
+        st.tuples(st.lists(st.sampled_from([1, 2, "e"]), max_size=3),
+                  st.integers(0, 5)),
+        min_size=1, max_size=6))
+    @settings(max_examples=500)
+    def test_matches_signature_grouping_reference(self, raw):
+        # short traces over three outcomes, so groups often split with
+        # some streams ending at the split
+        members = []
+        for outcomes, extra in raw:
+            trace = [(i, i + 1, ("err", "type") if o == "e" else ("val", o))
+                     for i, o in enumerate(outcomes)]
+            members.append((trace, len(trace) + 1 + extra))
+        assert _trie_cost(members, 0, 0) == reference_trie_cost(members)
+
+
+def reference_trie_cost(members):
+    """`_trie_cost(members, 0, 0)` as it was written before streams ending
+    in a split were charged as one: it grouped them by full trace."""
+    cost = 0
+    work = [(members, 0, 0)]
+    while work:
+        members, depth, base = work.pop()
+        while True:
+            if len(members) == 1:
+                cost += members[0][1] - base
+                break
+            groups = {}
+            for trace, total in members:
+                key = ("end",) if len(trace) <= depth else _event_key(trace[depth])
+                groups.setdefault(key, []).append((trace, total))
+            if len(groups) == 1:
+                if ("end",) in groups:
+                    cost += max(t for _, t in members) - base
+                    break
+                depth += 1
+                continue
+            boundary = None
+            for key, sub in sorted(groups.items(), key=lambda kv: repr(kv[0])):
+                if key == ("end",):
+                    by_sig = {}
+                    for trace, total in sub:
+                        sig = tuple(_event_key(e) for e in trace)
+                        by_sig[sig] = max(by_sig.get(sig, 0), total)
+                    for total in by_sig.values():
+                        cost += total - base
+                else:
+                    boundary = sub[0][0][depth][1]
+                    work.append((sub, depth + 1, boundary))
+            if boundary is not None:
+                cost += boundary - base
+            break
+    return cost
 
 
 SRC = """\
@@ -192,3 +247,62 @@ def test_compare_report_pinned_on_corpus(name, tmp_path, monkeypatch):
     assert main(["compare", "--program", str(CORPUS_DIR / f"{name}.ml0"),
                  "--all", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_PINS[name]
+
+
+# The same for the benchmark's fuzz programs (seeds 0-9, written to
+# fuzz<seed>.ml0), taken while every run that loops forever still ran until
+# its budget stopped it. Split-stream and modulo-state costs read the site
+# events of those runs.
+FUZZ_REPORT_PINS = {
+    0: "355640305068f8812ab37151a8f661854f42c484d6bcca1a924bc54a244146fa",
+    1: "ff83727949cf318ff00c294c9be0ecfc9f1e4e0760c82120436d2a47d18b4a62",
+    2: "25604f90ad7a0efdc87effd8276fa68fb357c54740f9eaeb9ad8d57dfef50686",
+    3: "f2ff044a87ecf3e74b6ffa10a2b8ab530aaae35ad6f08ad02fa27235661d460e",
+    4: "df05e7587852f0f5f44c3f6741c807c1223add171e9ce93eace08c198a09926e",
+    5: "de1c6cb119cf165ffcc780151b27d8d810b9dbb8ff53babf514fac362790cb44",
+    6: "1e9c14c150c7af02a70bff461977b9d35de4cca4979b8775960751e2a9484e01",
+    7: "3a40cdf5c6d5dd624ecd224f477ddfecd8659e6d068e2127a2aa7f5a5b829077",
+    8: "bc94dd2c8abb57269a438f24bfe68e2e65e650487ce483b77b51257b041568a7",
+    9: "cd5a1bfc70044557adbd745eb405fb4361899ebc84cf019c1158831e498e994e",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FUZZ_REPORT_PINS))
+def test_compare_report_pinned_on_fuzz(seed, tmp_path, monkeypatch):
+    monkeypatch.delenv("MUTLAB_BUDGET_MULT", raising=False)
+    program = tmp_path / f"fuzz{seed}.ml0"
+    program.write_text(fuzz_program(seed))
+    out = tmp_path / "report.json"
+    assert main(["compare", "--program", str(program), "--all",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        FUZZ_REPORT_PINS[seed]
+
+
+def test_repeated_loop_state_shortcut_fires(monkeypatch):
+    # 99 isolated runs, forked children and re-executions of the benchmark's
+    # fuzz programs (seeds 0-9) return to a loop state they already had;
+    # each ends there in every strategy, and the three baselines share one
+    # isolated pass. The corpus has no such run.
+    fired = []
+    run_to_budget = PlainRun.run_to_budget
+
+    def counting(run, *args):
+        fired.append(run.stmts)
+        run_to_budget(run, *args)
+
+    monkeypatch.setattr(PlainRun, "run_to_budget", counting)
+    fuzz = [parse_program(fuzz_program(seed)) for seed in range(10)]
+    for name in STRATEGY_NAMES:
+        fired.clear()
+        for ast in fuzz:
+            analyze_program(ast, AnalysisConfig(strategies=[name]))
+        assert len(fired) == 99, name
+    fired.clear()
+    for ast in fuzz:
+        analyze_program(ast)
+    assert len(fired) == 495
+    fired.clear()
+    for name in sorted(REPORT_PINS):
+        analyze_program(parse_program((CORPUS_DIR / f"{name}.ml0").read_text()))
+    assert fired == []
