@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 invalid test (the original fails), 2 usage
-error, 3 internal consistency failure (strategies disagree on a verdict),
-4 internal error (any other exception, such as Python's recursion limit
-on a deeply recursive program), reported as one line on stderr.
+Exit codes: 0 success, 1 invalid test (the original fails), 2 usage error
+(also an unreadable program or an unwritable output), 3 strategies disagree
+on a verdict, 4 internal error (any other exception, such as Python's
+recursion limit on deep recursion), reported as one line on stderr.
 The budget multiplier (--budget-mult, else MUTLAB_BUDGET_MULT, else 10)
 must be a positive integer; anything else is a usage error.
 """
@@ -14,6 +14,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from .fuzz import fuzz_program
 from .lang.errors import MiniSyntaxError
@@ -34,6 +35,11 @@ CORPUS_DIR = Path(__file__).resolve().parents[2] / "corpus"
 CORPUS_PROGRAMS = ["caesar_cypher", "entropy", "euler", "newton", "prime"]
 
 
+def _usage_error(message: str) -> NoReturn:
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
+
+
 def _budget_mult(flag: str | None) -> int:
     source = "--budget-mult" if flag is not None else "MUTLAB_BUDGET_MULT"
     text = flag if flag is not None else os.environ.get(source, "10")
@@ -42,28 +48,32 @@ def _budget_mult(flag: str | None) -> int:
     except ValueError:
         mult = 0
     if mult < 1:
-        print(f"error: {source} must be a positive integer, got {text!r}",
-              file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        _usage_error(f"{source} must be a positive integer, got {text!r}")
     return mult
 
 
 def _load(path: str):
     try:
-        return parse_program(Path(path).read_text())
+        text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
-        print(f"error: no such program: {path}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        _usage_error(f"no such program: {path}")
+    except (OSError, UnicodeDecodeError) as err:
+        _usage_error(f"cannot read program {path}: "
+                     f"{getattr(err, 'strerror', None) or err}")
+    try:
+        return parse_program(text)
     except MiniSyntaxError as err:
-        print(f"error: {path}: {err}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        _usage_error(f"{path}: {err}")
 
 
-def _write_out(text: str, out: str | None):
-    if out:
-        Path(out).write_text(text)
-    else:
+def _write_out(text: str, out: str | Path | None):
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as err:
+        _usage_error(f"cannot write {out}: {err.strerror or err}")
 
 
 def _analyze_one(path: str, strategies: list[str], budget_mult: int):
@@ -124,7 +134,10 @@ def cmd_mutants(args) -> int:
 def cmd_corpus(args) -> int:
     out_dir = Path(args.out) if args.out else None
     if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            _usage_error(f"cannot write {out_dir}: {err.strerror or err}")
     ratios = []
     worst = EXIT_OK
     rows = []
@@ -139,7 +152,7 @@ def cmd_corpus(args) -> int:
             worst = EXIT_INCONSISTENT
         reports = reports_from_analysis(prog, analysis, args.budget_mult)
         if out_dir:
-            (out_dir / f"{prog}.json").write_text(emit_json(reports))
+            _write_out(emit_json(reports), out_dir / f"{prog}.json")
         rows.extend(reports)
         trad = analysis.runs["traditional"].program_stmts
         full = analysis.runs["exec-taints"].program_stmts
@@ -150,7 +163,7 @@ def cmd_corpus(args) -> int:
     mean = sum(ratios) / len(ratios)
     print(f"mean exec-taints/traditional ratio: {mean:.3f}")
     if out_dir:
-        (out_dir / "summary.csv").write_text(emit_csv(rows))
+        _write_out(emit_csv(rows), out_dir / "summary.csv")
     return worst
 
 

@@ -18,6 +18,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from .strategies import ProgramAnalysis
 
@@ -112,9 +113,32 @@ def report_obj(r: RunReport) -> dict:
     }
 
 
+def _json_text(obj, indent: str = "") -> str:
+    """What `json.dumps(obj, indent=2)` writes for `obj` nested at `indent`,
+    without the pure-Python encoder that CPython uses for any indent."""
+    if type(obj) is str:
+        return encode_basestring_ascii(obj)
+    if type(obj) is int:
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        brackets, items = "{}", [
+            f"{encode_basestring_ascii(key)}: {_json_text(value, inner)}"
+            for key, value in obj.items()]
+    elif isinstance(obj, (list, tuple)):
+        brackets, items = "[]", [_json_text(value, inner) for value in obj]
+    else:
+        return json.dumps(obj)
+    if not items:
+        return brackets
+    sep = "\n" + inner
+    return (brackets[0] + sep + ("," + sep).join(items) + "\n" + indent
+            + brackets[1])
+
+
 def emit_json(reports: list[RunReport]) -> str:
     obj = {"schema": SCHEMA, "reports": [report_obj(r) for r in reports]}
-    return json.dumps(obj, indent=2) + "\n"
+    return _json_text(obj) + "\n"
 
 
 def emit_csv(reports: list[RunReport]) -> str:

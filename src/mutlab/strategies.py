@@ -25,6 +25,7 @@ re-execution) gets the same step budget derived from the original run
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 
 from .engine import EngineConfig, HARD_BUDGET, budget_for, run_test
@@ -142,48 +143,70 @@ def _event_key(event) -> tuple:
     return (point_id, "err", tag[1])
 
 
+def _group_key(event) -> tuple:
+    """Equal exactly when `_event_key` is, with no `canon_key` for scalars:
+    type and value tell them apart (equal nonzero, non-nan floats have equal
+    bits); 0.0/-0.0 and nan are keyed by their bits, lists by `_event_key`."""
+    point_id, _stmts, (kind, v) = event
+    t = type(v)
+    if t is tuple:
+        return _event_key(event)
+    if t is float and (v == 0.0 or v != v):
+        return (point_id, kind, struct.pack("<d", v))
+    return (point_id, kind, t, v)
+
+
 def _trie_cost(members: list[tuple[list, int]], depth: int, base: int) -> int:
     """Shared-execution cost of a group of streams whose event traces agree
     on the first `depth` events; `base` is the statement count already
     charged for the shared prefix. Streams with identical full traces are
-    identical executions and are charged once."""
+    identical executions and are charged once. Events are compared by
+    `_group_key`; the walk steps on without grouping while every stream's
+    next event has the first stream's key, and orders the subgroups of a
+    split by the `repr` of one member's `_event_key`."""
     cost = 0
     work = [(members, depth, base)]
     while work:
         members, depth, base = work.pop()
-        while True:
-            if len(members) == 1:
-                cost += members[0][1] - base
-                break
-            groups: dict[tuple, list] = {}
-            for trace, total in members:
-                key = ("end",) if len(trace) <= depth else _event_key(trace[depth])
-                groups.setdefault(key, []).append((trace, total))
-            if len(groups) == 1:
-                if ("end",) in groups:
-                    # identical complete traces: one shared execution
-                    cost += max(t for _, t in members) - base
+        if len(members) == 1:
+            cost += members[0][1] - base
+            continue
+        first, *rest = [trace for trace, _ in members]
+        while depth < len(first):
+            key = _group_key(first[depth])
+            for trace in rest:
+                if len(trace) <= depth or _group_key(trace[depth]) != key:
                     break
+            else:
                 depth += 1
                 continue
-            # the group splits at event `depth`; execution (and so the
-            # statement count) was identical for all members until then,
-            # so the run-up to the splitting statement is charged once
-            boundary = None
-            # ("end",) sorts apart from event keys; repr keeps the order
-            # deterministic without comparing ints to strings
-            for key, sub in sorted(groups.items(), key=lambda kv: repr(kv[0])):
-                if key == ("end",):
-                    # streams that end here all have exactly the `depth`
-                    # shared events, so identical traces: charged once, at
-                    # the longest run among them
-                    cost += max(t for _, t in sub) - base
-                else:
-                    boundary = sub[0][0][depth][1]
-                    work.append((sub, depth + 1, boundary))
-            if boundary is not None:
-                cost += boundary - base
             break
+        groups: dict[tuple | None, list] = {}
+        for trace, total in members:
+            key = _group_key(trace[depth]) if len(trace) > depth else None
+            groups.setdefault(key, []).append((trace, total))
+        if len(groups) == 1:
+            # identical complete traces: one shared execution
+            cost += max(t for _, t in members) - base
+            continue
+        # the group splits at event `depth`; execution (and so the
+        # statement count) was identical for all members until then,
+        # so the run-up to the splitting statement is charged once
+        boundary = None
+        # ("end",) sorts apart from event keys; repr keeps the order
+        # deterministic without comparing ints to strings
+        for key, sub in sorted(groups.items(), key=lambda kv: repr(
+                ("end",) if kv[0] is None else _event_key(kv[1][0][0][depth]))):
+            if key is None:
+                # streams that end here all have exactly the `depth`
+                # shared events, so identical traces: charged once, at
+                # the longest run among them
+                cost += max(t for _, t in sub) - base
+            else:
+                boundary = sub[0][0][depth][1]
+                work.append((sub, depth + 1, boundary))
+        if boundary is not None:
+            cost += boundary - base
     return cost
 
 

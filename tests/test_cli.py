@@ -73,6 +73,61 @@ class TestExitCodes:
         capsys.readouterr()
 
 
+def usage_error_line(capsys, excinfo) -> str:
+    """The one stderr line of a run that exited 2."""
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+class TestIOErrors:
+    def test_program_is_a_directory(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["analyze", "--program", str(tmp_path),
+                  "--strategy", "traditional"])
+        assert usage_error_line(capsys, e) == (
+            f"error: cannot read program {tmp_path}: Is a directory\n")
+
+    def test_program_unreadable(self, good, capsys, monkeypatch):
+        # a permission bit does not stop root from reading, so the read
+        # itself is made to fail
+        def denied(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+        monkeypatch.setattr(Path, "read_text", denied)
+        with pytest.raises(SystemExit) as e:
+            main(["compare", "--program", good])
+        assert usage_error_line(capsys, e) == (
+            f"error: cannot read program {good}: Permission denied\n")
+
+    def test_program_undecodable(self, tmp_path, capsys):
+        program = tmp_path / "bytes.ml0"
+        program.write_bytes(b"def f():\n    return 1\xff\n")
+        with pytest.raises(SystemExit) as e:
+            main(["mutants", "list", "--program", str(program)])
+        err = usage_error_line(capsys, e)
+        assert err.startswith(f"error: cannot read program {program}: ")
+        assert "can't decode byte 0xff" in err
+
+    def test_out_in_missing_directory(self, good, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.json"
+        with pytest.raises(SystemExit) as e:
+            main(["analyze", "--program", good, "--strategy",
+                  "traditional", "--out", str(out)])
+        assert usage_error_line(capsys, e) == (
+            f"error: cannot write {out}: No such file or directory\n")
+        assert not out.parent.exists()
+
+    def test_corpus_out_is_a_file(self, tmp_path, capsys):
+        out = tmp_path / "results"
+        out.write_text("keep")
+        with pytest.raises(SystemExit) as e:
+            main(["corpus", "run", "--out", str(out)])
+        assert usage_error_line(capsys, e) == (
+            f"error: cannot write {out}: File exists\n")
+        assert out.read_text() == "keep"
+
+
 class TestOutputs:
     def test_json_schema(self, good, tmp_path):
         out = tmp_path / "r.json"

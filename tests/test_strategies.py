@@ -2,6 +2,7 @@
 cross-strategy consistency on small programs."""
 
 import hashlib
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +13,8 @@ from mutlab.cli import CORPUS_DIR, main
 from mutlab.fuzz import fuzz_program
 from mutlab.lang import PlainRun, parse_program
 from mutlab.strategies import (
-    AnalysisConfig, STRATEGY_NAMES, _event_key, _trie_cost, analyze_program,
-    check_consistency, merge_verdict,
+    AnalysisConfig, STRATEGY_NAMES, _event_key, _group_key, _trie_cost,
+    analyze_program, check_consistency, merge_verdict,
 )
 
 KILL = ("killed", "assertion")
@@ -140,6 +141,128 @@ def reference_trie_cost(members):
                 cost += boundary - base
             break
     return cost
+
+
+# Site outcomes a key could confuse: values equal under `==` but of another
+# type or other bits, lists, a string, None and error tags, each built afresh
+# so that no two events share a value object.
+GRID = [
+    lambda: ("val", 1), lambda: ("val", 1.0), lambda: ("val", True),
+    lambda: ("val", 0.0), lambda: ("val", -0.0),
+    lambda: ("val", float("nan")), lambda: ("val", -float("nan")),
+    lambda: ("val", (1,)), lambda: ("val", (1.0,)), lambda: ("val", "1"),
+    lambda: ("val", None), lambda: ("err", "type"), lambda: ("err", "value"),
+]
+
+
+def test_group_key_equal_exactly_when_event_key_equal():
+    events = [(point, stmts, make())
+              for point, stmts in ((0, 3), (0, 5), (1, 3))
+              for make in GRID for _copy in range(2)]
+    for a, b in itertools.product(events, repeat=2):
+        assert (_group_key(a) == _group_key(b)) == \
+            (_event_key(a) == _event_key(b)), (a, b)
+    # equal keys hash alike, so a dict groups by them as by `_event_key`
+    assert len({_group_key(e) for e in events}) == \
+        len({_event_key(e) for e in events}) == 2 * len(GRID)
+
+
+def parent_trie_cost(members):
+    """`_trie_cost(members, 0, 0)` as it was written before streams were
+    grouped by `_group_key`: every visited event went through `_event_key`
+    and a group dict. Returns the cost and the number of subgroups formed
+    at splits."""
+    cost = subgroups = 0
+    work = [(members, 0, 0)]
+    while work:
+        members, depth, base = work.pop()
+        while True:
+            if len(members) == 1:
+                cost += members[0][1] - base
+                break
+            groups = {}
+            for trace, total in members:
+                key = ("end",) if len(trace) <= depth else _event_key(trace[depth])
+                groups.setdefault(key, []).append((trace, total))
+            if len(groups) == 1:
+                if ("end",) in groups:
+                    cost += max(t for _, t in members) - base
+                    break
+                depth += 1
+                continue
+            subgroups += len(groups)
+            boundary = None
+            for key, sub in sorted(groups.items(), key=lambda kv: repr(kv[0])):
+                if key == ("end",):
+                    cost += max(t for _, t in sub) - base
+                else:
+                    boundary = sub[0][0][depth][1]
+                    work.append((sub, depth + 1, boundary))
+            if boundary is not None:
+                cost += boundary - base
+            break
+    return cost, subgroups
+
+
+@given(st.lists(st.lists(st.integers(0, len(GRID) - 1), max_size=4),
+                min_size=1, max_size=4),
+       st.lists(st.tuples(st.integers(0, 3), st.integers(0, 4),
+                          st.integers(0, 5)),
+                min_size=1, max_size=8))
+@settings(max_examples=500)
+def test_trie_cost_matches_parent_on_grid(traces, picks):
+    # each member takes a prefix of one of a few traces, so members repeat
+    # with different totals and some streams end where others split
+    members = []
+    for which, length, extra in picks:
+        outcomes = traces[which % len(traces)][:length]
+        trace = [(0, i + 1, GRID[o]()) for i, o in enumerate(outcomes)]
+        members.append((trace, len(trace) + 1 + extra))
+    assert _trie_cost(members, 0, 0) == parent_trie_cost(members)[0]
+
+
+def recorded_trie_members(monkeypatch, seeds):
+    """Runs modulo-state on fuzz `seeds` and returns the member lists its
+    trie was given, checking each cost against `parent_trie_cost`."""
+    recorded = []
+    trie_cost = strategies._trie_cost
+
+    def recording(members, depth, base):
+        recorded.append(members)
+        return trie_cost(members, depth, base)
+
+    monkeypatch.setattr(strategies, "_trie_cost", recording)
+    for seed in seeds:
+        analyze_program(parse_program(fuzz_program(seed)),
+                        AnalysisConfig(strategies=["modulo-state"]))
+    monkeypatch.setattr(strategies, "_trie_cost", trie_cost)
+    return recorded
+
+
+def test_modulo_state_costs_match_parent_on_fuzz(monkeypatch):
+    recorded = recorded_trie_members(monkeypatch, range(10, 60))
+    assert len(recorded) >= 50
+    for members in recorded:
+        assert _trie_cost(members, 0, 0) == parent_trie_cost(members)[0]
+
+
+def test_event_key_runs_only_to_order_split_subgroups(monkeypatch):
+    # the trie canonicalises one member per subgroup at a split (fuzz
+    # events hold no lists), not every event: 1,027 calls here, against
+    # 63,698 when each visited event went through `_event_key`
+    calls = 0
+    event_key = strategies._event_key
+
+    def counting(event):
+        nonlocal calls
+        calls += 1
+        return event_key(event)
+
+    monkeypatch.setattr(strategies, "_event_key", counting)
+    recorded = recorded_trie_members(monkeypatch, range(10))
+    monkeypatch.setattr(strategies, "_event_key", event_key)
+    subgroups = sum(parent_trie_cost(members)[1] for members in recorded)
+    assert 0 < calls <= subgroups
 
 
 SRC = """\
