@@ -11,7 +11,9 @@ must be a positive integer; anything else is a usage error.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
+import stat
 import sys
 from pathlib import Path
 from typing import NoReturn
@@ -66,6 +68,21 @@ def _load(path: str):
         _usage_error(f"{path}: {err}")
 
 
+def _check_out(out: str | None):
+    """Reject an --out that names a directory, or whose parent is missing or
+    not a directory, before any analysis runs. `_write_out` still handles
+    the write failing, as the file system can change in between."""
+    if not out:
+        return
+    try:
+        if os.path.isdir(out):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        if not stat.S_ISDIR(os.stat(Path(out).parent).st_mode):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+    except OSError as err:
+        _usage_error(f"cannot write {out}: {err.strerror}")
+
+
 def _write_out(text: str, out: str | Path | None):
     if not out:
         sys.stdout.write(text)
@@ -99,6 +116,7 @@ def cmd_analyze(args) -> int:
         print("error: --no-fork/--no-memo apply only to exec-taints",
               file=sys.stderr)
         return EXIT_USAGE
+    _check_out(args.out)
     analysis = _analyze_one(args.program, [name], args.budget_mult)
     reports = reports_from_analysis(Path(args.program).stem, analysis,
                                     args.budget_mult)
@@ -108,6 +126,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    _check_out(args.out)
     analysis = _analyze_one(args.program, list(STRATEGY_NAMES),
                             args.budget_mult)
     problems = check_consistency(analysis)
@@ -124,9 +143,8 @@ def cmd_compare(args) -> int:
 
 def cmd_mutants(args) -> int:
     ast = _load(args.program)
-    points = discover_mutation_points(ast)
-    mutants = enumerate_mutants(points)
-    for line in mutant_catalog_lines(points, mutants):
+    mutants = enumerate_mutants(discover_mutation_points(ast))
+    for line in mutant_catalog_lines(mutants):
         print(line)
     return EXIT_OK
 

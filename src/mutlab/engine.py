@@ -1,21 +1,21 @@
 """The taint-aware interpreter.
 
 The root context executes the meta-mutant mainline carrying all live
-mutants as value taints. Control-flow divergence is detected at wrapped
-branch/loop conditions. A diverging mutant leaves the mainline and is
-queued on the frame where it diverged: in fork mode with its concretized
-environment and the divergent branch target, in no-fork mode with its view
-of the call's arguments, to re-execute the whole body. At that frame's
-return each queued mutant runs alone on the plain interpreter (`PlainRun`
-selecting its own variant, with the child step budget), and its return
-value is merged back as its execution taint on the mainline return value.
-Only the root ever holds taints, so only the root needs the taint-aware
-evaluator.
+mutants as value taints. Control-flow divergence is detected where a
+branch or loop condition is decided (`exec_cond`). A diverging mutant
+leaves the mainline and is queued on the frame where it diverged: in fork
+mode with its concretized environment and the divergent branch target, in
+no-fork mode with its view of the call's arguments, to re-execute the whole
+body. At that frame's return each queued mutant runs alone on the plain
+interpreter (`PlainRun` selecting its own variant, with the child step
+budget), and its return value is merged back as its execution taint on the
+mainline return value. Only the root ever holds taints, so only the root
+needs the taint-aware evaluator.
 
-Memoization, when enabled, is consulted by diverged runs before executing
-a wrapped call and filled by every call, guarded by the mutation cache.
-Every executed choice site notes its site id (with its variants) in the
-innermost open call's frame; the call writes its mutation-cache records
+With memo on (`EngineConfig.memo`), diverged runs consult the memo before
+executing a program call and every call fills it, guarded by the mutation
+cache. Every executed choice site notes its site id (with its variants) in
+the innermost open call's frame; the call writes its mutation-cache records
 when it returns (see `memo`).
 """
 
@@ -30,7 +30,7 @@ from .lang.interp import (
 )
 from .lang.nodes import (
     BinOp, BoolOp, Call, Compare, Expr, Index, ListLit, Literal, Loc,
-    TaintChoice, TaintedCond, UnaryOp, Var,
+    TaintChoice, UnaryOp, Var,
 )
 from .lang import values
 from .lang.values import BUILTINS, call_builtin
@@ -136,7 +136,7 @@ class TaintEngine:
         self.active: set[int] = set(mutant_ids)
         self.kills: dict[int, tuple] = {}
         self.pending = 0           # diverged mutants not yet merged back
-        self.memo = MemoState(enabled=cfg.memo)
+        self.memo = MemoState()
         self.infra = InfraStats()
         self.divergences: list[DivergenceEvent] = []
         self.covered_points: set[int] = set()
@@ -290,8 +290,6 @@ class TaintEngine:
             if e.name not in env:
                 raise MiniRuntimeError("name", f"undefined variable {e.name!r}", e.loc)
             return env[e.name]
-        if isinstance(e, TaintedCond):
-            return self.eval(e.cond, env)
         if isinstance(e, TaintChoice):
             return self.exec_taint_choice(e, env)
         if isinstance(e, (BinOp, Compare, BoolOp)):

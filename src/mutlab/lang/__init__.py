@@ -7,17 +7,15 @@ from .interp import (
 from .nodes import (
     Assert, Assign, Ast, BinOp, BoolOp, Call, Compare, Expr, ExprStmt,
     FunctionDef, If, Index, ListLit, Literal, Loc, Return, Stmt, TaintChoice,
-    TaintedCond, UnaryOp, Var, While, walk_exprs, walk_stmts,
+    UnaryOp, Var, While, walk_exprs, walk_stmts,
 )
 from .parser import parse_program
-from .printer import expr_to_source, to_source
 
 __all__ = [
     "Assert", "Assign", "Ast", "BinOp", "BoolOp", "Call", "Compare",
     "CompiledProgram", "Expr", "ExprStmt", "FunctionDef", "If", "Index",
     "ListLit", "Literal", "Loc", "MiniAssertionError", "MiniRuntimeError",
     "MiniSyntaxError", "Outcome", "PlainRun", "Return", "StepBudgetExceeded",
-    "Stmt", "TaintChoice", "TaintedCond", "UnaryOp", "Var", "While",
-    "compile_program", "eval_plain", "expr_to_source", "parse_program",
-    "run_entry", "to_source", "walk_exprs", "walk_stmts",
+    "Stmt", "TaintChoice", "UnaryOp", "Var", "While", "compile_program",
+    "eval_plain", "parse_program", "run_entry", "walk_exprs", "walk_stmts",
 ]

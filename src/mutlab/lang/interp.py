@@ -33,7 +33,7 @@ from .errors import MiniAssertionError, MiniRuntimeError, StepBudgetExceeded
 from .nodes import (
     Assert, Assign, Ast, BinOp, BoolOp, Call, Compare, Expr, ExprStmt,
     FunctionDef, If, Index, ListLit, Literal, Loc, Return, Stmt, TaintChoice,
-    TaintedCond, UnaryOp, Var, While,
+    UnaryOp, Var, While,
 )
 from . import values
 from .values import BUILTINS, OPERATORS, plain_eq
@@ -180,8 +180,6 @@ def compile_expr(e: Expr) -> Callable:
                 raise MiniRuntimeError(
                     "name", f"undefined variable {name!r}", loc) from None
         return ev
-    if isinstance(e, TaintedCond):
-        return compile_expr(e.cond)
     if isinstance(e, TaintChoice):
         left, right = compile_expr(e.left), compile_expr(e.right)
         fns = {m: OPERATORS[op] for m, op in e.variants.items()}

@@ -2,8 +2,7 @@
 
 Every statement node carries a (line, column) location. Augmented
 assignments are desugared by the parser into `Assign` nodes whose value is
-a `BinOp` on the target variable, with `is_aug` set so the printer can
-restore the short form.
+a `BinOp` on the target variable.
 """
 
 from __future__ import annotations
@@ -81,26 +80,19 @@ class Index(Expr):
     index: Expr
 
 
-# --- meta-mutant expression nodes ---
+# --- meta-mutant expression node ---
 
 @dataclass
 class TaintChoice(Expr):
     """A mutated operator occurrence: the original op plus per-mutant variants.
 
     `variants` maps mutant id -> operator token and always contains 0 (the
-    original operator). `kind` is 'bin' or 'cmp'.
+    original operator).
     """
-    kind: str
     point_id: int
     variants: dict[int, str]
     left: Expr
     right: Expr
-
-
-@dataclass
-class TaintedCond(Expr):
-    """Wraps every branch/loop condition; divergence is detected here."""
-    cond: Expr
 
 
 # --- statements ---
@@ -114,7 +106,6 @@ class Stmt:
 class Assign(Stmt):
     name: str
     value: Expr
-    aug_op: str | None = None  # set when written as an augmented assignment
 
 
 @dataclass
@@ -151,7 +142,6 @@ class FunctionDef:
     params: list[str]
     body: list[Stmt]
     loc: Loc
-    wrapped: bool = False  # set on meta-mutant functions
 
     @property
     def is_test(self) -> bool:
@@ -178,8 +168,6 @@ def walk_exprs(e: Expr):
     elif isinstance(e, TaintChoice):
         yield from walk_exprs(e.left)
         yield from walk_exprs(e.right)
-    elif isinstance(e, TaintedCond):
-        yield from walk_exprs(e.cond)
     elif isinstance(e, Call):
         for a in e.args:
             yield from walk_exprs(a)

@@ -2,8 +2,7 @@
 
 Grammar is newline/indent delimited. Only `def` blocks may appear at the
 top level; `elif` chains are desugared into nested if/else. Augmented
-assignments desugar into `x = x <op> e` with the aug operator remembered
-for printing.
+assignments desugar into `x = x <op> e`.
 """
 
 from __future__ import annotations
@@ -132,8 +131,7 @@ class Parser:
                 op = AUG_OPS[self.next().value]
                 rhs = self.parse_expr()
                 self.expect("NEWLINE")
-                value = BinOp(loc, op, Var(loc, name), rhs)
-                return Assign(loc, name, value, aug_op=op)
+                return Assign(loc, name, BinOp(loc, op, Var(loc, name), rhs))
         value = self.parse_expr()
         self.expect("NEWLINE")
         return ExprStmt(loc, value)

@@ -72,7 +72,6 @@ class MemoStats:
 @dataclass
 class MemoState:
     """Memo cache + mutation cache for one analysis run."""
-    enabled: bool = True
     entries: dict = field(default_factory=dict)          # CallKey -> plain value
     mutation_cache: set = field(default_factory=set)     # (mid, CallKey)
     frames: list = field(default_factory=list)           # (fn name, args, sites)
@@ -105,7 +104,7 @@ class MemoState:
         call of `fn_name` with `args`, keyed by m's view of the arguments.
         Mutants no argument is tainted for share the original key. Returns
         the number of new records (infra cost)."""
-        if not self.enabled or not mutants:
+        if not mutants:
             return 0
         before = len(self.mutation_cache)
         self.mutation_cache.update(
@@ -136,8 +135,6 @@ class MemoState:
     def lookup(self, key: CallKey, m: int):
         """(hit, value): a hit requires a stored entry and no mutation-cache
         veto for this mutant."""
-        if not self.enabled:
-            return False, None
         if key in self.entries and not self._vetoed(key, m):
             self.stats.hits += 1
             return True, self.entries[key]
@@ -146,8 +143,6 @@ class MemoState:
 
     def store(self, key: CallKey, m: int, value) -> None:
         """First write wins; vetoed when this mutant's mutation ran inside."""
-        if not self.enabled:
-            return
         if key in self.entries or self._vetoed(key, m):
             return
         self.entries[key] = value

@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 
 from .lang.nodes import (
     Assert, Assign, Ast, BinOp, BoolOp, Call, Compare, Expr, ExprStmt, If,
-    Index, ListLit, Loc, Return, Stmt, TaintChoice, TaintedCond, UnaryOp,
-    While, walk_exprs, walk_stmts,
+    Index, ListLit, Loc, Return, Stmt, TaintChoice, UnaryOp, While,
+    walk_exprs, walk_stmts,
 )
 
 ARITH_CATALOG = ["+", "-", "*", "/", "%", "<<", ">>", "|", "^", "&", "//"]
@@ -100,13 +100,12 @@ def _transform_expr(e: Expr, by_point: dict[int, list[Mutant]],
     if isinstance(e, (BinOp, Compare)):
         point_id = counter[0]
         counter[0] += 1
-        kind = "cmp" if isinstance(e, Compare) else "bin"
         variants = {ORIGINAL: e.op}
         for m in by_point.get(point_id, []):
             variants[m.mid] = m.replacement_op
         left = _transform_expr(e.left, by_point, counter)
         right = _transform_expr(e.right, by_point, counter)
-        return TaintChoice(e.loc, kind, point_id, variants, left, right)
+        return TaintChoice(e.loc, point_id, variants, left, right)
     if isinstance(e, BoolOp):
         return replace(e, left=_transform_expr(e.left, by_point, counter),
                        right=_transform_expr(e.right, by_point, counter))
@@ -125,8 +124,7 @@ def _transform_expr(e: Expr, by_point: dict[int, list[Mutant]],
 
 
 def _transform_block(body: list[Stmt], by_point, counter) -> list[Stmt]:
-    """A new statement list with every expression transformed and every
-    branch/loop condition wrapped in a TaintedCond."""
+    """A new statement list with every expression transformed."""
     out = []
     for s in body:
         if isinstance(s, Assign):
@@ -139,13 +137,11 @@ def _transform_block(body: list[Stmt], by_point, counter) -> list[Stmt]:
         elif isinstance(s, ExprStmt):
             s = replace(s, value=_transform_expr(s.value, by_point, counter))
         elif isinstance(s, If):
-            cond = _transform_expr(s.cond, by_point, counter)
-            s = replace(s, cond=TaintedCond(s.loc, cond),
+            s = replace(s, cond=_transform_expr(s.cond, by_point, counter),
                         then_body=_transform_block(s.then_body, by_point, counter),
                         else_body=_transform_block(s.else_body, by_point, counter))
         elif isinstance(s, While):
-            cond = _transform_expr(s.cond, by_point, counter)
-            s = replace(s, cond=TaintedCond(s.loc, cond),
+            s = replace(s, cond=_transform_expr(s.cond, by_point, counter),
                         body=_transform_block(s.body, by_point, counter))
         out.append(s)
     return out
@@ -154,17 +150,16 @@ def _transform_block(body: list[Stmt], by_point, counter) -> list[Stmt]:
 def generate_meta_mutant(ast: Ast, points: list[MutationPoint],
                          mutants: list[Mutant] | None = None) -> Ast:
     """Returns a new AST where each mutated operator occurrence is a
-    TaintChoice, every branch/loop condition is wrapped in TaintedCond, and
-    every function is marked wrapped. Statements and compound expressions
-    are rebuilt and the immutable leaves shared, so the input AST is left
-    untouched without a deep copy."""
+    TaintChoice. Statements and compound expressions are rebuilt and the
+    immutable leaves shared, so the input AST is left untouched without a
+    deep copy."""
     if mutants is None:
         mutants = enumerate_mutants(points)
     by_point: dict[int, list[Mutant]] = {}
     for m in mutants:
         by_point.setdefault(m.point_id, []).append(m)
     counter = [0]
-    meta = Ast([replace(fn, params=list(fn.params), wrapped=True,
+    meta = Ast([replace(fn, params=list(fn.params),
                         body=_transform_block(fn.body, by_point, counter))
                 for fn in ast.functions])
     if counter[0] != len(points):
@@ -172,8 +167,7 @@ def generate_meta_mutant(ast: Ast, points: list[MutationPoint],
     return meta
 
 
-def mutant_catalog_lines(points: list[MutationPoint],
-                         mutants: list[Mutant]) -> list[str]:
+def mutant_catalog_lines(mutants: list[Mutant]) -> list[str]:
     """`mutants list` CLI body: one stable line per mutant."""
     return [f"M{m.mid} {m.loc} {m.original_op} -> {m.replacement_op}"
             for m in mutants]

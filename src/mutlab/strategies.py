@@ -33,8 +33,7 @@ from .lang.interp import CompiledProgram, Outcome, compile_program, run_entry
 from .lang.nodes import Ast
 from .lang.values import canon_key
 from .mutate import (
-    Mutant, MutationPoint, discover_mutation_points, enumerate_mutants,
-    generate_meta_mutant,
+    Mutant, discover_mutation_points, enumerate_mutants, generate_meta_mutant,
 )
 
 STRATEGY_NAMES = [
@@ -73,12 +72,9 @@ class StrategyRun:
 
 @dataclass
 class ProgramAnalysis:
-    points: list
     mutants: list
-    tests: list
     runs: dict                # strategy name -> StrategyRun
     invalid_test: str | None = None
-    original_stmts: dict = field(default_factory=dict)  # test -> stmts
 
     @property
     def valid(self) -> bool:
@@ -243,7 +239,6 @@ def analyze_program(ast: Ast, cfg: AnalysisConfig | None = None) -> ProgramAnaly
     mutants = enumerate_mutants(points)
     meta = generate_meta_mutant(ast, points, mutants)
     program = compile_program(meta)
-    tests = ast.tests
     point_of = {m.mid: m.point_id for m in mutants}
     mids = [m.mid for m in mutants]
     record_events = any(name in EVENT_STRATEGIES for name in cfg.strategies)
@@ -253,14 +248,13 @@ def analyze_program(ast: Ast, cfg: AnalysisConfig | None = None) -> ProgramAnaly
                "split-stream": run_split_stream,
                "modulo-state": run_modulo_state}
 
-    analysis = ProgramAnalysis(points, mutants, tests, {})
+    analysis = ProgramAnalysis(mutants, {})
     runs = {name: StrategyRun(name, {}, {}, 0, 0) for name in cfg.strategies}
     analysis.runs = runs
 
-    for test in tests:
+    for test in ast.tests:
         original = run_entry(program, test, [], select=0,
                              budget=HARD_BUDGET, record_events=record_events)
-        analysis.original_stmts[test] = original.stmts
         if original.status != "pass":
             analysis.invalid_test = test
             return analysis

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import mutlab.cli as cli
 from mutlab.cli import main
 from mutlab.report import CSV_HEADER, SCHEMA
 
@@ -109,7 +110,15 @@ class TestIOErrors:
         assert err.startswith(f"error: cannot read program {program}: ")
         assert "can't decode byte 0xff" in err
 
-    def test_out_in_missing_directory(self, good, tmp_path, capsys):
+    @pytest.fixture
+    def no_analysis(self, monkeypatch):
+        """An unwritable --out must be rejected before anything is analysed."""
+        def analyze_program(*args, **kwargs):
+            pytest.fail("the program was analysed before --out was checked")
+        monkeypatch.setattr(cli, "analyze_program", analyze_program)
+
+    def test_out_in_missing_directory(self, good, tmp_path, capsys,
+                                      no_analysis):
         out = tmp_path / "missing" / "r.json"
         with pytest.raises(SystemExit) as e:
             main(["analyze", "--program", good, "--strategy",
@@ -117,6 +126,18 @@ class TestIOErrors:
         assert usage_error_line(capsys, e) == (
             f"error: cannot write {out}: No such file or directory\n")
         assert not out.parent.exists()
+
+    @pytest.mark.parametrize("out, message", [
+        ("", "Is a directory"),
+        ("good.ml0/r.json", "Not a directory"),
+    ])
+    def test_compare_out_unwritable(self, good, tmp_path, capsys,
+                                    no_analysis, out, message):
+        out = tmp_path / out
+        with pytest.raises(SystemExit) as e:
+            main(["compare", "--program", good, "--out", str(out)])
+        assert usage_error_line(capsys, e) == (
+            f"error: cannot write {out}: {message}\n")
 
     def test_corpus_out_is_a_file(self, tmp_path, capsys):
         out = tmp_path / "results"

@@ -174,11 +174,3 @@ class TestMemoState:
         # clearing an already-empty store doesn't count
         ms.clear_if_all_merged()
         assert ms.stats.clears == 1
-
-    def test_disabled_state_is_inert(self):
-        ms = MemoState(enabled=False)
-        k = make_call_key("f", [3])
-        ms.store(k, 1, 42)
-        assert ms.record_mutation_encounter("f", [3], {1}) == 0
-        assert ms.lookup(k, 1) == (False, None)
-        assert ms.stats.stores == 0 and ms.stats.misses == 0
