@@ -7,7 +7,7 @@ from .interp import (
 from .nodes import (
     Assert, Assign, Ast, BinOp, BoolOp, Call, Compare, Expr, ExprStmt,
     FunctionDef, If, Index, ListLit, Literal, Loc, Return, Stmt, TaintChoice,
-    UnaryOp, Var, While, walk_exprs, walk_stmts,
+    UnaryOp, Var, While,
 )
 from .parser import parse_program
 
@@ -17,5 +17,5 @@ __all__ = [
     "ListLit", "Literal", "Loc", "MiniAssertionError", "MiniRuntimeError",
     "MiniSyntaxError", "Outcome", "PlainRun", "Return", "StepBudgetExceeded",
     "Stmt", "TaintChoice", "UnaryOp", "Var", "While", "compile_program",
-    "eval_plain", "parse_program", "run_entry", "walk_exprs", "walk_stmts",
+    "eval_plain", "parse_program", "run_entry",
 ]

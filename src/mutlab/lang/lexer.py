@@ -1,7 +1,15 @@
-"""Line/indent-based lexer for .ml0 sources."""
+"""Line/indent-based lexer for .ml0 sources.
+
+`_TOKEN.findall` splits each line into (spaces, token, bad) triples with
+one precompiled regular expression whose alternatives are tried in order:
+an operator (longest first, so '<<' wins over '<'), a name, a number, a
+comment, a string, or any other character, which is an error. The first
+character then gives the token's kind. Numbers are ASCII digits only.
+"""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import MiniSyntaxError
@@ -11,7 +19,6 @@ KEYWORDS = {
     "and", "or", "not", "True", "False",
 }
 
-# matched longest first, so '<<' wins over '<'
 OPERATORS = {
     "//=", "<<", ">>", "==", "!=", "<=", ">=", "//",
     "+=", "-=", "*=", "/=", "%=",
@@ -19,8 +26,28 @@ OPERATORS = {
     "(", ")", "[", "]", ",", ":",
 }
 
+ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", "'": "'", '"': '"'}
 
-@dataclass
+# `\w` is exactly `str.isalnum()` or '_', so a name goes on as before; it
+# starts with a letter or '_' (`_lex_line` rejects the non-ASCII numerals
+# such as '²' that `[^\W\d]` also lets through)
+_TOKEN = re.compile(r"""(\ *)(?:(
+    """ + "|".join(re.escape(op) for op in
+                   sorted(OPERATORS, key=len, reverse=True)) + r"""
+  | [^\W\d]\w*
+  | [0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?
+  | \#.*
+  | "(?:[^"\\]|\\.)*"?
+  | '(?:[^'\\]|\\.)*'?
+) | ([^\ ]))""", re.VERBOSE | re.DOTALL)
+_STRING = re.compile(r"""(["'])((?:(?!\1)[^\\]|\\.)*)(\1?)""", re.DOTALL)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+_KINDS = {c: "NUMBER" if c.isdigit() else "NAME"  # by a token's first character
+          for c in map(chr, range(128)) if c.isalnum() or c == "_"}
+_KINDS.update({op[0]: "OP" for op in OPERATORS})
+
+
+@dataclass(slots=True)
 class Token:
     kind: str  # NAME KEYWORD INT FLOAT STRING OP NEWLINE INDENT DEDENT EOF
     value: str
@@ -62,73 +89,45 @@ def tokenize(source: str) -> list[Token]:
 
 
 def _lex_line(line: str, lineno: int, start: int, out: list[Token]) -> None:
-    i = start
-    n = len(line)
-    while i < n:
-        c = line[i]
-        col = i + 1
-        if c == " ":
-            i += 1
-            continue
-        if c == "#":
+    append = out.append
+    pos = start
+    for spaces, text, bad in _TOKEN.findall(line, start):
+        pos += len(spaces)
+        if bad:
+            raise MiniSyntaxError(f"unexpected character {bad!r}", lineno, pos + 1)
+        kind = _KINDS.get(text[0])
+        if kind == "OP":
+            append(Token("OP", text, lineno, pos + 1))
+        elif kind == "NAME" or (kind is None and text[0].isalpha()):
+            append(Token("KEYWORD" if text in KEYWORDS else "NAME", text,
+                         lineno, pos + 1))
+        elif kind == "NUMBER":
+            append(Token("INT" if text.isdigit() else "FLOAT", text, lineno, pos + 1))
+        elif text[0] == "#":
             return
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (line[j].isalnum() or line[j] == "_"):
-                j += 1
-            word = line[i:j]
-            kind = "KEYWORD" if word in KEYWORDS else "NAME"
-            out.append(Token(kind, word, lineno, col))
-            i = j
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and line[j].isdigit():
-                j += 1
-            is_float = False
-            if j < n and line[j] == "." and j + 1 < n and line[j + 1].isdigit():
-                is_float = True
-                j += 1
-                while j < n and line[j].isdigit():
-                    j += 1
-            if j < n and line[j] in "eE":
-                k = j + 1
-                if k < n and line[k] in "+-":
-                    k += 1
-                if k < n and line[k].isdigit():
-                    is_float = True
-                    j = k
-                    while j < n and line[j].isdigit():
-                        j += 1
-            out.append(Token("FLOAT" if is_float else "INT", line[i:j], lineno, col))
-            i = j
-            continue
-        if c in "\"'":
-            quote = c
-            j = i + 1
-            buf = []
-            while j < n and line[j] != quote:
-                if line[j] == "\\":
-                    if j + 1 >= n:
-                        raise MiniSyntaxError("bad escape", lineno, j + 1)
-                    esc = line[j + 1]
-                    buf.append({"n": "\n", "t": "\t", "\\": "\\", "'": "'", '"': '"'}.get(esc))
-                    if buf[-1] is None:
-                        raise MiniSyntaxError(f"unknown escape \\{esc}", lineno, j + 1)
-                    j += 2
-                else:
-                    buf.append(line[j])
-                    j += 1
-            if j >= n:
-                raise MiniSyntaxError("unterminated string", lineno, col)
-            out.append(Token("STRING", "".join(buf), lineno, col))
-            i = j + 1
-            continue
-        for k in (3, 2, 1):
-            op = line[i:i + k]
-            if op in OPERATORS:
-                out.append(Token("OP", op, lineno, col))
-                i += len(op)
-                break
-        else:
-            raise MiniSyntaxError(f"unexpected character {c!r}", lineno, col)
+        elif text[0] in "\"'":
+            value = _string_value(text, lineno, pos + 1,
+                                  pos + len(text) == len(line))
+            append(Token("STRING", value, lineno, pos + 1))
+        else:  # a non-ASCII numeral such as '²' starting a name
+            raise MiniSyntaxError(f"unexpected character {text[0]!r}",
+                                  lineno, pos + 1)
+        pos += len(text)
+
+
+def _string_value(text: str, lineno: int, col: int, at_end: bool) -> str:
+    """The value of the string token `text` at `col`: escapes are decoded
+    left to right, and the first bad one, then a backslash ending the line,
+    then a missing closing quote is an error."""
+    _, body, closed = _STRING.match(text).groups()
+    if "\\" in body:
+        for esc in _ESCAPE.finditer(body):
+            if esc.group(1) not in ESCAPES:
+                raise MiniSyntaxError(f"unknown escape \\{esc.group(1)}",
+                                      lineno, col + 1 + esc.start())
+        body = _ESCAPE.sub(lambda esc: ESCAPES[esc.group(1)], body)
+    if not closed:
+        if not at_end:  # the rest of the line is one backslash
+            raise MiniSyntaxError("bad escape", lineno, col + len(text))
+        raise MiniSyntaxError("unterminated string", lineno, col)
+    return body

@@ -8,10 +8,10 @@ a `BinOp` on the target variable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Loc:
+class Loc(NamedTuple):
     line: int
     col: int
 
@@ -156,35 +156,3 @@ class Ast:
     def tests(self) -> list[str]:
         return [f.name for f in self.functions if f.is_test]
 
-
-def walk_exprs(e: Expr):
-    """Pre-order traversal of an expression tree."""
-    yield e
-    if isinstance(e, UnaryOp):
-        yield from walk_exprs(e.operand)
-    elif isinstance(e, (BinOp, Compare, BoolOp)):
-        yield from walk_exprs(e.left)
-        yield from walk_exprs(e.right)
-    elif isinstance(e, TaintChoice):
-        yield from walk_exprs(e.left)
-        yield from walk_exprs(e.right)
-    elif isinstance(e, Call):
-        for a in e.args:
-            yield from walk_exprs(a)
-    elif isinstance(e, ListLit):
-        for a in e.items:
-            yield from walk_exprs(a)
-    elif isinstance(e, Index):
-        yield from walk_exprs(e.base)
-        yield from walk_exprs(e.index)
-
-
-def walk_stmts(body: list[Stmt]):
-    """Pre-order traversal of statements, recursing into blocks."""
-    for s in body:
-        yield s
-        if isinstance(s, If):
-            yield from walk_stmts(s.then_body)
-            yield from walk_stmts(s.else_body)
-        elif isinstance(s, While):
-            yield from walk_stmts(s.body)

@@ -2,7 +2,13 @@
 
 Grammar is newline/indent delimited. Only `def` blocks may appear at the
 top level; `elif` chains are desugared into nested if/else. Augmented
-assignments desugar into `x = x <op> e`.
+assignments desugar into `x = x <op> e`. Expressions are parsed by one
+precedence-climbing loop over `PRECEDENCE` with an operator stack, so only
+brackets recurse. Binary operators associate to the left, `a < b < c` is
+an error at the second `<`, `not` binds looser than a comparison and `-`
+tighter than any binary operator. At most `MAX_NESTING` brackets, call
+argument lists and unary operators may be open at once, since every later
+pass walks the tree recursively.
 """
 
 from __future__ import annotations
@@ -16,13 +22,26 @@ from .nodes import (
 )
 
 AUG_OPS = {"+=": "+", "-=": "-", "*=": "*", "/=": "/", "//=": "//", "%=": "%"}
-COMPARE_OPS = {"==", "!=", "<", "<=", ">", ">="}
+AND_PREC = 2  # `and`, and `or` below it: the boolean operators
+NOT_PREC = 3  # the prefix `not`: between `and` and the comparisons
+COMPARE_PREC = 4
+PRECEDENCE = {
+    "or": 1, "and": AND_PREC,
+    "==": COMPARE_PREC, "!=": COMPARE_PREC, "<": COMPARE_PREC,
+    "<=": COMPARE_PREC, ">": COMPARE_PREC, ">=": COMPARE_PREC,
+    "|": 5, "^": 6, "&": 7, "<<": 8, ">>": 8,
+    "+": 9, "-": 9, "*": 10, "/": 10, "//": 10, "%": 10,
+}
+OPERATOR_KINDS = {"OP", "KEYWORD"}  # `and`/`or` are keywords
+LITERALS = {"INT": int, "FLOAT": float, "STRING": str}
+MAX_NESTING = 100  # open brackets, call argument lists and unary operators
 
 
 class Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # open parentheses, brackets and unary operators
 
     # --- token helpers ---
 
@@ -35,20 +54,28 @@ class Parser:
         return tok
 
     def at(self, kind: str, value: str | None = None) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.kind == kind and (value is None or tok.value == value)
 
     def expect(self, kind: str, value: str | None = None) -> Token:
-        tok = self.peek()
-        if not self.at(kind, value):
+        tok = self.tokens[self.pos]
+        if tok.kind != kind or (value is not None and tok.value != value):
             want = value or kind
             raise MiniSyntaxError(f"expected {want!r}, found {tok.value or tok.kind!r}",
                                   tok.line, tok.col)
-        return self.next()
+        self.pos += 1
+        return tok
 
     def err(self, message: str) -> MiniSyntaxError:
         tok = self.peek()
         return MiniSyntaxError(message, tok.line, tok.col)
+
+    def enter(self, tok: Token) -> None:
+        """Opens one nesting level at `tok`; `depth -= 1` closes it."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise MiniSyntaxError(f"nesting deeper than {MAX_NESTING} levels",
+                                  tok.line, tok.col)
 
     # --- top level ---
 
@@ -153,129 +180,120 @@ class Parser:
             else_body = self.parse_block()
         return If(loc, cond, then_body, else_body)
 
-    # --- expressions (precedence climbing) ---
+    # --- expressions ---
 
     def parse_expr(self) -> Expr:
-        return self.parse_or()
+        tokens = self.tokens
+        operands: list[Expr] = []
+        pending: list[tuple[int, Token]] = []  # (precedence, operator token)
+        prec = 0  # of the operator before the operand; 0 at the start
+        compared = False  # the operands since `and`/`or` hold a comparison
+        while True:
+            if prec <= AND_PREC:  # `not`s may start an operand of `and`/`or`
+                while (tok := tokens[self.pos]).value == "not" \
+                        and tok.kind == "KEYWORD":
+                    self.enter(tok)
+                    self.pos += 1
+                    pending.append((NOT_PREC, tok))
+            operands.append(self.parse_unary())
+            tok = tokens[self.pos]
+            prec = PRECEDENCE.get(tok.value) if tok.kind in OPERATOR_KINDS else None
+            if prec is None:
+                break
+            if prec == COMPARE_PREC:
+                if compared:
+                    break
+                compared = True
+            elif prec <= AND_PREC:
+                compared = False
+            while pending and pending[-1][0] >= prec:
+                self._reduce(operands, pending.pop())
+            self.pos += 1
+            pending.append((prec, tok))
+        while pending:
+            self._reduce(operands, pending.pop())
+        return operands[0]
 
-    def parse_or(self) -> Expr:
-        left = self.parse_and()
-        while self.at("KEYWORD", "or"):
-            tok = self.next()
-            right = self.parse_and()
-            left = BoolOp(Loc(tok.line, tok.col), "or", left, right)
-        return left
-
-    def parse_and(self) -> Expr:
-        left = self.parse_not()
-        while self.at("KEYWORD", "and"):
-            tok = self.next()
-            right = self.parse_not()
-            left = BoolOp(Loc(tok.line, tok.col), "and", left, right)
-        return left
-
-    def parse_not(self) -> Expr:
-        if self.at("KEYWORD", "not"):
-            tok = self.next()
-            return UnaryOp(Loc(tok.line, tok.col), "not", self.parse_not())
-        return self.parse_comparison()
-
-    def parse_comparison(self) -> Expr:
-        left = self.parse_bitor()
-        if self.peek().kind == "OP" and self.peek().value in COMPARE_OPS:
-            tok = self.next()
-            right = self.parse_bitor()
-            return Compare(Loc(tok.line, tok.col), tok.value, left, right)
-        return left
-
-    def _binop_level(self, ops: set[str], sub) -> Expr:
-        left = sub()
-        while self.peek().kind == "OP" and self.peek().value in ops:
-            tok = self.next()
-            right = sub()
-            left = BinOp(Loc(tok.line, tok.col), tok.value, left, right)
-        return left
-
-    def parse_bitor(self) -> Expr:
-        return self._binop_level({"|"}, self.parse_bitxor)
-
-    def parse_bitxor(self) -> Expr:
-        return self._binop_level({"^"}, self.parse_bitand)
-
-    def parse_bitand(self) -> Expr:
-        return self._binop_level({"&"}, self.parse_shift)
-
-    def parse_shift(self) -> Expr:
-        return self._binop_level({"<<", ">>"}, self.parse_arith)
-
-    def parse_arith(self) -> Expr:
-        return self._binop_level({"+", "-"}, self.parse_term)
-
-    def parse_term(self) -> Expr:
-        return self._binop_level({"*", "/", "//", "%"}, self.parse_unary)
+    def _reduce(self, operands: list[Expr], pending: tuple[int, Token]) -> None:
+        prec, tok = pending
+        loc = Loc(tok.line, tok.col)
+        if prec == NOT_PREC:
+            self.depth -= 1
+            operands[-1] = UnaryOp(loc, "not", operands[-1])
+        else:
+            right = operands.pop()
+            node = (Compare if prec == COMPARE_PREC else
+                    BoolOp if prec <= AND_PREC else BinOp)
+            operands[-1] = node(loc, tok.value, operands[-1], right)
 
     def parse_unary(self) -> Expr:
-        if self.at("OP", "-"):
-            tok = self.next()
-            return UnaryOp(Loc(tok.line, tok.col), "-", self.parse_unary())
-        return self.parse_postfix()
-
-    def parse_postfix(self) -> Expr:
+        """Prefix `-`s, then an atom with its calls and indexes."""
+        tokens = self.tokens
+        minus: list[Token] = []
+        while (tok := tokens[self.pos]).value == "-" and tok.kind == "OP":
+            self.enter(tok)
+            self.pos += 1
+            minus.append(tok)
         expr = self.parse_atom()
-        while True:
-            if self.at("OP", "("):
+        while (tok := tokens[self.pos]).kind == "OP":
+            if tok.value == "(":
                 if not isinstance(expr, Var):
                     raise self.err("only names can be called")
-                self.next()
-                args: list[Expr] = []
-                if not self.at("OP", ")"):
-                    args.append(self.parse_expr())
-                    while self.at("OP", ","):
-                        self.next()
-                        args.append(self.parse_expr())
-                self.expect("OP", ")")
-                expr = Call(expr.loc, expr.name, args)
-            elif self.at("OP", "["):
-                tok = self.next()
-                index = self.parse_expr()
-                self.expect("OP", "]")
-                expr = Index(Loc(tok.line, tok.col), expr, index)
+                expr = Call(expr.loc, expr.name, self.parse_list(")"))
+            elif tok.value == "[":
+                expr = Index(Loc(tok.line, tok.col), expr, self.parse_inner("]"))
             else:
-                return expr
+                break
+        for tok in reversed(minus):
+            expr = UnaryOp(Loc(tok.line, tok.col), "-", expr)
+        self.depth -= len(minus)
+        return expr
+
+    def parse_inner(self, close: str) -> Expr:
+        """The expression from the opening bracket at the current token up
+        to `close`."""
+        self.enter(self.next())
+        expr = self.parse_expr()
+        self.expect("OP", close)
+        self.depth -= 1
+        return expr
+
+    def parse_list(self, close: str) -> list[Expr]:
+        """The comma-separated expressions from the opening bracket at the
+        current token up to `close`."""
+        self.enter(self.next())
+        items: list[Expr] = []
+        if not self.at("OP", close):
+            items.append(self.parse_expr())
+            while self.at("OP", ","):
+                self.next()
+                items.append(self.parse_expr())
+        self.expect("OP", close)
+        self.depth -= 1
+        return items
 
     def parse_atom(self) -> Expr:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         loc = Loc(tok.line, tok.col)
-        if tok.kind == "INT":
-            self.next()
-            return Literal(loc, int(tok.value))
-        if tok.kind == "FLOAT":
-            self.next()
-            return Literal(loc, float(tok.value))
-        if tok.kind == "STRING":
-            self.next()
-            return Literal(loc, tok.value)
-        if tok.kind == "KEYWORD" and tok.value in ("True", "False"):
-            self.next()
-            return Literal(loc, tok.value == "True")
-        if tok.kind == "NAME":
-            self.next()
+        kind = tok.kind
+        if kind == "NAME":
+            self.pos += 1
             return Var(loc, tok.value)
-        if self.at("OP", "("):
-            self.next()
-            expr = self.parse_expr()
-            self.expect("OP", ")")
-            return expr
-        if self.at("OP", "["):
-            self.next()
-            items: list[Expr] = []
-            if not self.at("OP", "]"):
-                items.append(self.parse_expr())
-                while self.at("OP", ","):
-                    self.next()
-                    items.append(self.parse_expr())
-            self.expect("OP", "]")
-            return ListLit(loc, items)
+        if kind in LITERALS:
+            self.pos += 1
+            try:
+                return Literal(loc, LITERALS[kind](tok.value))
+            except ValueError:  # an int of more digits than int() converts
+                raise MiniSyntaxError(
+                    f"integer literal of {len(tok.value)} digits is too long",
+                    tok.line, tok.col) from None
+        if kind == "KEYWORD" and tok.value in ("True", "False"):
+            self.pos += 1
+            return Literal(loc, tok.value == "True")
+        if kind == "OP" and tok.value == "(":
+            return self.parse_inner(")")
+        if kind == "OP" and tok.value == "[":
+            return ListLit(loc, self.parse_list("]"))
         raise self.err(f"unexpected token {tok.value or tok.kind!r}")
 
 

@@ -7,18 +7,19 @@ class is 6-way; each occurrence gets the other 5. Type-incompatible
 replacements (e.g. `<<` on a float) are generated anyway and die by
 runtime exception.
 
-Mutant id 0 is the original; ids 1..n number (point, replacement) pairs in
-(point order, catalog order).
+Points are numbered in one recursive pre-order walk, the order in which
+`generate_meta_mutant` rebuilds the tree. Mutant id 0 is the original; ids
+1..n number (point, replacement) pairs in (point order, catalog order).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .lang.nodes import (
-    Assert, Assign, Ast, BinOp, BoolOp, Call, Compare, Expr, ExprStmt, If,
-    Index, ListLit, Loc, Return, Stmt, TaintChoice, UnaryOp, While,
-    walk_exprs, walk_stmts,
+    Assert, Assign, Ast, BinOp, BoolOp, Call, Compare, Expr, ExprStmt,
+    FunctionDef, If, Index, ListLit, Loc, Return, Stmt, TaintChoice, UnaryOp,
+    While,
 )
 
 ARITH_CATALOG = ["+", "-", "*", "/", "%", "<<", ">>", "|", "^", "&", "//"]
@@ -27,8 +28,7 @@ COMPARE_CATALOG = ["==", "!=", "<", "<=", ">", ">="]
 ORIGINAL = 0  # mutant id of the unmutated program
 
 
-@dataclass(frozen=True)
-class MutationPoint:
+class MutationPoint(NamedTuple):
     point_id: int
     loc: Loc
     op_class: str  # 'arithmetic' | 'comparison'
@@ -36,8 +36,7 @@ class MutationPoint:
     replacements: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Mutant:
+class Mutant(NamedTuple):
     mid: int
     point_id: int
     loc: Loc
@@ -45,36 +44,49 @@ class Mutant:
     replacement_op: str
 
 
-def _stmt_exprs(s: Stmt):
-    if isinstance(s, Assign):
-        yield s.value
-    elif isinstance(s, Return):
-        if s.value is not None:
-            yield s.value
-    elif isinstance(s, Assert):
-        yield s.test
-    elif isinstance(s, ExprStmt):
-        yield s.value
-    elif isinstance(s, If):
-        yield s.cond
-    elif isinstance(s, While):
-        yield s.cond
+def _expr_points(e: Expr, out: list) -> None:
+    """Appends the BinOp/Compare nodes of `e` in pre-order (operator before
+    operands, matching source reading order)."""
+    if isinstance(e, (BinOp, Compare)):
+        out.append(e)
+        _expr_points(e.left, out)
+        _expr_points(e.right, out)
+    elif isinstance(e, BoolOp):
+        _expr_points(e.left, out)
+        _expr_points(e.right, out)
+    elif isinstance(e, UnaryOp):
+        _expr_points(e.operand, out)
+    elif isinstance(e, Index):
+        _expr_points(e.base, out)
+        _expr_points(e.index, out)
+    elif isinstance(e, (Call, ListLit)):
+        for a in e.args if isinstance(e, Call) else e.items:
+            _expr_points(a, out)
 
 
-def _walk_points(ast: Ast):
-    """BinOp/Compare nodes in pre-order (operator before operands, matching
-    source reading order)."""
-    for fn in ast.functions:
-        for s in walk_stmts(fn.body):
-            for root in _stmt_exprs(s):
-                for e in walk_exprs(root):
-                    if isinstance(e, (BinOp, Compare)):
-                        yield e
+def _block_points(body: list[Stmt], out: list) -> None:
+    """The same for a statement list, each statement's expression before
+    its blocks."""
+    for s in body:
+        if isinstance(s, Assert):
+            _expr_points(s.test, out)
+        elif isinstance(s, If):
+            _expr_points(s.cond, out)
+            _block_points(s.then_body, out)
+            _block_points(s.else_body, out)
+        elif isinstance(s, While):
+            _expr_points(s.cond, out)
+            _block_points(s.body, out)
+        elif s.value is not None:  # Assign, Return, ExprStmt
+            _expr_points(s.value, out)
 
 
 def discover_mutation_points(ast: Ast) -> list[MutationPoint]:
+    nodes: list[BinOp | Compare] = []
+    for fn in ast.functions:
+        _block_points(fn.body, nodes)
     points = []
-    for node in _walk_points(ast):
+    for node in nodes:
         if isinstance(node, Compare):
             op_class, catalog = "comparison", COMPARE_CATALOG
         else:
@@ -101,25 +113,26 @@ def _transform_expr(e: Expr, by_point: dict[int, list[Mutant]],
         point_id = counter[0]
         counter[0] += 1
         variants = {ORIGINAL: e.op}
-        for m in by_point.get(point_id, []):
+        for m in by_point.get(point_id, ()):
             variants[m.mid] = m.replacement_op
         left = _transform_expr(e.left, by_point, counter)
-        right = _transform_expr(e.right, by_point, counter)
-        return TaintChoice(e.loc, point_id, variants, left, right)
+        return TaintChoice(e.loc, point_id, variants, left,
+                           _transform_expr(e.right, by_point, counter))
     if isinstance(e, BoolOp):
-        return replace(e, left=_transform_expr(e.left, by_point, counter),
-                       right=_transform_expr(e.right, by_point, counter))
-    if isinstance(e, Index):
-        return replace(e, base=_transform_expr(e.base, by_point, counter),
-                       index=_transform_expr(e.index, by_point, counter))
+        left = _transform_expr(e.left, by_point, counter)
+        return BoolOp(e.loc, e.op, left,
+                      _transform_expr(e.right, by_point, counter))
     if isinstance(e, UnaryOp):
-        return replace(e, operand=_transform_expr(e.operand, by_point, counter))
+        return UnaryOp(e.loc, e.op, _transform_expr(e.operand, by_point, counter))
+    if isinstance(e, Index):
+        base = _transform_expr(e.base, by_point, counter)
+        return Index(e.loc, base, _transform_expr(e.index, by_point, counter))
     if isinstance(e, Call):
-        return replace(e, args=[_transform_expr(a, by_point, counter)
-                                for a in e.args])
+        return Call(e.loc, e.name, [_transform_expr(a, by_point, counter)
+                                    for a in e.args])
     if isinstance(e, ListLit):
-        return replace(e, items=[_transform_expr(a, by_point, counter)
-                                 for a in e.items])
+        return ListLit(e.loc, [_transform_expr(a, by_point, counter)
+                               for a in e.items])
     return e
 
 
@@ -128,21 +141,21 @@ def _transform_block(body: list[Stmt], by_point, counter) -> list[Stmt]:
     out = []
     for s in body:
         if isinstance(s, Assign):
-            s = replace(s, value=_transform_expr(s.value, by_point, counter))
+            s = Assign(s.loc, s.name, _transform_expr(s.value, by_point, counter))
         elif isinstance(s, Return):
-            s = replace(s, value=None if s.value is None
-                        else _transform_expr(s.value, by_point, counter))
+            s = Return(s.loc, None if s.value is None
+                       else _transform_expr(s.value, by_point, counter))
         elif isinstance(s, Assert):
-            s = replace(s, test=_transform_expr(s.test, by_point, counter))
+            s = Assert(s.loc, _transform_expr(s.test, by_point, counter))
         elif isinstance(s, ExprStmt):
-            s = replace(s, value=_transform_expr(s.value, by_point, counter))
+            s = ExprStmt(s.loc, _transform_expr(s.value, by_point, counter))
         elif isinstance(s, If):
-            s = replace(s, cond=_transform_expr(s.cond, by_point, counter),
-                        then_body=_transform_block(s.then_body, by_point, counter),
-                        else_body=_transform_block(s.else_body, by_point, counter))
+            s = If(s.loc, _transform_expr(s.cond, by_point, counter),
+                   _transform_block(s.then_body, by_point, counter),
+                   _transform_block(s.else_body, by_point, counter))
         elif isinstance(s, While):
-            s = replace(s, cond=_transform_expr(s.cond, by_point, counter),
-                        body=_transform_block(s.body, by_point, counter))
+            s = While(s.loc, _transform_expr(s.cond, by_point, counter),
+                      _transform_block(s.body, by_point, counter))
         out.append(s)
     return out
 
@@ -159,8 +172,8 @@ def generate_meta_mutant(ast: Ast, points: list[MutationPoint],
     for m in mutants:
         by_point.setdefault(m.point_id, []).append(m)
     counter = [0]
-    meta = Ast([replace(fn, params=list(fn.params),
-                        body=_transform_block(fn.body, by_point, counter))
+    meta = Ast([FunctionDef(fn.name, list(fn.params),
+                            _transform_block(fn.body, by_point, counter), fn.loc)
                 for fn in ast.functions])
     if counter[0] != len(points):
         raise RuntimeError("mutation points were not discovered from this AST")

@@ -10,6 +10,7 @@ import pytest
 
 import mutlab.cli as cli
 from mutlab.cli import main
+from mutlab.lang.parser import MAX_NESTING
 from mutlab.report import CSV_HEADER, SCHEMA
 
 GOOD = """\
@@ -281,6 +282,57 @@ def test_deep_recursion_reproducer_exits_4_without_traceback(tmp_path, command):
     assert proc.stderr.count("\n") == 1
     assert proc.stderr.startswith("error: internal: ")
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("source, message", [
+    ("x = " + "9" * 5000, "2:9: integer literal of 5000 digits is too long"),
+    ("x = 2\u00b2", "2:10: unexpected character '\u00b2'"),
+    ("x = \u0663", "2:9: unexpected character '\u0663'"),
+])
+def test_bad_literal_is_a_syntax_error(tmp_path, capsys, source, message):
+    program = tmp_path / "literal.ml0"
+    program.write_text(f"def test_f():\n    {source}\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as e:
+        main(["compare", "--program", str(program), "--all"])
+    assert usage_error_line(capsys, e) == f"error: {program}: {message}\n"
+
+
+def nested_program(kind: str, depth: int) -> tuple[str, int]:
+    """A program whose `f` nests `depth` levels of `kind`, and the column of
+    the token that opens its last level."""
+    if kind == "parentheses":  # 1 + (1 + (... (x) ...)), a point per level
+        line = "    return " + "1 + (" * depth + "x" + ")" * depth
+        value, opener = depth + 1, "("
+    else:
+        line = "    return " + "-" * depth + "x"
+        value, opener = (-1) ** depth, "-"
+    col = [i + 1 for i, c in enumerate(line) if c == opener][-1]
+    return (f"def f(x):\n{line}\n\ndef test_f():\n"
+            f"    assert f(1) == {value}\n"), col
+
+
+@pytest.mark.parametrize("kind", ["parentheses", "unary minus"])
+def test_nesting_limit_in_compare(tmp_path, kind):
+    """At `MAX_NESTING` levels every pass, the seven strategies included,
+    runs within Python's default recursion limit; one more level is a
+    syntax error at its opening token."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    for depth in (MAX_NESTING, MAX_NESTING + 1):
+        text, col = nested_program(kind, depth)
+        program = tmp_path / f"nested{depth}.ml0"
+        program.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "mutlab", "compare", "--program",
+             str(program), "--all"],
+            env=env, capture_output=True, text=True, timeout=300)
+        if depth == MAX_NESTING:
+            assert proc.returncode == 0, proc.stderr
+            assert json.loads(proc.stdout)["schema"] == SCHEMA
+        else:
+            assert proc.returncode == 2
+            assert proc.stderr == (f"error: {program}: 2:{col}: nesting "
+                                   f"deeper than {MAX_NESTING} levels\n")
 
 
 def test_unexpected_exception_is_exit_4(good, capsys, monkeypatch):

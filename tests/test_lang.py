@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,10 +13,12 @@ from mutlab.cli import CORPUS_DIR
 from mutlab.engine import HARD_BUDGET
 from mutlab.fuzz import fuzz_program
 from mutlab.lang import (
-    MiniRuntimeError, MiniSyntaxError, PlainRun, compile_program, eval_plain,
-    interp, parse_program, run_entry,
+    Ast, Call, Index, ListLit, Literal, MiniRuntimeError, MiniSyntaxError,
+    PlainRun, UnaryOp, Var, compile_program, eval_plain, interp,
+    parse_program, run_entry,
 )
-from mutlab.lang.lexer import OPERATORS as LEX_OPERATORS, _lex_line
+from mutlab.lang.lexer import KEYWORDS, OPERATORS as LEX_OPERATORS, _lex_line
+from mutlab.lang.parser import MAX_NESTING
 from mutlab.lang.values import (
     ARITH_OPS, COMPARE_OPS, INT_MAX, INT_MIN, OPERATORS, binary_op, bool_op,
     canon_key, compare_op, plain_eq,
@@ -68,6 +71,68 @@ class TestParser:
             parse_program("def f():\n\treturn 1\n")
 
 
+def sexp(e):
+    """An expression tree as a compact prefix form, e.g. `(+ a (* b c))`."""
+    if isinstance(e, Var):
+        return e.name
+    if isinstance(e, Literal):
+        return repr(e.value)
+    if isinstance(e, UnaryOp):
+        return f"({e.op} {sexp(e.operand)})"
+    if isinstance(e, Call):
+        return f"({e.name}{''.join(' ' + sexp(a) for a in e.args)})"
+    if isinstance(e, ListLit):
+        return f"(list{''.join(' ' + sexp(a) for a in e.items)})"
+    if isinstance(e, Index):
+        return f"([] {sexp(e.base)} {sexp(e.index)})"
+    return f"({e.op} {sexp(e.left)} {sexp(e.right)})"
+
+
+@pytest.mark.parametrize("expr, tree", [
+    ("a or b and c", "(or a (and b c))"),
+    ("a and b or c", "(or (and a b) c)"),
+    ("not a < b", "(not (< a b))"),
+    ("not a and not b", "(and (not a) (not b))"),
+    ("not not a", "(not (not a))"),
+    ("a < b + c * d", "(< a (+ b (* c d)))"),
+    ("a - b - c // d % e", "(- (- a b) (% (// c d) e))"),
+    ("a | b ^ c & d << e + f * g", "(| a (^ b (& c (<< d (+ e (* f g))))))"),
+    ("a * b + c & d ^ e | f", "(| (^ (& (+ (* a b) c) d) e) f)"),
+    ("-a * b", "(* (- a) b)"),
+    ("- -a[0]", "(- (- ([] a 0)))"),
+    ("-f(x, 2)[1]", "(- ([] (f x 2) 1))"),
+    ("a < b and c == d or not e", "(or (and (< a b) (== c d)) (not e))"),
+    ("(a or b) * c", "(* (or a b) c)"),
+    ("[a, b + c][0]", "([] (list a (+ b c)) 0)"),
+    ("[] == [[]]", "(== (list) (list (list)))"),
+])
+def test_expression_precedence(expr, tree):
+    ast = parse_program(f"def f(a, b, c, d, e, x):\n    return {expr}\n")
+    assert sexp(ast.functions[0].body[0].value) == tree
+
+
+@pytest.mark.parametrize("expr, col, message", [
+    ("a < b < c", 18, "expected 'NEWLINE', found '<'"),
+    ("x and a < b < c", 24, "expected 'NEWLINE', found '<'"),
+    ("a < b + c < d", 22, "expected 'NEWLINE', found '<'"),
+    ("not a < b < c", 22, "expected 'NEWLINE', found '<'"),
+    ("f(a < b < c)", 20, "expected ')', found '<'"),
+    ("a + not b", 16, "unexpected token 'not'"),
+    ("a < not b", 16, "unexpected token 'not'"),
+    ("-not a", 13, "unexpected token 'not'"),
+    ("f(a)(b)", 16, "only names can be called"),
+    ("(a)(b)(c)", 18, "only names can be called"),
+    ("a +", 15, "unexpected token 'NEWLINE'"),
+    ("f(a b)", 16, "expected ')', found 'b'"),
+    ("[a,]", 15, "unexpected token ']'"),
+])
+def test_expression_syntax_errors(expr, col, message):
+    with pytest.raises(MiniSyntaxError) as excinfo:
+        parse_program(f"def f(a, b, c, x):\n    return {expr}\n")
+    assert (excinfo.value.line, excinfo.value.col) == (2, col)
+    assert excinfo.value.message == message
+
+
 # the lexer's operator list before it became a set, in its matching order
 REFERENCE_OPERATORS = [
     "//=", "<<", ">>", "==", "!=", "<=", ">=", "//",
@@ -103,6 +168,217 @@ def test_lexer_operators_match_first_match_reference():
         assert all(t.kind == "OP" and t.line == 1 for t in tokens), text
         assert [(t.value, t.col) for t in tokens] == \
             reference_op_tokens(text), text
+
+
+def reference_lex_line(line, lineno, start, out):
+    """The lexer's character loop before it became one regular expression,
+    appending (kind, value, line, col) tuples. On ASCII text `isalpha`,
+    `isalnum` and `isdigit` are the regular expression's character sets."""
+    i = start
+    n = len(line)
+    while i < n:
+        c = line[i]
+        col = i + 1
+        if c == " ":
+            i += 1
+            continue
+        if c == "#":
+            return
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (line[j].isalnum() or line[j] == "_"):
+                j += 1
+            word = line[i:j]
+            kind = "KEYWORD" if word in KEYWORDS else "NAME"
+            out.append((kind, word, lineno, col))
+            i = j
+            continue
+        if c.isdigit():
+            j = i
+            while j < n and line[j].isdigit():
+                j += 1
+            is_float = False
+            if j < n and line[j] == "." and j + 1 < n and line[j + 1].isdigit():
+                is_float = True
+                j += 1
+                while j < n and line[j].isdigit():
+                    j += 1
+            if j < n and line[j] in "eE":
+                k = j + 1
+                if k < n and line[k] in "+-":
+                    k += 1
+                if k < n and line[k].isdigit():
+                    is_float = True
+                    j = k
+                    while j < n and line[j].isdigit():
+                        j += 1
+            out.append(("FLOAT" if is_float else "INT", line[i:j], lineno, col))
+            i = j
+            continue
+        if c in "\"'":
+            quote = c
+            j = i + 1
+            buf = []
+            while j < n and line[j] != quote:
+                if line[j] == "\\":
+                    if j + 1 >= n:
+                        raise MiniSyntaxError("bad escape", lineno, j + 1)
+                    esc = line[j + 1]
+                    buf.append({"n": "\n", "t": "\t", "\\": "\\", "'": "'",
+                                '"': '"'}.get(esc))
+                    if buf[-1] is None:
+                        raise MiniSyntaxError(f"unknown escape \\{esc}",
+                                              lineno, j + 1)
+                    j += 2
+                else:
+                    buf.append(line[j])
+                    j += 1
+            if j >= n:
+                raise MiniSyntaxError("unterminated string", lineno, col)
+            out.append(("STRING", "".join(buf), lineno, col))
+            i = j + 1
+            continue
+        for op in REFERENCE_OPERATORS:
+            if line.startswith(op, i):
+                out.append(("OP", op, lineno, col))
+                i += len(op)
+                break
+        else:
+            raise MiniSyntaxError(f"unexpected character {c!r}", lineno, col)
+
+
+def lexed(lex_line, line, start):
+    """The tokens of `line` from `start` as tuples, and the error that
+    stopped the lexer, if any."""
+    out, error = [], None
+    try:
+        lex_line(line, 3, start, out)
+    except MiniSyntaxError as err:
+        error = str(err)
+    return [t if isinstance(t, tuple) else (t.kind, t.value, t.line, t.col)
+            for t in out], error
+
+
+ASCII_PIECES = st.one_of(
+    st.sampled_from(sorted(KEYWORDS) + REFERENCE_OPERATORS + [
+        "x", "_y2", "abc_", "0", "42", "3.25", "1.", "1.x", ".5", "1e5",
+        "2E-3", "7e+", "8e", "1e+x", "09", "'a'", '"b c"', "'\\n\\t'",
+        "'\\q'", '"\\"', "'it\\'s'", "'open", '"\\', "\\", "#", "# c",
+        "!", "?", "@", "$", ".", ";", "{", "}", "`", "~", "\t", " ", "  "]),
+    st.text(st.characters(min_codepoint=9, max_codepoint=126), max_size=3))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(ASCII_PIECES, max_size=20), st.booleans(), st.integers(0, 4))
+@example(["x", "'a\\q", "\\"], True, 0)
+@example(["x", "'a\\n", "\\"], True, 0)
+@example(["x", "'a\\n"], True, 0)
+@example(["'", "\\'", "'"], False, 0)
+def test_lexer_matches_character_loop_reference(pieces, spaced, start):
+    line = (" " if spaced else "").join(pieces)
+    start = min(start, len(line))
+    assert lexed(_lex_line, line, start) == \
+        lexed(reference_lex_line, line, start)
+
+
+PROGRAM_CHARS = st.one_of(
+    st.characters(min_codepoint=32, max_codepoint=126),
+    st.sampled_from("\n\t\r\x0c\u00a0\u00e9\u00df\u00b2\u00bd\u0663\u2163\u20ac"))
+PROGRAM_LINES = st.tuples(
+    st.sampled_from(["", "    ", "        ", "  ", "\t", " \t"]),
+    st.lists(st.one_of(ASCII_PIECES, st.text(PROGRAM_CHARS, max_size=2)),
+             max_size=12),
+).map(lambda t: t[0] + " ".join(t[1]))
+PROGRAM_TEXTS = st.one_of(
+    st.text(PROGRAM_CHARS, max_size=80),
+    st.lists(PROGRAM_LINES, max_size=8).map("\n".join),
+    st.lists(PROGRAM_LINES, max_size=8).map(
+        lambda lines: "def f(x):\n" + "\n".join("    " + ln for ln in lines)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(PROGRAM_TEXTS)
+@example("def f():\n    return " + "(" * 1000 + "1" + ")" * 1000 + "\n")
+@example("def f():\n    return " + "-" * 1000 + "1\n")
+@example("def f():\n    return " + "not " * 1000 + "1\n")
+@example("def f():\n    return " + "[" * 1000 + "]" * 1000 + "\n")
+@example("def f():\n    return " + " + ".join(["1"] * 2000) + "\n")
+@example("def f():\n    return " + "9" * 5000 + "\n")
+@example("def f():\n    return 2\u00b2\n")
+@example("def f():\n    return \u0663\n")
+def test_parse_program_raises_only_syntax_errors(text):
+    try:
+        ast = parse_program(text)
+    except MiniSyntaxError:
+        return
+    assert isinstance(ast, Ast)
+
+
+def syntax_error(source):
+    with pytest.raises(MiniSyntaxError) as excinfo:
+        parse_program(source)
+    return excinfo.value
+
+
+def test_overlong_int_literal_is_a_syntax_error_at_the_literal():
+    limit = sys.get_int_max_str_digits()
+    if limit == 0:
+        pytest.skip("int() converts any number of digits here")
+    ast = parse_program("def f():\n    x = " + "9" * limit + "\n")
+    assert ast.functions[0].body[0].value.value == int("9" * limit)
+    err = syntax_error("def f():\n    x = " + "9" * (limit + 1) + "\n")
+    assert (err.line, err.col) == (2, 9)
+    assert err.message == f"integer literal of {limit + 1} digits is too long"
+
+
+@pytest.mark.parametrize("source, col, char", [
+    ("x = 2\u00b2", 10, "\u00b2"),     # a superscript: isdigit, not a digit
+    ("x = \u0663", 9, "\u0663"),       # an Arabic-Indic digit: isdecimal
+    ("x = 1.\u0663", 10, "."),
+    ("x = \u00bd", 9, "\u00bd"),       # a fraction: isnumeric
+    ("\u00b2x = 1", 5, "\u00b2"),
+])
+def test_non_ascii_digits_are_syntax_errors(source, col, char):
+    err = syntax_error("def f():\n    " + source + "\n")
+    assert (err.line, err.col) == (2, col)
+    assert err.message == f"unexpected character {char!r}"
+
+
+def test_non_ascii_letters_and_digits_inside_names_stay_names():
+    ast = parse_program("def f():\n    \u00e9t\u00e9\u0663 = 1\n"
+                        "    return \u00e9t\u00e9\u0663\n")
+    assert ast.functions[0].body[0].name == "\u00e9t\u00e9\u0663"
+
+
+# (opening text, innermost operand, closing text, token that opens a level)
+NESTINGS = {
+    "parentheses": ("(", "x", ")", "("),
+    "list literals": ("[", "x", "]", "["),
+    "call arguments": ("abs(", "x", ")", "("),
+    "indexes": ("x[", "0", "]", "["),
+    "unary minus": ("-", "x", "", "-"),
+    "not": ("not ", "x", "", "not"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NESTINGS))
+def test_nesting_limit(kind):
+    open_, inner, close, opener = NESTINGS[kind]
+
+    def source(depth):
+        return f"def f(x):\n    return {open_ * depth}{inner}{close * depth}\n"
+    parse_program(source(MAX_NESTING))
+    err = syntax_error(source(MAX_NESTING + 1))
+    col = len("    return ") + len(open_) * MAX_NESTING + open_.index(opener) + 1
+    assert (err.line, err.col) == (2, col)
+    assert err.message == f"nesting deeper than {MAX_NESTING} levels"
+
+
+def test_nesting_counts_open_levels_not_all_levels():
+    flat = " + ".join(["(" * MAX_NESTING + "x" + ")" * MAX_NESTING] * 3)
+    parse_program(f"def f(x):\n    return {flat}\n")
+    nots = " and ".join(["not " * MAX_NESTING + "x"] * 3)
+    parse_program(f"def f(x):\n    return {nots}\n")
 
 
 class TestValues:

@@ -1,26 +1,38 @@
 """Mutation-point discovery, mutant enumeration, meta-mutant generation."""
 
+import dataclasses
 import hashlib
 
 import pytest
 
 from mutlab.cli import CORPUS_DIR
+from mutlab.fuzz import fuzz_program
 from mutlab.lang import (
-    If, TaintChoice, compile_program, parse_program, run_entry, walk_exprs,
-    walk_stmts,
+    Expr, If, TaintChoice, compile_program, parse_program, run_entry,
 )
 from mutlab.lang.interp import eval_plain
 from mutlab.mutate import (
-    ARITH_CATALOG, COMPARE_CATALOG, _stmt_exprs, discover_mutation_points,
+    ARITH_CATALOG, COMPARE_CATALOG, discover_mutation_points,
     enumerate_mutants, generate_meta_mutant, mutant_catalog_lines,
 )
 
 
+def _all_nodes(ast):
+    """Every statement and expression node of `ast`, found through the
+    dataclass fields rather than the walks under test."""
+    stack = list(ast.functions)
+    while stack:
+        node = stack.pop()
+        yield node
+        for field in dataclasses.fields(node):
+            value = getattr(node, field.name)
+            for child in value if isinstance(value, list) else [value]:
+                if dataclasses.is_dataclass(child):
+                    stack.append(child)
+
+
 def _all_exprs(ast):
-    for fn in ast.functions:
-        for s in walk_stmts(fn.body):
-            for root in _stmt_exprs(s):
-                yield from walk_exprs(root)
+    return [n for n in _all_nodes(ast) if isinstance(n, Expr)]
 
 SRC = ("def f(a, b):\n"
        "    c = a + b * 2\n"
@@ -49,6 +61,29 @@ def test_discovery_order_and_classes():
     assert len(points[2].replacements) == 5
 
 
+BRANCHY = ("def g(n, xs):\n"
+           "    if n < 0:\n"
+           "        return -(n * 2)\n"
+           "    elif n == 0:\n"
+           "        return xs[n + 1]\n"
+           "    else:\n"
+           "        while n > 1 and not n % 2 == 0:\n"
+           "            n = n // 3\n"
+           "    return len([n - 1, n | 4]) >> 1\n")
+
+
+def test_points_follow_the_meta_mutants_choices():
+    ast = parse_program(BRANCHY)
+    points = discover_mutation_points(ast)
+    assert [p.original_op for p in points] == [
+        "<", "*", "==", "+", ">", "==", "%", "//", ">>", "-", "|"]
+    meta = generate_meta_mutant(ast, points)
+    choices = {e.point_id: e for e in _all_exprs(meta)
+               if isinstance(e, TaintChoice)}
+    assert [(choices[p.point_id].loc, choices[p.point_id].variants[0])
+            for p in points] == [(p.loc, p.original_op) for p in points]
+
+
 def test_enumeration_is_stable():
     points = discover_mutation_points(parse_program(SRC))
     mutants = enumerate_mutants(points)
@@ -68,8 +103,7 @@ def test_meta_mutant_invariants():
     assert len(choices) == len(points)
     assert all(0 in c.variants for c in choices)
     # the single `if` condition is the transformed comparison itself
-    [cond] = [s.cond for fn in meta.functions for s in walk_stmts(fn.body)
-              if isinstance(s, If)]
+    [cond] = [s.cond for s in _all_nodes(meta) if isinstance(s, If)]
     assert isinstance(cond, TaintChoice) and cond.variants[0] == "<"
     # the original AST is untouched
     assert not any(isinstance(e, TaintChoice) for e in _all_exprs(ast))
@@ -117,3 +151,27 @@ def test_meta_mutant_pinned_on_corpus(name):
     meta = generate_meta_mutant(ast, points, enumerate_mutants(points))
     assert hashlib.sha256(repr(meta).encode()).hexdigest() == META_PINS[name]
     assert repr(ast) == before
+
+
+# One sha256 over the repr of the AST, the meta-mutant, the points and the
+# mutants of each corpus program and each fuzz program of seeds 0-999, taken
+# before the lexer became one regular expression, the parser one
+# precedence-climbing loop and `Loc`/`MutationPoint`/`Mutant` named tuples.
+PARSE_PINS = {
+    "corpus, fuzz seeds 0-999":
+        "cfd22c79a87aa3f90c0baee1454f0ce2041fcf81d3ed4b4355dfb4fedab8c0bd",
+}
+
+
+def test_front_end_pinned_on_corpus_and_fuzz():
+    texts = [path.read_text() for path in sorted(CORPUS_DIR.glob("*.ml0"))]
+    texts += [fuzz_program(seed) for seed in range(1000)]
+    digest = hashlib.sha256()
+    for text in texts:
+        ast = parse_program(text)
+        points = discover_mutation_points(ast)
+        mutants = enumerate_mutants(points)
+        meta = generate_meta_mutant(ast, points, mutants)
+        digest.update("\n".join([repr(ast), repr(meta), repr(points),
+                                 repr(mutants)]).encode())
+    assert digest.hexdigest() == PARSE_PINS["corpus, fuzz seeds 0-999"]
