@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 invalid test (the original fails), 2 usage error
 on a verdict, 4 internal error (any other exception, such as Python's
 recursion limit on deep recursion), reported as one line on stderr.
 The budget multiplier (--budget-mult, else MUTLAB_BUDGET_MULT, else 10)
-must be a positive integer; anything else is a usage error.
+and `fuzz --count` must be positive integers; anything else is a usage
+error.
 """
 
 from __future__ import annotations
@@ -42,16 +43,21 @@ def _usage_error(message: str) -> NoReturn:
     raise SystemExit(EXIT_USAGE)
 
 
-def _budget_mult(flag: str | None) -> int:
-    source = "--budget-mult" if flag is not None else "MUTLAB_BUDGET_MULT"
-    text = flag if flag is not None else os.environ.get(source, "10")
+def _positive(source: str, text: str) -> int:
     try:
-        mult = int(text)
+        n = int(text)
     except ValueError:
-        mult = 0
-    if mult < 1:
+        n = 0
+    if n < 1:
         _usage_error(f"{source} must be a positive integer, got {text!r}")
-    return mult
+    return n
+
+
+def _budget_mult(flag: str | None) -> int:
+    if flag is not None:
+        return _positive("--budget-mult", flag)
+    return _positive("MUTLAB_BUDGET_MULT",
+                     os.environ.get("MUTLAB_BUDGET_MULT", "10"))
 
 
 def _load(path: str):
@@ -248,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_corpus)
 
     p = sub.add_parser("fuzz", help="differential testing on fuzzed programs")
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", default="1")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--dump", action="store_true",
                    help="print each generated program")
@@ -261,6 +267,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if "budget_mult" in args:
         args.budget_mult = _budget_mult(args.budget_mult)
+    if "count" in args:
+        args.count = _positive("--count", args.count)
     try:
         return args.fn(args)
     except Exception as err:  # a defect of mutlab, not of the program

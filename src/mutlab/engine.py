@@ -14,9 +14,16 @@ needs the taint-aware evaluator.
 
 With memo on (`EngineConfig.memo`), diverged runs consult the memo before
 executing a program call and every call fills it, guarded by the mutation
-cache. Every executed choice site notes its site id (with its variants) in
-the innermost open call's frame; the call writes its mutation-cache records
-when it returns (see `memo`).
+cache. Every executed choice site is noted, with its variants, in the
+innermost open call's frame; the call writes its mutation-cache records
+when it returns (see `memo`). The root notes each site as it runs. A
+diverged run's choice sites only add their ids to its `covered_points`
+(see `lang.interp`), and the run notes them in one batch before each memo
+lookup, before each `leave` and when it ends. That is exact: while a
+child runs only `lookup`, `store` and `leave` read the frames, and a
+frame opens or closes only right after a batch, before another site
+runs, so every site of a batch ran in the frame that is innermost when
+the batch is noted.
 """
 
 from __future__ import annotations
@@ -93,16 +100,27 @@ class _MemoRun(PlainRun):
     a call is served from it when the mutation cache allows, and otherwise
     runs in its own memo frame and is stored. Every lookup may find the
     memo changed, so a loop back at an earlier state is cut short only
-    when no lookup happened in between."""
+    when no lookup happened in between. `covered_points` holds the sites
+    run since the last `flush`."""
 
     def __init__(self, engine: TaintEngine, mid: int):
         super().__init__(engine.program, select=mid, budget=engine.child_budget)
         self.memo = engine.memo
         self.infra = engine.infra
 
+    def flush(self):
+        """Note the sites run since the last flush in the innermost frame."""
+        sites = self.covered_points
+        if sites:
+            note, variants = self.memo.note, self.program.variants
+            for site in sites:
+                note(site, variants[site])
+            sites.clear()
+
     def call_fn(self, fn: CompiledFn, args: list):
         key = make_call_key(fn.name, args)
         self.infra.memo_lookups += 1
+        self.flush()
         hit, cached = self.memo.lookup(key, self.select)
         if hit:
             return cached
@@ -110,13 +128,11 @@ class _MemoRun(PlainRun):
         try:
             rv = self.run_fn(fn, dict(zip(fn.params, args)))
         finally:
+            self.flush()
             self.infra.mcache_writes += self.memo.leave()
         self.infra.memo_stores += 1
         self.memo.store(key, self.select, rv)
         return rv
-
-    def at_choice(self, e: TaintChoice):
-        self.memo.note(e.point_id, e.variants)
 
     def shared_epoch(self):
         # the memo may change at every lookup
@@ -200,6 +216,8 @@ class TaintEngine:
                 self.active.add(mid)
                 rv = taints.with_taint(rv, mid, value)
             finally:
+                if self.cfg.memo:
+                    run.flush()
                 self.context_stmts.append(run.stmts)
                 self.pending -= 1
         return rv

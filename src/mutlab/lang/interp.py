@@ -13,8 +13,12 @@ It runs the original and isolated mutant runs, and also every mutant the
 taint engine sees diverge: `run_fn` starts at any pc of a function, so a
 forked mutant resumes at its branch target on its concretized environment.
 Subclasses hook into a program-function call (`call_fn`, reached through
-`call`) and into a choice site once its operands are evaluated
-(`at_choice`); the compiled closures call both hooks.
+`call`). A choice site has no hook, since it is the hottest closure: it
+adds its point id to `run.covered_points` itself, and a `Var`-`Literal` or
+`Var`-`Var` site (most of them) reads its operands inline, so it makes no
+Python call but its operator's. `CompiledProgram.variants` maps each point
+id to its site's variants for a run that needs them (the memo's, see
+`engine`).
 
 A while loop's back edge is its own instruction (`ILoop`). After 8, then 9,
 10, ... back edges a frame checks its state (pc, env) against the last
@@ -100,13 +104,14 @@ class CompiledFn:
 @dataclass
 class CompiledProgram:
     functions: dict[str, CompiledFn]
+    variants: dict[int, dict]  # point id -> its choice site's variants
 
 
-def compile_fn(fn: FunctionDef) -> CompiledFn:
+def compile_fn(fn: FunctionDef, sites: dict) -> CompiledFn:
     code: list[Instr] = []
 
     def emit(instr: Instr, expr: Expr | None = None) -> int:
-        instr.ev = _unit if expr is None else compile_expr(expr)
+        instr.ev = _unit if expr is None else compile_expr(expr, sites)
         code.append(instr)
         return len(code) - 1
 
@@ -154,7 +159,9 @@ def compile_fn(fn: FunctionDef) -> CompiledFn:
 
 
 def compile_program(ast: Ast) -> CompiledProgram:
-    return CompiledProgram({f.name: compile_fn(f) for f in ast.functions})
+    sites: dict[int, dict] = {}
+    return CompiledProgram({f.name: compile_fn(f, sites)
+                            for f in ast.functions}, sites)
 
 
 # --- expression compiler ---
@@ -163,9 +170,14 @@ def _unit(run, env):
     return None
 
 
-def compile_expr(e: Expr) -> Callable:
+def _undefined(name: str, loc: Loc) -> MiniRuntimeError:
+    return MiniRuntimeError("name", f"undefined variable {name!r}", loc)
+
+
+def compile_expr(e: Expr, sites: dict) -> Callable:
     """Compile an expression into a closure `ev(run, env)` that evaluates
-    it on the PlainRun `run`. A runtime error keeps the innermost location."""
+    it on the PlainRun `run`. A runtime error keeps the innermost location.
+    Each choice site's variants go into `sites` under its point id."""
     loc = e.loc
     if isinstance(e, Literal):
         value = e.value
@@ -177,19 +189,46 @@ def compile_expr(e: Expr) -> Callable:
             try:
                 return env[name]
             except KeyError:
-                raise MiniRuntimeError(
-                    "name", f"undefined variable {name!r}", loc) from None
+                raise _undefined(name, loc) from None
         return ev
     if isinstance(e, TaintChoice):
-        left, right = compile_expr(e.left), compile_expr(e.right)
         fns = {m: OPERATORS[op] for m, op in e.variants.items()}
-        orig, point = fns[0], e.point_id
+        orig, point, lhs, rhs = fns[0], e.point_id, e.left, e.right
+        sites[point] = e.variants
+        if type(lhs) is Var and type(rhs) in (Var, Literal):
+            # most sites: read the leaf operands inline, with the errors of
+            # their closures (a subclass of Var or Literal is not inlined)
+            lname, rname = lhs.name, getattr(rhs, "name", None)
+            value = getattr(rhs, "value", None)
+
+            def ev(run, env):
+                try:
+                    a = env[lname]
+                    b = value if rname is None else env[rname]
+                except KeyError:
+                    bad = rhs if lname in env else lhs
+                    raise _undefined(bad.name, bad.loc) from None
+                fn = fns.get(run.select, orig)
+                run.covered_points.add(point)
+                events = run.events
+                try:
+                    v = fn(a, b)
+                except MiniRuntimeError as err:
+                    if events is not None:
+                        events.append((point, run.stmts - 1, ("err", err.kind)))
+                    err.loc = err.loc or loc
+                    raise
+                if events is not None:
+                    events.append((point, run.stmts - 1, ("val", v)))
+                return v
+            return ev
+        left, right = compile_expr(lhs, sites), compile_expr(rhs, sites)
 
         def ev(run, env):
             a = left(run, env)
             b = right(run, env)
             fn = fns.get(run.select, orig)
-            run.at_choice(e)
+            run.covered_points.add(point)
             events = run.events
             try:
                 v = fn(a, b)
@@ -203,13 +242,13 @@ def compile_expr(e: Expr) -> Callable:
             return v
         return ev
     if isinstance(e, (BinOp, Compare, BoolOp)):
-        return _located(OPERATORS[e.op], loc, compile_expr(e.left),
-                        compile_expr(e.right))
+        return _located(OPERATORS[e.op], loc, compile_expr(e.left, sites),
+                        compile_expr(e.right, sites))
     if isinstance(e, Index):
-        return _located(values.index_value, loc, compile_expr(e.base),
-                        compile_expr(e.index))
+        return _located(values.index_value, loc, compile_expr(e.base, sites),
+                        compile_expr(e.index, sites))
     if isinstance(e, UnaryOp):
-        op, operand = e.op, compile_expr(e.operand)
+        op, operand = e.op, compile_expr(e.operand, sites)
 
         def ev(run, env):
             a = operand(run, env)
@@ -220,7 +259,7 @@ def compile_expr(e: Expr) -> Callable:
                 raise
         return ev
     if isinstance(e, Call):
-        name, args = e.name, [compile_expr(a) for a in e.args]
+        name, args = e.name, [compile_expr(a, sites) for a in e.args]
 
         def ev(run, env):
             vals = [a(run, env) for a in args]
@@ -231,7 +270,7 @@ def compile_expr(e: Expr) -> Callable:
                 raise
         return ev
     if isinstance(e, ListLit):
-        items = [compile_expr(a) for a in e.items]
+        items = [compile_expr(a, sites) for a in e.items]
         return lambda run, env: tuple([a(run, env) for a in items])
     raise TypeError(f"cannot compile {e!r}")
 
@@ -293,10 +332,6 @@ class PlainRun:
     def call_fn(self, fn: CompiledFn, args: list):
         """A call of a program function with arity-checked args."""
         return self.run_fn(fn, dict(zip(fn.params, args)))
-
-    def at_choice(self, e: TaintChoice):
-        """A choice site's operands are evaluated; its operator is next."""
-        self.covered_points.add(e.point_id)
 
     def shared_epoch(self):
         """Changes whenever state a call may read beyond its arguments may

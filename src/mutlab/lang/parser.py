@@ -6,9 +6,13 @@ assignments desugar into `x = x <op> e`. Expressions are parsed by one
 precedence-climbing loop over `PRECEDENCE` with an operator stack, so only
 brackets recurse. Binary operators associate to the left, `a < b < c` is
 an error at the second `<`, `not` binds looser than a comparison and `-`
-tighter than any binary operator. At most `MAX_NESTING` brackets, call
-argument lists and unary operators may be open at once, since every later
-pass walks the tree recursively.
+tighter than any binary operator. Every later pass walks the tree
+recursively, so two limits keep expressions within Python's recursion
+limit: at most `MAX_NESTING` brackets, call argument lists and unary
+operators may be open at once, and no expression tree may be more than
+`MAX_DEPTH` nodes deep (a variable or literal is 1 deep, any other node
+1 more than its deepest operand, so `x + x + x` is 3 deep). The parser
+keeps the depth of every operand it holds, so the check is O(1) per node.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ PRECEDENCE = {
 OPERATOR_KINDS = {"OP", "KEYWORD"}  # `and`/`or` are keywords
 LITERALS = {"INT": int, "FLOAT": float, "STRING": str}
 MAX_NESTING = 100  # open brackets, call argument lists and unary operators
+MAX_DEPTH = 200  # nodes from an expression's root to its deepest leaf
 
 
 class Parser:
@@ -42,6 +47,7 @@ class Parser:
         self.tokens = tokens
         self.pos = 0
         self.depth = 0  # open parentheses, brackets and unary operators
+        self.height = 0  # tree depth of the last expression parsed
 
     # --- token helpers ---
 
@@ -76,6 +82,13 @@ class Parser:
         if self.depth > MAX_NESTING:
             raise MiniSyntaxError(f"nesting deeper than {MAX_NESTING} levels",
                                   tok.line, tok.col)
+
+    def deeper(self, height: int, tok: Token) -> int:
+        """`height`, the depth of a node built at `tok`, if it is allowed."""
+        if height > MAX_DEPTH:
+            raise MiniSyntaxError(
+                f"expression deeper than {MAX_DEPTH} levels", tok.line, tok.col)
+        return height
 
     # --- top level ---
 
@@ -185,6 +198,7 @@ class Parser:
     def parse_expr(self) -> Expr:
         tokens = self.tokens
         operands: list[Expr] = []
+        heights: list[int] = []  # the tree depth of each operand
         pending: list[tuple[int, Token]] = []  # (precedence, operator token)
         prec = 0  # of the operator before the operand; 0 at the start
         compared = False  # the operands since `and`/`or` hold a comparison
@@ -196,6 +210,7 @@ class Parser:
                     self.pos += 1
                     pending.append((NOT_PREC, tok))
             operands.append(self.parse_unary())
+            heights.append(self.height)
             tok = tokens[self.pos]
             prec = PRECEDENCE.get(tok.value) if tok.kind in OPERATOR_KINDS else None
             if prec is None:
@@ -207,27 +222,36 @@ class Parser:
             elif prec <= AND_PREC:
                 compared = False
             while pending and pending[-1][0] >= prec:
-                self._reduce(operands, pending.pop())
+                self._reduce(operands, heights, pending.pop())
             self.pos += 1
             pending.append((prec, tok))
         while pending:
-            self._reduce(operands, pending.pop())
+            self._reduce(operands, heights, pending.pop())
+        self.height = heights[0]
         return operands[0]
 
-    def _reduce(self, operands: list[Expr], pending: tuple[int, Token]) -> None:
+    def _reduce(self, operands: list[Expr], heights: list[int],
+                pending: tuple[int, Token]) -> None:
         prec, tok = pending
         loc = Loc(tok.line, tok.col)
         if prec == NOT_PREC:
             self.depth -= 1
             operands[-1] = UnaryOp(loc, "not", operands[-1])
+            height = heights[-1] + 1
         else:
             right = operands.pop()
             node = (Compare if prec == COMPARE_PREC else
                     BoolOp if prec <= AND_PREC else BinOp)
             operands[-1] = node(loc, tok.value, operands[-1], right)
+            height = heights.pop()
+            if height < heights[-1]:
+                height = heights[-1]
+            height += 1
+        heights[-1] = height if height <= MAX_DEPTH else self.deeper(height, tok)
 
     def parse_unary(self) -> Expr:
-        """Prefix `-`s, then an atom with its calls and indexes."""
+        """Prefix `-`s, then an atom with its calls and indexes. Sets
+        `height` to the result's tree depth."""
         tokens = self.tokens
         minus: list[Token] = []
         while (tok := tokens[self.pos]).value == "-" and tok.kind == "OP":
@@ -241,11 +265,15 @@ class Parser:
                     raise self.err("only names can be called")
                 expr = Call(expr.loc, expr.name, self.parse_list(")"))
             elif tok.value == "[":
+                height = self.height
                 expr = Index(Loc(tok.line, tok.col), expr, self.parse_inner("]"))
+                self.height = max(self.height, height)
             else:
                 break
+            self.height = self.deeper(self.height + 1, tok)
         for tok in reversed(minus):
             expr = UnaryOp(Loc(tok.line, tok.col), "-", expr)
+            self.height = self.deeper(self.height + 1, tok)
         self.depth -= len(minus)
         return expr
 
@@ -260,22 +288,28 @@ class Parser:
 
     def parse_list(self, close: str) -> list[Expr]:
         """The comma-separated expressions from the opening bracket at the
-        current token up to `close`."""
+        current token up to `close`; `height` is their greatest depth (0
+        for none)."""
         self.enter(self.next())
         items: list[Expr] = []
+        height = 0
         if not self.at("OP", close):
             items.append(self.parse_expr())
+            height = self.height
             while self.at("OP", ","):
                 self.next()
                 items.append(self.parse_expr())
+                height = max(height, self.height)
         self.expect("OP", close)
         self.depth -= 1
+        self.height = height
         return items
 
     def parse_atom(self) -> Expr:
         tok = self.tokens[self.pos]
         loc = Loc(tok.line, tok.col)
         kind = tok.kind
+        self.height = 1
         if kind == "NAME":
             self.pos += 1
             return Var(loc, tok.value)
@@ -293,7 +327,9 @@ class Parser:
         if kind == "OP" and tok.value == "(":
             return self.parse_inner(")")
         if kind == "OP" and tok.value == "[":
-            return ListLit(loc, self.parse_list("]"))
+            items = self.parse_list("]")
+            self.height = self.deeper(self.height + 1, tok)
+            return ListLit(loc, items)
         raise self.err(f"unexpected token {tok.value or tok.kind!r}")
 
 

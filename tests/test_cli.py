@@ -10,7 +10,7 @@ import pytest
 
 import mutlab.cli as cli
 from mutlab.cli import main
-from mutlab.lang.parser import MAX_NESTING
+from mutlab.lang.parser import MAX_DEPTH, MAX_NESTING
 from mutlab.report import CSV_HEADER, SCHEMA
 
 GOOD = """\
@@ -223,6 +223,14 @@ class TestEnvironment:
             f"error: --budget-mult must be a positive integer, got {value!r}\n")
 
 
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_fuzz_count_below_one_is_a_usage_error(capsys, value):
+    with pytest.raises(SystemExit) as e:
+        main(["fuzz", "--count", value])
+    assert usage_error_line(capsys, e) == (
+        f"error: --count must be a positive integer, got {value!r}\n")
+
+
 def test_python_dash_m_runs_the_cli():
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
@@ -333,6 +341,24 @@ def test_nesting_limit_in_compare(tmp_path, kind):
             assert proc.returncode == 2
             assert proc.stderr == (f"error: {program}: 2:{col}: nesting "
                                    f"deeper than {MAX_NESTING} levels\n")
+
+
+def test_deep_operator_chain_in_compare(tmp_path):
+    """600 terms used to exhaust Python's recursion limit (exit 4); past
+    `MAX_DEPTH` the chain is a syntax error at the operator that passes it."""
+    program = tmp_path / "chain.ml0"
+    program.write_text("def f(x):\n    return " + " + ".join(["x"] * 600)
+                       + "\n\ndef test_f():\n    assert f(1) == 600\n")
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mutlab", "compare", "--program", str(program),
+         "--all"], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2
+    col = len("    return x ") + 4 * MAX_DEPTH - 3
+    assert proc.stderr == (f"error: {program}: 2:{col}: expression deeper "
+                           f"than {MAX_DEPTH} levels\n")
+    assert proc.stdout == ""
 
 
 def test_unexpected_exception_is_exit_4(good, capsys, monkeypatch):

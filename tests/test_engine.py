@@ -2,13 +2,17 @@
 no-fork re-execution, memo behaviour, and verdict agreement across the
 four engine variants."""
 
+import hashlib
 import itertools
 
 import pytest
 
-from mutlab.cli import CORPUS_DIR
+import mutlab.engine as engine_mod
+from mutlab.cli import CORPUS_DIR, CORPUS_PROGRAMS
 from mutlab.engine import EngineConfig, run_test
+from mutlab.fuzz import fuzz_program
 from mutlab.lang import PlainRun, compile_program, parse_program
+from mutlab.memo import MemoState
 from mutlab.mutate import (
     discover_mutation_points, enumerate_mutants, generate_meta_mutant,
 )
@@ -507,3 +511,59 @@ def test_memo_semantics_pinned_on_corpus(name):
         sums = tuple(sum(det["memo"][k] for det in run.details.values())
                      for k in ("hits", "misses", "stores", "clears"))
         assert (run.program_stmts, sums) == (stmts, memo), strategy
+
+
+class _FrameLog(MemoState):
+    """Hashes the sorted site ids of every open memo frame at every lookup,
+    store and leave: the calls that read the frames while a child runs."""
+    digest = None
+
+    def _log(self, event, *args):
+        _FrameLog.digest.update(repr((event, args, [
+            sorted(sites) for _, _, sites in self.frames])).encode())
+
+    def lookup(self, key, m):
+        self._log("lookup", key, m)
+        return super().lookup(key, m)
+
+    def store(self, key, m, value):
+        self._log("store", key, m)
+        super().store(key, m, value)
+
+    def leave(self):
+        self._log("leave")
+        return super().leave()
+
+
+# sha256 of `_FrameLog` over every test of the workload's programs, per
+# memo variant. Pinned: site notes must reach the frame they ran in before
+# anything reads it, however they are batched.
+FRAME_PINS = {
+    "corpus": {
+        "exec-taints": "0e0076c02cadd7b1740bed21bb006af61cdc1168891ae200c0d2fe32f9817228",
+        "exec-taints-nf": "392174609fb1e59332c3f54b7e105015db4b054505d051fae1686d9d9a183cc9",
+    },
+    "fuzz": {
+        "exec-taints": "0b5972ff815cd6fc5fa22c5c7b9b890ef77fac22b9ff4e48bd6240a311a371c9",
+        "exec-taints-nf": "d40b9d7c88bb60fbeca2f929f781a1bc75feaba59eb0ae9ba4834e884e8f1a74",
+    },
+}
+
+
+def _workload(name):
+    if name == "corpus":
+        return [(CORPUS_DIR / f"{p}.ml0").read_text() for p in CORPUS_PROGRAMS]
+    return [fuzz_program(seed) for seed in range(10)]
+
+
+@pytest.mark.parametrize("workload", sorted(FRAME_PINS))
+def test_memo_frames_pinned(workload, monkeypatch):
+    monkeypatch.setattr(engine_mod, "MemoState", _FrameLog)
+    asts = [parse_program(src) for src in _workload(workload)]
+    got = {}
+    for strategy in FRAME_PINS[workload]:
+        _FrameLog.digest = hashlib.sha256()
+        for ast in asts:
+            analyze_program(ast, AnalysisConfig(strategies=[strategy]))
+        got[strategy] = _FrameLog.digest.hexdigest()
+    assert got == FRAME_PINS[workload]

@@ -13,12 +13,12 @@ from mutlab.cli import CORPUS_DIR
 from mutlab.engine import HARD_BUDGET
 from mutlab.fuzz import fuzz_program
 from mutlab.lang import (
-    Ast, Call, Index, ListLit, Literal, MiniRuntimeError, MiniSyntaxError,
-    PlainRun, UnaryOp, Var, compile_program, eval_plain, interp,
-    parse_program, run_entry,
+    Ast, Call, Index, ListLit, Literal, Loc, MiniRuntimeError,
+    MiniSyntaxError, PlainRun, TaintChoice, UnaryOp, Var, compile_program,
+    eval_plain, interp, parse_program, run_entry,
 )
 from mutlab.lang.lexer import KEYWORDS, OPERATORS as LEX_OPERATORS, _lex_line
-from mutlab.lang.parser import MAX_NESTING
+from mutlab.lang.parser import MAX_DEPTH, MAX_NESTING
 from mutlab.lang.values import (
     ARITH_OPS, COMPARE_OPS, INT_MAX, INT_MIN, OPERATORS, binary_op, bool_op,
     canon_key, compare_op, plain_eq,
@@ -26,7 +26,7 @@ from mutlab.lang.values import (
 from mutlab.mutate import (
     discover_mutation_points, enumerate_mutants, generate_meta_mutant,
 )
-from mutlab.strategies import budget_for
+from mutlab.strategies import analyze_program, budget_for, check_consistency
 
 
 def run_src(src, entry="main", env=None):
@@ -381,6 +381,58 @@ def test_nesting_counts_open_levels_not_all_levels():
     parse_program(f"def f(x):\n    return {nots}\n")
 
 
+def chain(terms: int) -> str:
+    """`x + x + ... + x`: `terms` deep."""
+    return " + ".join(["x"] * terms)
+
+
+def test_depth_limit_on_an_operator_chain():
+    src = (f"def f(x):\n    return {chain(MAX_DEPTH)}\n\n"
+           f"def test_f():\n    assert f(1) == {MAX_DEPTH}\n")
+    analysis = analyze_program(parse_program(src))
+    assert analysis.valid
+    assert check_consistency(analysis) == []
+    parse_program(f"def f(x):\n    return ({chain(MAX_DEPTH)})\n")  # no level
+    # the error is at the operator whose node would be MAX_DEPTH + 1 deep
+    err = syntax_error(f"def f(x):\n    return {chain(MAX_DEPTH + 1)}\n")
+    assert (err.line, err.col) == (2, len("    return x ") + 4 * MAX_DEPTH - 3)
+    assert err.message == f"expression deeper than {MAX_DEPTH} levels"
+
+
+# (opening text, closing text, offset in the opening text of the token that
+# adds a level)
+DEPTH_WRAPPERS = {
+    "call": ("abs(", ")", 3),
+    "index": ("[0][", "]", 3),
+    "list literal": ("[", "]", 0),
+    "unary minus": ("-(", ")", 0),
+    "not": ("not (", ")", 0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DEPTH_WRAPPERS))
+def test_depth_limit_counts_every_node(kind):
+    open_, close, at = DEPTH_WRAPPERS[kind]
+
+    def source(terms):
+        return f"def f(x):\n    return {open_}{chain(terms)}{close}\n"
+    parse_program(source(MAX_DEPTH - 1))
+    err = syntax_error(source(MAX_DEPTH))
+    assert (err.line, err.col) == (2, len("    return ") + at + 1)
+    assert err.message == f"expression deeper than {MAX_DEPTH} levels"
+
+
+def test_depth_adds_up_across_nesting_levels():
+    # each level of `(...) + x + x` is 2 deeper, so MAX_NESTING does not
+    # bound the depth on its own
+    def source(levels):
+        return f"def f(x):\n    return {'(' * levels}x{') + x + x' * levels}\n"
+    parse_program(source(MAX_DEPTH // 2 - 1))
+    assert MAX_DEPTH // 2 <= MAX_NESTING
+    err = syntax_error(source(MAX_DEPTH // 2))
+    assert err.message == f"expression deeper than {MAX_DEPTH} levels"
+
+
 class TestValues:
     def test_int_overflow_is_error(self):
         with pytest.raises(MiniRuntimeError) as e:
@@ -649,6 +701,63 @@ FUZZ_OUTCOME_PINS = {
 def test_plain_run_outcomes_pinned_on_fuzz(seed):
     ast = parse_program(fuzz_program(seed))
     assert outcome_digest(ast) == FUZZ_OUTCOME_PINS[seed]
+
+
+# --- choice sites with leaf operands read them inline ---
+
+class OpaqueVar(Var):
+    """A Var that a choice site does not read inline."""
+
+
+class OpaqueLiteral(Literal):
+    """A Literal that a choice site does not read inline."""
+
+
+SITE_OPS = ARITH_OPS + COMPARE_OPS
+SITE_VALUES = st.one_of(
+    st.integers(-3, 3), st.integers(INT_MIN, INT_MAX), st.booleans(),
+    st.floats(), st.sampled_from([-0.0, math.nan, math.inf]),
+    st.text(max_size=2))
+UNBOUND = object()  # an operand variable that the environment lacks
+
+
+def run_site(site, select, env):
+    """What evaluating the compiled `site` shows: its value or error, its
+    covered points and events, and the variants it recorded (a repr, which
+    tells 1 from True, 0.0 from -0.0 and matches nan)."""
+    sites = {}
+    ev = interp.compile_expr(site, sites)
+    run = PlainRun(None, select=select, record_events=True)
+    run.stmts = 7
+    try:
+        result = ("val", repr(ev(run, env)))
+    except MiniRuntimeError as err:
+        result = ("err", err.kind, err.message, err.loc)
+    return repr((result, run.covered_points, run.events, sites))
+
+
+@given(st.sampled_from(SITE_OPS), st.integers(0, len(SITE_OPS) + 1),
+       st.one_of(SITE_VALUES, st.just(UNBOUND)),
+       st.one_of(SITE_VALUES, st.just(UNBOUND)), st.booleans())
+@example("/", 0, 1, 0, True)
+@example("+", 3, UNBOUND, 1, False)
+@example("<", 0, 1, UNBOUND, False)
+@example("<<", 4, 1, 64, True)
+@example("==", 0, math.nan, math.nan, False)
+def test_inline_site_operands_match_generic_path(op, select, a, b, literal):
+    """A Var-Literal (`literal`) or Var-Var site against the same site with
+    operands of subclasses, which take the generic path of leaf closures."""
+    variants = {0: op, **{mid: o for mid, o in enumerate(SITE_OPS, 1)}}
+    env = {k: v for k, v in (("a", a), ("b", b)) if v is not UNBOUND}
+    if literal:
+        b = 0 if b is UNBOUND else b
+        right, opaque_right = Literal(Loc(2, 9), b), OpaqueLiteral(Loc(2, 9), b)
+    else:
+        right, opaque_right = Var(Loc(2, 9), "b"), OpaqueVar(Loc(2, 9), "b")
+    inline = TaintChoice(Loc(2, 7), 5, variants, Var(Loc(2, 5), "a"), right)
+    generic = TaintChoice(Loc(2, 7), 5, variants, OpaqueVar(Loc(2, 5), "a"),
+                          opaque_right)
+    assert run_site(inline, select, env) == run_site(generic, select, env)
 
 
 # --- a loop back at a state it had before is a timeout ---
