@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 invalid test (the original fails), 2 usage error
+Exit codes: 0 success, 1 invalid test (the original fails; the message
+names how: status, error kind, location), 2 usage error
 (also an unreadable program or an unwritable output), 3 strategies disagree
 on a verdict, 4 internal error (any other exception, such as Python's
 recursion limit on deep recursion), reported as one line on stderr.
@@ -99,12 +100,22 @@ def _write_out(text: str, out: str | Path | None):
         _usage_error(f"cannot write {out}: {err.strerror or err}")
 
 
+def _invalid_failure(analysis) -> str:
+    """How the original failed its invalid test, as in `error name at 2:9`,
+    `assert at 5:5` or `timeout`."""
+    o = analysis.invalid_outcome
+    if o is None:
+        return "the taint engine's mainline fails where the original passes"
+    words = [o.status, o.kind, o.loc and f"at {o.loc}"]
+    return " ".join(w for w in words if w)
+
+
 def _analyze_one(path: str, strategies: list[str], budget_mult: int):
     ast = _load(path)
     analysis = analyze_program(ast, AnalysisConfig(strategies, budget_mult))
     if not analysis.valid:
         print(f"error: invalid test: original fails {analysis.invalid_test} "
-              f"in {path}", file=sys.stderr)
+              f"in {path}: {_invalid_failure(analysis)}", file=sys.stderr)
         raise SystemExit(EXIT_INVALID_TEST)
     return analysis
 
@@ -202,7 +213,8 @@ def cmd_fuzz(args) -> int:
                                    AnalysisConfig(list(STRATEGY_NAMES),
                                                   args.budget_mult))
         if not analysis.valid:
-            print(f"seed {seed}: invalid test", file=sys.stderr)
+            print(f"seed {seed}: invalid test: {_invalid_failure(analysis)}",
+                  file=sys.stderr)
             return EXIT_INVALID_TEST
         problems = check_consistency(analysis)
         if problems:

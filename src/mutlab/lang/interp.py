@@ -12,13 +12,16 @@ statement node; each branch/loop condition evaluation counts once.
 It runs the original and isolated mutant runs, and also every mutant the
 taint engine sees diverge: `run_fn` starts at any pc of a function, so a
 forked mutant resumes at its branch target on its concretized environment.
-Subclasses hook into a program-function call (`call_fn`, reached through
-`call`). A choice site has no hook, since it is the hottest closure: it
-adds its point id to `run.covered_points` itself, and a `Var`-`Literal` or
-`Var`-`Var` site (most of them) reads its operands inline, so it makes no
-Python call but its operator's. `CompiledProgram.variants` maps each point
-id to its site's variants for a run that needs them (the memo's, see
-`engine`).
+Each call site binds its callee when the program is compiled
+(`bind_call`): a program function is called through `call_fn`, the one
+hook subclasses override, and a builtin's function directly, so a `.ml0`
+call level costs three Python frames (`run_fn`, the site's closure,
+`call_fn`). `call` looks a name up only for `run_entry`. A choice site
+has no hook, since it is the hottest closure: it adds its point id to
+`run.covered_points` itself, and a `Var`-`Literal` or `Var`-`Var` site
+(most of them) reads its operands inline, so it makes no Python call but
+its operator's. `CompiledProgram.variants` maps each point id to its
+site's variants for a run that needs them (the memo's, see `engine`).
 
 A while loop's back edge is its own instruction (`ILoop`). After 8, then 9,
 10, ... back edges a frame checks its state (pc, env) against the last
@@ -107,11 +110,12 @@ class CompiledProgram:
     variants: dict[int, dict]  # point id -> its choice site's variants
 
 
-def compile_fn(fn: FunctionDef, sites: dict) -> CompiledFn:
+def compile_fn(fn: FunctionDef, program: CompiledProgram) -> list[Instr]:
+    """The instruction list of `fn`'s body."""
     code: list[Instr] = []
 
     def emit(instr: Instr, expr: Expr | None = None) -> int:
-        instr.ev = _unit if expr is None else compile_expr(expr, sites)
+        instr.ev = _unit if expr is None else compile_expr(expr, program)
         code.append(instr)
         return len(code) - 1
 
@@ -155,13 +159,17 @@ def compile_fn(fn: FunctionDef, sites: dict) -> CompiledFn:
     compile_block(fn.body)
     emit(IReturn(fn.loc, None))
     code[-1].counted = False  # implicit return is not a statement
-    return CompiledFn(fn.name, list(fn.params), code)
+    return code
 
 
 def compile_program(ast: Ast) -> CompiledProgram:
-    sites: dict[int, dict] = {}
-    return CompiledProgram({f.name: compile_fn(f, sites)
-                            for f in ast.functions}, sites)
+    """Every `CompiledFn` exists before any body is compiled, so that each
+    call site binds its callee (`bind_call`)."""
+    program = CompiledProgram({f.name: CompiledFn(f.name, list(f.params), [])
+                               for f in ast.functions}, {})
+    for f in ast.functions:
+        program.functions[f.name].code = compile_fn(f, program)
+    return program
 
 
 # --- expression compiler ---
@@ -174,10 +182,11 @@ def _undefined(name: str, loc: Loc) -> MiniRuntimeError:
     return MiniRuntimeError("name", f"undefined variable {name!r}", loc)
 
 
-def compile_expr(e: Expr, sites: dict) -> Callable:
-    """Compile an expression into a closure `ev(run, env)` that evaluates
-    it on the PlainRun `run`. A runtime error keeps the innermost location.
-    Each choice site's variants go into `sites` under its point id."""
+def compile_expr(e: Expr, program: CompiledProgram) -> Callable:
+    """Compile an expression of `program` into a closure `ev(run, env)` that
+    evaluates it on the PlainRun `run`. A runtime error keeps the innermost
+    location. Each choice site's variants go into `program.variants` under
+    its point id."""
     loc = e.loc
     if isinstance(e, Literal):
         value = e.value
@@ -194,7 +203,7 @@ def compile_expr(e: Expr, sites: dict) -> Callable:
     if isinstance(e, TaintChoice):
         fns = {m: OPERATORS[op] for m, op in e.variants.items()}
         orig, point, lhs, rhs = fns[0], e.point_id, e.left, e.right
-        sites[point] = e.variants
+        program.variants[point] = e.variants
         if type(lhs) is Var and type(rhs) in (Var, Literal):
             # most sites: read the leaf operands inline, with the errors of
             # their closures (a subclass of Var or Literal is not inlined)
@@ -222,7 +231,7 @@ def compile_expr(e: Expr, sites: dict) -> Callable:
                     events.append((point, run.stmts - 1, ("val", v)))
                 return v
             return ev
-        left, right = compile_expr(lhs, sites), compile_expr(rhs, sites)
+        left, right = compile_expr(lhs, program), compile_expr(rhs, program)
 
         def ev(run, env):
             a = left(run, env)
@@ -242,13 +251,13 @@ def compile_expr(e: Expr, sites: dict) -> Callable:
             return v
         return ev
     if isinstance(e, (BinOp, Compare, BoolOp)):
-        return _located(OPERATORS[e.op], loc, compile_expr(e.left, sites),
-                        compile_expr(e.right, sites))
+        return _located(OPERATORS[e.op], loc, compile_expr(e.left, program),
+                        compile_expr(e.right, program))
     if isinstance(e, Index):
-        return _located(values.index_value, loc, compile_expr(e.base, sites),
-                        compile_expr(e.index, sites))
+        return _located(values.index_value, loc, compile_expr(e.base, program),
+                        compile_expr(e.index, program))
     if isinstance(e, UnaryOp):
-        op, operand = e.op, compile_expr(e.operand, sites)
+        op, operand = e.op, compile_expr(e.operand, program)
 
         def ev(run, env):
             a = operand(run, env)
@@ -259,20 +268,88 @@ def compile_expr(e: Expr, sites: dict) -> Callable:
                 raise
         return ev
     if isinstance(e, Call):
-        name, args = e.name, [compile_expr(a, sites) for a in e.args]
+        return _compile_call(e, [compile_expr(a, program) for a in e.args],
+                             program.functions)
+    if isinstance(e, ListLit):
+        items = [compile_expr(a, program) for a in e.items]
+        return lambda run, env: tuple([a(run, env) for a in items])
+    raise TypeError(f"cannot compile {e!r}")
+
+
+def bind_call(functions: dict, name: str, nargs: int):
+    """What a call of `name` with `nargs` arguments runs: the program
+    function's `CompiledFn`, the builtin's Python function, or, when the
+    call is illegal, the (kind, message) of the `MiniRuntimeError` it
+    raises. A program function hides a builtin of the same name."""
+    fn = functions.get(name)
+    if fn is not None:
+        if nargs == len(fn.params):
+            return fn
+        return "arity", f"{name}() expected {len(fn.params)} arguments, got {nargs}"
+    if name not in BUILTINS:
+        return "name", f"unknown function {name!r}"
+    builtin, lo, hi = BUILTINS[name]
+    if nargs < lo or (hi is not None and nargs > hi):
+        return "arity", f"{name}() got {nargs} arguments"
+    return builtin
+
+
+def _compile_call(e: Call, args: list, functions: dict) -> Callable:
+    """A call site bound to its callee when the program is compiled. It
+    evaluates the arguments, then calls `run.call_fn` for a program function
+    (the hook of a memo run) or the builtin's function, or raises the
+    illegal call's error, with `e.loc` on errors that have no location yet.
+    Most calls pass one argument, or two to a program function: those sites
+    read them without a list comprehension."""
+    loc, callee = e.loc, bind_call(functions, e.name, len(args))
+    kind = type(callee)
+    if kind is CompiledFn and len(args) == 1:
+        arg, = args
 
         def ev(run, env):
-            vals = [a(run, env) for a in args]
+            v = arg(run, env)
             try:
-                return run.call(name, vals)
+                return run.call_fn(callee, [v])
             except MiniRuntimeError as err:
                 err.loc = err.loc or loc
                 raise
         return ev
-    if isinstance(e, ListLit):
-        items = [compile_expr(a, sites) for a in e.items]
-        return lambda run, env: tuple([a(run, env) for a in items])
-    raise TypeError(f"cannot compile {e!r}")
+    if kind is CompiledFn and len(args) == 2:
+        arg1, arg2 = args
+
+        def ev(run, env):
+            v1 = arg1(run, env)
+            v2 = arg2(run, env)
+            try:
+                return run.call_fn(callee, [v1, v2])
+            except MiniRuntimeError as err:
+                err.loc = err.loc or loc
+                raise
+        return ev
+    if kind is not tuple and len(args) == 1:
+        arg, = args
+
+        def ev(run, env):
+            v = arg(run, env)
+            try:
+                return callee(v)
+            except MiniRuntimeError as err:
+                err.loc = err.loc or loc
+                raise
+        return ev
+
+    def ev(run, env):
+        vals = [a(run, env) for a in args]
+        try:
+            if kind is CompiledFn:
+                return run.call_fn(callee, vals)
+            if kind is tuple:
+                raise MiniRuntimeError(*callee)
+            return callee(*vals)
+        except MiniRuntimeError as err:
+            err.loc = err.loc or loc
+            raise
+    return ev
 
 
 def _located(fn, loc: Loc, left, right):
@@ -319,15 +396,14 @@ class PlainRun:
         self.events: list | None = [] if record_events else None
 
     def call(self, name: str, args: list):
-        if name in self.program.functions:
-            fn = self.program.functions[name]
-            if len(args) != len(fn.params):
-                raise MiniRuntimeError(
-                    "arity", f"{name}() expected {len(fn.params)} arguments, got {len(args)}")
-            return self.call_fn(fn, args)
-        if name in BUILTINS:
-            return values.call_builtin(name, args)
-        raise MiniRuntimeError("name", f"unknown function {name!r}")
+        """Call a function by name: `run_entry`'s way in. A compiled call
+        site binds its callee once instead (`bind_call`)."""
+        callee = bind_call(self.program.functions, name, len(args))
+        if isinstance(callee, CompiledFn):
+            return self.call_fn(callee, args)
+        if isinstance(callee, tuple):
+            raise MiniRuntimeError(*callee)
+        return callee(*args)
 
     def call_fn(self, fn: CompiledFn, args: list):
         """A call of a program function with arity-checked args."""

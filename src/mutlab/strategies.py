@@ -75,16 +75,13 @@ class ProgramAnalysis:
     mutants: list
     runs: dict                # strategy name -> StrategyRun
     invalid_test: str | None = None
+    # the original's failing run of `invalid_test`; None when the original
+    # passed but the taint engine's mainline did not
+    invalid_outcome: Outcome | None = None
 
     @property
     def valid(self) -> bool:
         return self.invalid_test is None
-
-    def counts(self, strategy: str) -> dict:
-        out = {"killed": 0, "survived": 0, "not_covered": 0}
-        for v in self.runs[strategy].verdicts.values():
-            out[v[0]] += 1
-        return out
 
 
 def merge_verdict(old, new):
@@ -256,7 +253,7 @@ def analyze_program(ast: Ast, cfg: AnalysisConfig | None = None) -> ProgramAnaly
         original = run_entry(program, test, [], select=0,
                              budget=HARD_BUDGET, record_events=record_events)
         if original.status != "pass":
-            analysis.invalid_test = test
+            analysis.invalid_test, analysis.invalid_outcome = test, original
             return analysis
         # drop the last test's outcomes before this test's pass runs
         iso_verdicts, outcomes = {}, {}

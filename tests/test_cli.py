@@ -231,6 +231,37 @@ def test_fuzz_count_below_one_is_a_usage_error(capsys, value):
         f"error: --count must be a positive integer, got {value!r}\n")
 
 
+INVALID_TESTS = {
+    "undefined function": (
+        "def test_a():\n    x = nope(1)\n    assert x == 1\n",
+        "error name at 2:9"),
+    "failing assert": (
+        "def f(x):\n    return x\n\ndef test_a():\n    y = f(1)\n"
+        "    assert y == 2\n", "assert at 6:5"),
+    "test with a parameter": (
+        "def test_a(p):\n    assert p == 1\n", "error arity"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_TESTS))
+def test_invalid_test_names_the_failure(tmp_path, capsys, case):
+    source, failure = INVALID_TESTS[case]
+    program = tmp_path / "p.ml0"
+    program.write_text(source)
+    with pytest.raises(SystemExit) as e:
+        main(["compare", "--program", str(program), "--all"])
+    assert e.value.code == 1
+    assert capsys.readouterr().err == (
+        f"error: invalid test: original fails test_a in {program}: {failure}\n")
+
+
+def test_fuzz_invalid_test_names_the_failure(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "fuzz_program",
+                        lambda seed: "def test_a():\n    assert 1 == 2\n")
+    assert main(["fuzz", "--count", "2", "--seed", "7"]) == 1
+    assert capsys.readouterr().err == "seed 7: invalid test: assert at 2:5\n"
+
+
 def test_python_dash_m_runs_the_cli():
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))

@@ -14,7 +14,7 @@ from pathlib import Path
 import mutlab
 
 SRC = Path(mutlab.__file__).parent
-USED_OUTSIDE = {"ProgramAnalysis.counts"}  # tests/test_strategies.py
+USED_OUTSIDE: set[str] = set()
 
 
 def definitions(tree: ast.Module, prefix: str = ""):

@@ -18,6 +18,7 @@ from mutlab.lang import (
     eval_plain, interp, parse_program, run_entry,
 )
 from mutlab.lang.lexer import KEYWORDS, OPERATORS as LEX_OPERATORS, _lex_line
+from mutlab.lang import values
 from mutlab.lang.parser import MAX_DEPTH, MAX_NESTING
 from mutlab.lang.values import (
     ARITH_OPS, COMPARE_OPS, INT_MAX, INT_MIN, OPERATORS, binary_op, bool_op,
@@ -726,7 +727,7 @@ def run_site(site, select, env):
     covered points and events, and the variants it recorded (a repr, which
     tells 1 from True, 0.0 from -0.0 and matches nan)."""
     sites = {}
-    ev = interp.compile_expr(site, sites)
+    ev = interp.compile_expr(site, interp.CompiledProgram({}, sites))
     run = PlainRun(None, select=select, record_events=True)
     run.stmts = 7
     try:
@@ -952,3 +953,151 @@ def test_isolated_runs_match_reference_on_fuzz(seed):
     for m in mutants:
         got, want, _ = with_and_without_shortcut(program, test, m.mid, budget)
         assert observed(got) == observed(want), m.mid
+
+
+# --- call sites bound at compile time ---
+
+CALLEES = """\
+def f0():
+    return 7 - 2
+
+def f1(a):
+    return a + 1
+
+def f2(a, b):
+    return f1(a) * b
+
+def f3(a, b, c):
+    if a < b:
+        return f2(b, c)
+    return f0() + c
+"""
+CALLEE_NAMES = ["f0", "f1", "f2", "f3", "len", "ord", "chr", "abs", "min",
+                "max", "print", "nope"]
+ARG_LOC = Loc(9, 20)
+CALL_ARGS = st.one_of(
+    st.builds(lambda v: Literal(ARG_LOC, v), st.one_of(
+        st.integers(-3, 3), st.text("ab", max_size=2),
+        st.tuples(st.integers(0, 3)), st.just(1.5))),
+    st.sampled_from([
+        Var(ARG_LOC, "v"),                          # bound to 2
+        Var(ARG_LOC, "u"),                          # unbound: a name error
+        Call(ARG_LOC, "f1", [Var(ARG_LOC, "v")]),   # nested calls
+        Call(ARG_LOC, "f1", [Literal(ARG_LOC, 5)]),
+        Call(ARG_LOC, "f1", [Literal(ARG_LOC, "s")]),  # fails inside f1
+    ]))
+
+
+def by_name_site(site, program):
+    """The call site as it was compiled before call sites were bound: it
+    evaluates the arguments, then calls through `PlainRun.call` by name."""
+    args = [interp.compile_expr(a, program) for a in site.args]
+
+    def ev(run, env):
+        vals = [a(run, env) for a in args]
+        try:
+            return run.call(site.name, vals)
+        except MiniRuntimeError as err:
+            err.loc = err.loc or site.loc
+            raise
+    return ev
+
+
+def run_call_site(ev, program, select):
+    """The value or error of one call, the statements it ran, the points it
+    covered and the events it recorded."""
+    run = PlainRun(program, select=select, budget=500, record_events=True)
+    try:
+        result = ("val", repr(ev(run, {"v": 2})))
+    except MiniRuntimeError as err:
+        result = ("err", err.kind, err.message, err.loc)
+    return repr((result, run.stmts, sorted(run.covered_points), run.events))
+
+
+@given(st.sampled_from(CALLEE_NAMES), st.lists(CALL_ARGS, max_size=4),
+       st.integers(0, 46))  # 45 mutants
+@example("f2", [Literal(ARG_LOC, 3), Literal(ARG_LOC, 4)], 0)
+@example("f3", [Literal(ARG_LOC, 1), Var(ARG_LOC, "v"), Literal(ARG_LOC, 3)], 7)
+@example("f1", [Literal(ARG_LOC, "s")], 0)
+@example("f2", [Var(ARG_LOC, "u")], 0)
+@example("f2", [Call(ARG_LOC, "f1", [Var(ARG_LOC, "v")]), Var(ARG_LOC, "u")], 0)
+@example("f3", [Call(ARG_LOC, "f1", [Var(ARG_LOC, "v")]),
+                Call(ARG_LOC, "f1", [Literal(ARG_LOC, 5)]),
+                Call(ARG_LOC, "f1", [Literal(ARG_LOC, "s")])], 12)
+@example("nope", [Call(ARG_LOC, "f1", [Literal(ARG_LOC, "s")])], 0)
+@example("len", [Literal(ARG_LOC, "ab"), Literal(ARG_LOC, "ab")], 0)
+@example("min", [], 0)
+@example("print", [], 0)
+@settings(max_examples=300, deadline=None)
+def test_bound_call_sites_match_call_by_name(name, args, select):
+    """Program functions with 0-3 parameters and builtins, called with
+    every argument count, unknown names, failing arguments, errors deep in
+    the callee and mutants selected inside nested calls."""
+    program = meta_program(CALLEES)
+    site = Call(Loc(9, 11), name, args)
+    bound = interp.compile_expr(site, program)
+    assert (run_call_site(bound, program, select)
+            == run_call_site(by_name_site(site, program), program, select))
+
+
+@pytest.mark.parametrize("source, kind, message, col", [
+    ("nope(1)", "name", "unknown function 'nope'", 12),
+    ("f(1)", "arity", "f() expected 2 arguments, got 1", 12),
+    ("f(1, 2, 3)", "arity", "f() expected 2 arguments, got 3", 12),
+    ("len(1, 2)", "arity", "len() got 2 arguments", 12),
+    ("min()", "arity", "min() got 0 arguments", 12),
+    ("abs()", "arity", "abs() got 0 arguments", 12),
+    ("nope(u)", "name", "undefined variable 'u'", 17),
+    ("f(len(1))", "type", "len() takes a string or list, got int", 14),
+])
+def test_illegal_call_errors(source, kind, message, col):
+    """Each illegal call's error at its site; an argument's own error,
+    raised first, wins."""
+    program = compile_program(parse_program(
+        f"def f(a, b):\n    return a\n\ndef main():\n    return {source}\n"))
+    with pytest.raises(MiniRuntimeError) as err:
+        PlainRun(program).call("main", [])
+    assert (err.value.kind, err.value.message, err.value.loc) == (
+        kind, message, Loc(5, col))
+
+
+def test_program_function_hides_a_builtin():
+    outcome = run_src("def len(s):\n    return 7\n\ndef main():\n"
+                      "    return len(\"ab\") + len(1)\n")
+    assert (outcome.status, outcome.value) == ("pass", 14)
+
+
+FRAMES_PER_CALL_LEVEL = 3  # run_fn, the call site's closure, call_fn
+RECURSING = """\
+def f(n):
+    if n == 0:
+        return print()
+    return f(n - 1)
+
+def g(n, k):
+    if n == 0:
+        return print(k)
+    return g(n - 1, k)
+"""
+
+
+def stack_depth() -> int:
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@pytest.mark.parametrize("entry, args", [("f", []), ("g", [5])])
+def test_python_frames_per_call_level(monkeypatch, entry, args):
+    """The Python stack grows by FRAMES_PER_CALL_LEVEL for each `.ml0`
+    call level on PlainRun, read inside a builtin at two recursion depths.
+    The deepest `.ml0` recursion that fits Python's recursion limit follows
+    from this figure."""
+    depths = []
+    monkeypatch.setitem(values.BUILTINS, "print",
+                        (lambda *a: depths.append(stack_depth()), 0, None))
+    program = compile_program(parse_program(RECURSING))
+    for n in (10, 30):
+        PlainRun(program).call(entry, [n, *args])
+    assert depths[1] - depths[0] == 20 * FRAMES_PER_CALL_LEVEL
