@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 invalid test (the original fails; the message
 names how: status, error kind, location), 2 usage error
-(also an unreadable program or an unwritable output), 3 strategies disagree
+(also an unreadable program, an unwritable --out, or a failed write to
+stdout, such as a closed pipe or a full disk), 3 strategies disagree
 on a verdict, 4 internal error (any other exception, such as Python's
 recursion limit on deep recursion), reported as one line on stderr.
 The budget multiplier (--budget-mult, else MUTLAB_BUDGET_MULT, else 10)
@@ -90,9 +91,33 @@ def _check_out(out: str | None):
         _usage_error(f"cannot write {out}: {err.strerror}")
 
 
+def _stdout_failed(err: OSError) -> NoReturn:
+    """Writing stdout failed: an I/O error like an unwritable --out. Stdout
+    then points at os.devnull, so the interpreter's final flush of what is
+    still buffered prints no `Exception ignored`."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+    _usage_error(f"cannot write stdout: {err.strerror or err}")
+
+
+def _emit(text: str):
+    try:
+        sys.stdout.write(text)
+    except OSError as err:
+        _stdout_failed(err)
+
+
+def _flush():
+    try:
+        sys.stdout.flush()
+    except OSError as err:
+        _stdout_failed(err)
+
+
 def _write_out(text: str, out: str | Path | None):
     if not out:
-        sys.stdout.write(text)
+        _emit(text)
         return
     try:
         Path(out).write_text(text)
@@ -161,8 +186,7 @@ def cmd_compare(args) -> int:
 def cmd_mutants(args) -> int:
     ast = _load(args.program)
     mutants = enumerate_mutants(discover_mutation_points(ast))
-    for line in mutant_catalog_lines(mutants):
-        print(line)
+    _emit("".join(line + "\n" for line in mutant_catalog_lines(mutants)))
     return EXIT_OK
 
 
@@ -192,11 +216,11 @@ def cmd_corpus(args) -> int:
         trad = analysis.runs["traditional"].program_stmts
         full = analysis.runs["exec-taints"].program_stmts
         ratios.append(full / trad)
-        print(f"{prog:15s} mutants={len(analysis.mutants):4d} "
+        _emit(f"{prog:15s} mutants={len(analysis.mutants):4d} "
               f"traditional={trad:7d} exec-taints={full:7d} "
-              f"ratio={full / trad:.3f}")
+              f"ratio={full / trad:.3f}\n")
     mean = sum(ratios) / len(ratios)
-    print(f"mean exec-taints/traditional ratio: {mean:.3f}")
+    _emit(f"mean exec-taints/traditional ratio: {mean:.3f}\n")
     if out_dir:
         _write_out(emit_csv(rows), out_dir / "summary.csv")
     return worst
@@ -207,8 +231,7 @@ def cmd_fuzz(args) -> int:
     for seed in range(args.seed, args.seed + args.count):
         src = fuzz_program(seed)
         if args.dump:
-            print(f"# seed {seed}")
-            print(src)
+            _emit(f"# seed {seed}\n{src}\n")
         analysis = analyze_program(parse_program(src),
                                    AnalysisConfig(list(STRATEGY_NAMES),
                                                   args.budget_mult))
@@ -222,7 +245,7 @@ def cmd_fuzz(args) -> int:
                 print(f"seed {seed}: {p}", file=sys.stderr)
             worst = EXIT_INCONSISTENT
         else:
-            print(f"seed {seed}: ok ({len(analysis.mutants)} mutants)")
+            _emit(f"seed {seed}: ok ({len(analysis.mutants)} mutants)\n")
     return worst
 
 
@@ -276,16 +299,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if "budget_mult" in args:
-        args.budget_mult = _budget_mult(args.budget_mult)
-    if "count" in args:
-        args.count = _positive("--count", args.count)
     try:
+        args = build_parser().parse_args(argv)
+        if "budget_mult" in args:
+            args.budget_mult = _budget_mult(args.budget_mult)
+        if "count" in args:
+            args.count = _positive("--count", args.count)
         return args.fn(args)
     except Exception as err:  # a defect of mutlab, not of the program
         print(f"error: internal: {err!r}", file=sys.stderr)
-    return EXIT_INTERNAL
+        return EXIT_INTERNAL
+    finally:
+        _flush()
 
 
 if __name__ == "__main__":

@@ -12,6 +12,12 @@ budget), and its return value is merged back as its execution taint on the
 mainline return value. Only the root ever holds taints, so only the root
 needs the taint-aware evaluator.
 
+The root binds each call with `interp.bind_call`, the plain interpreter's
+rules, so a `.ml0` call level costs it three Python frames (`run_code`,
+`eval`, `call_wrapped`). Its errors get no location added: an error on the
+mainline only means the root left the original's passing run, and
+`run_test` reads no more of it than that it was raised.
+
 With memo on (`EngineConfig.memo`), diverged runs consult the memo before
 executing a program call and every call fills it, guarded by the mutation
 cache. Every executed choice site is noted, with its variants, in the
@@ -33,14 +39,13 @@ from dataclasses import dataclass, field
 from .lang.errors import MiniAssertionError, MiniRuntimeError, StepBudgetExceeded
 from .lang.interp import (
     CompiledFn, CompiledProgram, IAssert, IAssign, IBranch, IExpr, IJump,
-    IReturn, PlainRun, run_entry,
+    ILoop, IReturn, PlainRun, bind_call, run_entry,
 )
 from .lang.nodes import (
     BinOp, BoolOp, Call, Compare, Expr, Index, ListLit, Literal, Loc,
     TaintChoice, UnaryOp, Var,
 )
 from .lang import values
-from .lang.values import BUILTINS, call_builtin
 from .memo import MemoState, make_call_key, mutant_call_keys
 from . import taints
 from .taints import ORIGINAL, taint_get, taint_keys, value_of
@@ -171,21 +176,9 @@ class TaintEngine:
 
     # --- calls ---
 
-    def call_function(self, name: str, args: list, loc: Loc):
-        if name in self.program.functions:
-            return self.call_wrapped(name, args)
-        if name in BUILTINS:
-            return self._pointwise(lambda *vs: call_builtin(name, list(vs)),
-                                   args, loc)
-        raise MiniRuntimeError("name", f"unknown function {name!r}", loc)
-
-    def call_wrapped(self, name: str, args: list):
-        fn = self.program.functions[name]
-        if len(args) != len(fn.params):
-            raise MiniRuntimeError(
-                "arity", f"{name}() expected {len(fn.params)} arguments, got {len(args)}")
+    def call_wrapped(self, fn: CompiledFn, args: list):
         if self.cfg.memo:
-            self.memo.enter(name, args)
+            self.memo.enter(fn.name, args)
         frame = _Frame(fn, dict(zip(fn.params, args)), args)
         try:
             rv = self.run_code(frame)
@@ -193,7 +186,7 @@ class TaintEngine:
         finally:
             if self.cfg.memo:
                 self.infra.mcache_writes += self.memo.leave()
-        self._memo_store(name, args, rv)
+        self._memo_store(fn.name, args, rv)
         if self.cfg.memo and self.pending == 0:
             self.memo.clear_if_all_merged()
         return rv
@@ -243,24 +236,25 @@ class TaintEngine:
                 self.stmts += 1
                 if self.stmts > self.budget:
                     raise StepBudgetExceeded()
-            if isinstance(instr, IAssign):
+            kind = type(instr)
+            if kind is IAssign:
                 env[instr.name] = self.eval(instr.expr, env)
                 pc += 1
-            elif isinstance(instr, IBranch):
+            elif kind is IBranch:
                 cond = self.eval(instr.cond, env)
                 pc = self.exec_cond(frame, instr, cond)
-            elif isinstance(instr, IJump):
+            elif kind is ILoop or kind is IJump:
                 pc = instr.target
-            elif isinstance(instr, IAssert):
-                self.exec_assert(instr, env)
-                pc += 1
-            elif isinstance(instr, IExpr):
-                self.eval(instr.expr, env)
-                pc += 1
-            elif isinstance(instr, IReturn):
+            elif kind is IReturn:
                 if instr.expr is None:
                     return None
                 return self.eval(instr.expr, env)
+            elif kind is IAssert:
+                self.exec_assert(instr, env)
+                pc += 1
+            elif kind is IExpr:
+                self.eval(instr.expr, env)
+                pc += 1
             else:
                 raise TypeError(f"bad instruction {instr!r}")
 
@@ -309,64 +303,46 @@ class TaintEngine:
                 raise MiniRuntimeError("name", f"undefined variable {e.name!r}", e.loc)
             return env[e.name]
         if isinstance(e, TaintChoice):
-            return self.exec_taint_choice(e, env)
-        if isinstance(e, (BinOp, Compare, BoolOp)):
             a = self.eval(e.left, env)
             b = self.eval(e.right, env)
-            try:
-                return taints.apply_binary(a, e.op, {}, b, restrict=self.active,
-                                           on_kill=self._kill_exc, stats=self.infra)
-            except MiniRuntimeError as err:
-                err.loc = err.loc or e.loc
-                raise
-        if isinstance(e, UnaryOp):
-            a = self.eval(e.operand, env)
-            try:
-                return taints.apply_unary(e.op, a, restrict=self.active,
-                                          on_kill=self._kill_exc, stats=self.infra)
-            except MiniRuntimeError as err:
-                err.loc = err.loc or e.loc
-                raise
-        if isinstance(e, Call):
-            args = [self.eval(a, env) for a in e.args]
-            try:
-                return self.call_function(e.name, args, e.loc)
-            except MiniRuntimeError as err:
-                err.loc = err.loc or e.loc
-                raise
-        if isinstance(e, ListLit):
-            items = [self.eval(a, env) for a in e.items]
-            return self._pointwise(lambda *vs: tuple(vs), items, e.loc)
-        if isinstance(e, Index):
-            base = self.eval(e.base, env)
-            idx = self.eval(e.index, env)
-            return self._pointwise(values.index_value, [base, idx], e.loc)
-        raise TypeError(f"cannot evaluate {e!r}")
-
-    def exec_taint_choice(self, e: TaintChoice, env: dict):
-        a = self.eval(e.left, env)
-        b = self.eval(e.right, env)
-        self.covered_points.add(e.point_id)
-        if self.cfg.memo:
-            self.memo.note(e.point_id, e.variants)
-        try:
+            self.covered_points.add(e.point_id)
+            if self.cfg.memo:
+                self.memo.note(e.point_id, e.variants)
             return taints.apply_binary(a, e.variants[ORIGINAL], e.variants, b,
                                        restrict=self.active,
                                        on_kill=self._kill_exc, stats=self.infra)
-        except MiniRuntimeError as err:
-            err.loc = err.loc or e.loc
-            raise
+        if isinstance(e, (BinOp, Compare, BoolOp)):
+            a = self.eval(e.left, env)
+            b = self.eval(e.right, env)
+            return taints.apply_binary(a, e.op, {}, b, restrict=self.active,
+                                       on_kill=self._kill_exc, stats=self.infra)
+        if isinstance(e, UnaryOp):
+            a = self.eval(e.operand, env)
+            return taints.apply_unary(e.op, a, restrict=self.active,
+                                      on_kill=self._kill_exc, stats=self.infra)
+        if isinstance(e, Call):
+            args = [self.eval(a, env) for a in e.args]
+            callee = bind_call(self.program.functions, e.name, len(args))
+            kind = type(callee)
+            if kind is CompiledFn:
+                return self.call_wrapped(callee, args)
+            if kind is tuple:
+                raise MiniRuntimeError(*callee)
+            return self._pointwise(callee, args)
+        if isinstance(e, ListLit):
+            items = [self.eval(a, env) for a in e.items]
+            return self._pointwise(lambda *vs: tuple(vs), items)
+        if isinstance(e, Index):
+            base = self.eval(e.base, env)
+            idx = self.eval(e.index, env)
+            return self._pointwise(values.index_value, [base, idx])
+        raise TypeError(f"cannot evaluate {e!r}")
 
-    def _pointwise(self, fn, args: list, loc: Loc):
+    def _pointwise(self, fn, args: list):
         """Apply a plain n-ary operation per taint entry (builtins, list
         construction, indexing). Taints on list elements are lifted to the
         list value itself."""
-        out = {}
-        try:
-            out[ORIGINAL] = fn(*[value_of(a) for a in args])
-        except MiniRuntimeError as err:
-            err.loc = err.loc or loc
-            raise
+        out = {ORIGINAL: fn(*[value_of(a) for a in args])}
         ids = taints.active_taints(args) & self.active
         for m in sorted(ids):
             try:
@@ -398,7 +374,7 @@ def run_test(program: CompiledProgram, test: str, mutant_ids: list[int],
     eng = TaintEngine(program, mutant_ids, cfg, child_budget,
                       budget=cfg.budget_mult * pre.stmts + HARD_BUDGET)
     try:
-        eng.call_wrapped(test, [])
+        eng.call_wrapped(program.functions[test], [])
         valid = True
     except (MiniAssertionError, MiniRuntimeError, StepBudgetExceeded):
         valid = False  # mainline must match the passing original run

@@ -376,13 +376,6 @@ BUILTINS = {
 }
 
 
-def call_builtin(name: str, args: list):
-    fn, lo, hi = BUILTINS[name]
-    if len(args) < lo or (hi is not None and len(args) > hi):
-        raise MiniRuntimeError("arity", f"{name}() got {len(args)} arguments")
-    return fn(*args)
-
-
 def index_value(base, idx):
     if not isinstance(base, (str, tuple)):
         raise MiniRuntimeError("type", f"cannot index {type_name(base)}")

@@ -46,7 +46,6 @@ class RunReport:
     infra_ops: int
     verdicts: dict             # mid -> verdict string
     memo_stats: dict = field(default_factory=dict)
-    seed: int | None = None
     budget_mult: int = 10
 
     @property
@@ -59,8 +58,7 @@ class RunReport:
 
 
 def reports_from_analysis(program: str, analysis: ProgramAnalysis,
-                          budget_mult: int = 10,
-                          seed: int | None = None) -> list[RunReport]:
+                          budget_mult: int = 10) -> list[RunReport]:
     reports = []
     for name, run in analysis.runs.items():
         killed = {"assertion": 0, "exception": 0, "timeout": 0}
@@ -72,9 +70,7 @@ def reports_from_analysis(program: str, analysis: ProgramAnalysis,
                 survived += 1
             else:
                 not_covered += 1
-        memo = {}
-        for test, det in sorted(run.details.items()):
-            memo[test] = det.get("memo", {})
+        memo = {test: det["memo"] for test, det in sorted(run.details.items())}
         reports.append(RunReport(
             program=program,
             strategy=name,
@@ -87,7 +83,6 @@ def reports_from_analysis(program: str, analysis: ProgramAnalysis,
             verdicts={mid: verdict_str(run.verdicts[mid])
                       for mid in sorted(run.verdicts)},
             memo_stats=memo,
-            seed=seed,
             budget_mult=budget_mult,
         ))
     return reports
@@ -107,7 +102,7 @@ def report_obj(r: RunReport) -> dict:
         "program_stmts": r.program_stmts,
         "infra_ops": r.infra_ops,
         "budget_mult": r.budget_mult,
-        "seed": r.seed,
+        "seed": None,  # kept so mutlab/1 bytes stay the same; no run is seeded
         "verdicts": {f"M{mid}": v for mid, v in r.verdicts.items()},
         "memo_stats": r.memo_stats,
     }

@@ -67,7 +67,7 @@ class StrategyRun:
     per_test: dict            # test -> {mid -> verdict}
     program_stmts: int
     infra_ops: int
-    details: dict = field(default_factory=dict)
+    details: dict = field(default_factory=dict)  # test -> {"memo": stats}, engine only
 
 
 @dataclass
@@ -276,11 +276,7 @@ def analyze_program(ast: Ast, cfg: AnalysisConfig | None = None) -> ProgramAnaly
                     return analysis
                 verdicts, stmts = report.verdicts, report.program_stmts
                 infra = report.infra.total()
-                runs[name].details[test] = {
-                    "contexts": len(report.context_stmts),
-                    "divergences": len(report.divergences),
-                    "memo": report.memo_stats,
-                }
+                runs[name].details[test] = {"memo": report.memo_stats}
             else:
                 raise ValueError(f"unknown strategy {name!r}")
 

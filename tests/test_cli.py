@@ -273,6 +273,35 @@ def test_python_dash_m_runs_the_cli():
     assert json.loads(proc.stdout)["schema"] == SCHEMA
 
 
+@pytest.mark.parametrize("command", [
+    ["compare", "--all", "--program", "corpus/prime.ml0"],
+    ["mutants", "list", "--program", "corpus/prime.ml0"],
+    ["fuzz", "--count", "1", "--seed", "0"],
+])
+@pytest.mark.parametrize("sink", ["full", "closed pipe"])
+def test_failed_stdout_write_is_a_usage_error(command, sink):
+    """Stdout on a full device, or on a pipe nobody reads (as in
+    `mutlab ... | head -1`), fails like an unwritable --out: exit 2 and one
+    line on stderr, with no `Exception ignored` from the final flush."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    if sink == "full":
+        stdout = os.open("/dev/full", os.O_WRONLY)
+        reason = "No space left on device"
+    else:
+        read_end, stdout = os.pipe()
+        os.close(read_end)
+        reason = "Broken pipe"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mutlab", *command], cwd=root, env=env,
+            stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=300)
+    finally:
+        os.close(stdout)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: cannot write stdout: {reason}\n"
+
+
 ANALYZE_AND_COMPARE = pytest.mark.parametrize("command", [
     ["analyze", "--strategy", "exec-taints"],
     ["compare", "--all"],

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mutlab.cli import CORPUS_DIR
-from mutlab.engine import HARD_BUDGET
+from mutlab.engine import HARD_BUDGET, EngineConfig, run_test
 from mutlab.fuzz import fuzz_program
 from mutlab.lang import (
     Ast, Call, Index, ListLit, Literal, Loc, MiniRuntimeError,
@@ -1101,3 +1101,22 @@ def test_python_frames_per_call_level(monkeypatch, entry, args):
     for n in (10, 30):
         PlainRun(program).call(entry, [n, *args])
     assert depths[1] - depths[0] == 20 * FRAMES_PER_CALL_LEVEL
+
+
+@pytest.mark.parametrize("entry, args", [("f", []), ("g", [5])])
+def test_root_python_frames_per_call_level(monkeypatch, entry, args):
+    """The taint engine's root mainline also costs FRAMES_PER_CALL_LEVEL
+    Python frames per `.ml0` call level (`run_code`, `eval`,
+    `call_wrapped`), read inside a builtin at two recursion depths."""
+    depths = []
+    monkeypatch.setitem(values.BUILTINS, "print",
+                        (lambda *a: depths.append(stack_depth()), 0, None))
+    tests = "".join(
+        f"\ndef test_{n}():\n    {entry}({', '.join(map(str, [n, *args]))})\n"
+        for n in (10, 30))
+    program = compile_program(parse_program(RECURSING + tests))
+    for n in (10, 30):
+        assert run_test(program, f"test_{n}", [], {}, EngineConfig()).valid
+    # each test prints once in its original run, then once on the root
+    root_depths = depths[1::2]
+    assert root_depths[1] - root_depths[0] == 20 * FRAMES_PER_CALL_LEVEL
