@@ -14,7 +14,9 @@ error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
+import io
 import os
 import stat
 import sys
@@ -300,7 +302,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        help_text = io.StringIO()
+        try:  # argparse would ignore a failed write of its help
+            with contextlib.redirect_stdout(help_text):
+                args = build_parser().parse_args(argv)
+        finally:
+            if help_text.tell():
+                _emit(help_text.getvalue())
         if "budget_mult" in args:
             args.budget_mult = _budget_mult(args.budget_mult)
         if "count" in args:

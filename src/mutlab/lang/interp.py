@@ -134,17 +134,11 @@ def compile_fn(fn: FunctionDef, program: CompiledProgram) -> list[Instr]:
                 emit(br, s.cond)
                 br.true_pc = len(code)
                 compile_block(s.then_body)
-                if s.else_body:
-                    jend = IJump(s.loc)
-                    emit(jend)
-                    br.false_pc = len(code)
-                    compile_block(s.else_body)
-                    jend.target = len(code)
-                else:
-                    jend = IJump(s.loc)
-                    emit(jend)
-                    br.false_pc = len(code)
-                    jend.target = len(code)
+                jend = IJump(s.loc)
+                emit(jend)
+                br.false_pc = len(code)
+                compile_block(s.else_body)
+                jend.target = len(code)
             elif isinstance(s, While):
                 top = len(code)
                 br = IBranch(s.loc, s.cond)
@@ -224,11 +218,11 @@ def compile_expr(e: Expr, program: CompiledProgram) -> Callable:
                     v = fn(a, b)
                 except MiniRuntimeError as err:
                     if events is not None:
-                        events.append((point, run.stmts - 1, ("err", err.kind)))
+                        events += point, run.stmts - 1, "err", err.kind
                     err.loc = err.loc or loc
                     raise
                 if events is not None:
-                    events.append((point, run.stmts - 1, ("val", v)))
+                    events += point, run.stmts - 1, "val", v
                 return v
             return ev
         left, right = compile_expr(lhs, program), compile_expr(rhs, program)
@@ -243,11 +237,11 @@ def compile_expr(e: Expr, program: CompiledProgram) -> Callable:
                 v = fn(a, b)
             except MiniRuntimeError as err:
                 if events is not None:
-                    events.append((point, run.stmts - 1, ("err", err.kind)))
+                    events += point, run.stmts - 1, "err", err.kind
                 err.loc = err.loc or loc
                 raise
             if events is not None:
-                events.append((point, run.stmts - 1, ("val", v)))
+                events += point, run.stmts - 1, "val", v
             return v
         return ev
     if isinstance(e, (BinOp, Compare, BoolOp)):
@@ -375,7 +369,7 @@ class Outcome:
     loc: Loc | None
     stmts: int
     covered_points: set[int]
-    events: list          # (point_id, stmts_before_stmt, outcome_tag)
+    events: list          # per site event: point_id, stmts_before, kind, value
     value: object = None
 
 
@@ -477,16 +471,17 @@ class PlainRun:
     def run_to_budget(self, stmts0: int, mark: int):
         """The run repeats every `self.stmts - stmts0` statements from here
         on, so only its budget ends it: record the remaining cycles' events
-        (`self.events[mark:]` shifted by whole periods), charge
-        `budget + 1` statements and time out, exactly as running on would."""
-        events = self.events
+        (each event from slot `mark` on, copies too, copied a period later),
+        charge `budget + 1` statements and time out, as running on would."""
+        events, budget = self.events, self.budget
         if events is not None and len(events) > mark:
-            period, cycle = self.stmts - stmts0, events[mark:]
-            events.extend(itertools.takewhile(
-                lambda e: e[1] < self.budget,
-                ((point, at + k * period, tag)
-                 for k in itertools.count(1) for point, at, tag in cycle)))
-        self.stmts = self.budget + 1
+            period = self.stmts - stmts0
+            for i in itertools.count(mark, 4):
+                at = events[i + 1] + period
+                if at >= budget:
+                    break
+                events += events[i], at, events[i + 2], events[i + 3]
+        self.stmts = budget + 1
         raise StepBudgetExceeded()
 
 

@@ -5,13 +5,18 @@ Seven strategies over the same mutant set:
 - traditional: one coverage run, then one isolated run per covered mutant.
 - split-stream: mutants share the original execution until each first
   reaches its own mutation site, then run to completion alone. Cost is
-  derived from isolated traces: child cost = total - shared prefix.
+  derived from isolated traces: child cost = total - shared prefix, read
+  from the first event whose point slot is the mutant's site.
 - modulo-state: diverged streams are additionally shared while their
   observable behavior (the value produced at every executed mutation
   site) stays identical, splitting only at the first differing site
-  value. Cost comes from a trie over per-mutant site-event traces.
+  value. Cost comes from a trie over per-mutant site-event traces, walked
+  four slots per event and keyed by point, kind and value.
 - exec-taints-{nf-nm, nf, nm, ""}: the taint engine with fork/memo off
   or on (nf = no fork, nm = no memo).
+
+A run's site events (`Outcome.events`) are one flat list of four slots per
+event: point id, statements before it, kind ("val"/"err") and value.
 
 The three baselines share one pass per test that runs each covered mutant
 once in isolation (as with mutant schemata, every baseline executes the
@@ -107,8 +112,7 @@ def _verdict_of(outcome: Outcome):
     return ("killed", "timeout")
 
 
-# the baselines that read site events (split-stream: the first execution
-# of a mutant's own site; modulo-state: the whole trace)
+# the baselines that read site events (see above for how)
 EVENT_STRATEGIES = ("split-stream", "modulo-state")
 
 
@@ -129,34 +133,33 @@ def _isolated_runs(program: CompiledProgram, test: str, mutants: list[Mutant],
     return verdicts, outcomes
 
 
-def _event_key(event) -> tuple:
-    point_id, _stmts, tag = event
-    if tag[0] == "val":
-        return (point_id, "val", canon_key(tag[1]))
-    return (point_id, "err", tag[1])
+def _event_key(trace: list, i: int) -> tuple:
+    """The key of the event at slot `i` of a flat `trace`."""
+    point_id, kind, v = trace[i], trace[i + 2], trace[i + 3]
+    return (point_id, kind, canon_key(v) if kind == "val" else v)
 
 
-def _group_key(event) -> tuple:
+def _group_key(trace: list, i: int) -> tuple:
     """Equal exactly when `_event_key` is, with no `canon_key` for scalars:
     type and value tell them apart (equal nonzero, non-nan floats have equal
     bits); 0.0/-0.0 and nan are keyed by their bits, lists by `_event_key`."""
-    point_id, _stmts, (kind, v) = event
+    point_id, kind, v = trace[i], trace[i + 2], trace[i + 3]
     t = type(v)
     if t is tuple:
-        return _event_key(event)
+        return _event_key(trace, i)
     if t is float and (v == 0.0 or v != v):
         return (point_id, kind, struct.pack("<d", v))
     return (point_id, kind, t, v)
 
 
 def _trie_cost(members: list[tuple[list, int]], depth: int, base: int) -> int:
-    """Shared-execution cost of a group of streams whose event traces agree
-    on the first `depth` events; `base` is the statement count already
-    charged for the shared prefix. Streams with identical full traces are
-    identical executions and are charged once. Events are compared by
-    `_group_key`; the walk steps on without grouping while every stream's
-    next event has the first stream's key, and orders the subgroups of a
-    split by the `repr` of one member's `_event_key`."""
+    """Shared-execution cost of a group of streams whose flat event traces
+    agree on their slots before `depth` (four per event); `base` is the
+    statement count already charged for the shared prefix. Streams with
+    identical full traces are identical executions and are charged once.
+    Events are compared by `_group_key`; the walk steps on without grouping
+    while every stream's next event has the first stream's key, and orders
+    the subgroups of a split by the `repr` of one member's `_event_key`."""
     cost = 0
     work = [(members, depth, base)]
     while work:
@@ -166,38 +169,38 @@ def _trie_cost(members: list[tuple[list, int]], depth: int, base: int) -> int:
             continue
         first, *rest = [trace for trace, _ in members]
         while depth < len(first):
-            key = _group_key(first[depth])
+            key = _group_key(first, depth)
             for trace in rest:
-                if len(trace) <= depth or _group_key(trace[depth]) != key:
+                if len(trace) <= depth or _group_key(trace, depth) != key:
                     break
             else:
-                depth += 1
+                depth += 4
                 continue
             break
         groups: dict[tuple | None, list] = {}
         for trace, total in members:
-            key = _group_key(trace[depth]) if len(trace) > depth else None
+            key = _group_key(trace, depth) if len(trace) > depth else None
             groups.setdefault(key, []).append((trace, total))
         if len(groups) == 1:
             # identical complete traces: one shared execution
             cost += max(t for _, t in members) - base
             continue
-        # the group splits at event `depth`; execution (and so the
+        # the group splits at the event in slot `depth`; execution (and the
         # statement count) was identical for all members until then,
         # so the run-up to the splitting statement is charged once
         boundary = None
         # ("end",) sorts apart from event keys; repr keeps the order
         # deterministic without comparing ints to strings
         for key, sub in sorted(groups.items(), key=lambda kv: repr(
-                ("end",) if kv[0] is None else _event_key(kv[1][0][0][depth]))):
+                ("end",) if kv[0] is None else _event_key(kv[1][0][0], depth))):
             if key is None:
-                # streams that end here all have exactly the `depth`
-                # shared events, so identical traces: charged once, at
-                # the longest run among them
+                # streams that end here have only the events before slot
+                # `depth`, all shared, so identical traces: charged once,
+                # at the longest run among them
                 cost += max(t for _, t in sub) - base
             else:
-                boundary = sub[0][0][depth][1]
-                work.append((sub, depth + 1, boundary))
+                boundary = sub[0][0][depth + 1]
+                work.append((sub, depth + 4, boundary))
         if boundary is not None:
             cost += boundary - base
     return cost
@@ -209,17 +212,11 @@ def run_traditional(original: Outcome, outcomes: dict, point_of: dict) -> int:
 
 
 def run_split_stream(original: Outcome, outcomes: dict, point_of: dict) -> int:
-    stmts = original.stmts  # the shared main stream
-    for mid, outcome in outcomes.items():
-        # shared prefix: execution up to the statement where this mutant's
-        # site first executes (identical to the original until then)
-        prefix = 0
-        for point_id, stmts_before, _tag in outcome.events:
-            if point_id == point_of[mid]:
-                prefix = stmts_before
-                break
-        stmts += outcome.stmts - prefix
-    return stmts
+    # the shared main stream, then each mutant's run after its shared prefix:
+    # the statements before its site first executes (as in the original)
+    return original.stmts + sum(
+        o.stmts - o.events[4 * o.events[::4].index(point_of[mid]) + 1]
+        for mid, o in outcomes.items())
 
 
 def run_modulo_state(original: Outcome, outcomes: dict, point_of: dict) -> int:

@@ -302,6 +302,54 @@ def test_failed_stdout_write_is_a_usage_error(command, sink):
     assert proc.stderr == f"error: cannot write stdout: {reason}\n"
 
 
+@pytest.mark.parametrize("command", [["--help"], ["compare", "-h"]])
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_help_on_a_full_device_is_a_usage_error(command, unbuffered):
+    """Help that cannot be written exits 2 like any other stdout write.
+    Unbuffered, argparse's own write would fail, and argparse ignores
+    that; buffered, the failure comes at the final flush."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    stdout = os.open("/dev/full", os.O_WRONLY)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mutlab", *command], cwd=root, env=env,
+            stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=300)
+    finally:
+        os.close(stdout)
+    assert proc.returncode == 2
+    assert proc.stderr == \
+        "error: cannot write stdout: No space left on device\n"
+
+
+def test_full_stdout_is_no_error_when_nothing_is_written(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONUNBUFFERED="1")
+    stdout = os.open("/dev/full", os.O_WRONLY)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mutlab", "compare", "--all", "--program",
+             "corpus/prime.ml0", "--out", str(tmp_path / "report.json")],
+            cwd=root, env=env, stdout=stdout, stderr=subprocess.PIPE,
+            text=True, timeout=300)
+    finally:
+        os.close(stdout)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads((tmp_path / "report.json").read_text())["schema"] == SCHEMA
+
+
+def test_help_is_printed_to_stdout(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["compare", "-h"])
+    assert exit_.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: mutlab compare [-h] --program PROGRAM")
+    assert err == ""
+
+
 ANALYZE_AND_COMPARE = pytest.mark.parametrize("command", [
     ["analyze", "--strategy", "exec-taints"],
     ["compare", "--all"],

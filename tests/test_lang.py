@@ -1,5 +1,6 @@
 """Language core: lexer/parser, plain semantics, execution counting."""
 
+import gc
 import hashlib
 import itertools
 import math
@@ -654,6 +655,13 @@ OUTCOME_PINS = {
 }
 
 
+def event_triples(events):
+    """A run's flat site events (four slots each) as the
+    `(point, stmts, (kind, value))` triples the pins were taken over."""
+    return [(events[i], events[i + 1], (events[i + 2], events[i + 3]))
+            for i in range(0, len(events), 4)]
+
+
 def outcome_digest(ast):
     """sha256 over every plain run, with events, of the original and each
     mutant of each test of `ast`, each mutant at its isolated budget."""
@@ -669,8 +677,8 @@ def outcome_digest(ast):
             o = run_entry(program, test, [], select=mid, budget=budget,
                           record_events=True)
             digest.update(repr((mid, o.status, o.kind, o.loc, o.stmts,
-                                sorted(o.covered_points), o.events,
-                                o.value)).encode())
+                                sorted(o.covered_points),
+                                event_triples(o.events), o.value)).encode())
     return digest.hexdigest()
 
 
@@ -938,6 +946,105 @@ def test_unbudgeted_run_never_takes_the_shortcut(monkeypatch):
     monkeypatch.setattr(PlainRun, "run_to_budget", fail)
     with pytest.raises(Stop):
         PlainRun(meta_program(CYCLING["period-1"])).call("f", [])
+
+
+# A loop with period 2 whose sites produce 1 next to 1.0 (`x * 1`), -0.0
+# (`z * 1.0`) and lists, on the inline path (`xs + ys`) and the generic one
+# (`ys + [z, x]`); neither the corpus nor the fuzz programs cut such a run.
+MIXED_VALUES = """\
+def f():
+    x = 1
+    y = 1.0
+    z = -0.0
+    xs = [1, 1.0]
+    ys = [-0.0]
+    while x == 1:
+        a = x * 1
+        b = z * 1.0
+        c = xs + ys
+        d = ys + [z, x]
+        t = x
+        x = y
+        y = t
+        t = xs
+        xs = ys
+        ys = t
+    return x
+"""
+
+
+def test_shortcut_replicates_non_int_site_values(monkeypatch):
+    program = meta_program(MIXED_VALUES)
+    cuts = []
+    run_to_budget = PlainRun.run_to_budget
+
+    def recording(run, *args):
+        cuts.append(len(run.events))
+        run_to_budget(run, *args)
+
+    monkeypatch.setattr(PlainRun, "run_to_budget", recording)
+    for budget in range(400, 440):
+        cuts.clear()
+        got, want, fired = with_and_without_shortcut(program, "f",
+                                                     budget=budget)
+        assert want.status == "timeout" and want.stmts == budget + 1
+        assert fired == 1, budget
+        assert observed(got) == observed(want), budget
+        # the events copied past the cut hold every kind of value
+        [cut] = cuts
+        copied = got.events[cut:]
+        assert len(copied) >= 4 * 20
+        shown = {repr(v) for v in copied[3::4]}
+        assert shown == {"True", "1", "1.0", "-0.0", "(1, 1.0, -0.0)",
+                         "(-0.0, -0.0, 1)", "(-0.0, 1, 1.0)",
+                         "(1, 1.0, -0.0, 1.0)"}, budget
+
+
+def test_shortcut_matches_running_on_for_every_mutant_of_mixed_values():
+    program = meta_program(MIXED_VALUES)
+    mids = {mid for variants in program.variants.values() for mid in variants}
+    assert len(mids) == 1 + 4 * 10 + 5  # the original, 4 arithmetic sites, `==`
+    fired = 0
+    for mid in sorted(mids):
+        got, want, n = with_and_without_shortcut(program, "f", mid, 420)
+        assert observed(got) == observed(want), mid
+        fired += n
+    assert fired == 13  # the original and 12 mutants still cycle
+
+
+def tracked_objects_after_run(program, record_events):
+    """The objects the garbage collector tracks after one run of `f`, less
+    those before it, with the collector off so that it untracks nothing,
+    and the run's outcome, which keeps the events alive."""
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        outcome = run_entry(program, "f", [], record_events=record_events)
+        return len(gc.get_objects()) - before, outcome
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("n", [1500, 3000])
+def test_event_recording_allocates_nothing_per_event(n):
+    """An event is four slots of the run's one event list, so recording
+    events leaves a constant number of tracked objects more, not one or
+    two per event."""
+    program = meta_program(f"""\
+def f():
+    i = 0
+    s = 0
+    while i < {n}:
+        s = s + i % 7
+        i = i + 1
+    return s
+""")
+    with_events, outcome = tracked_objects_after_run(program, True)
+    without, plain = tracked_objects_after_run(program, False)
+    assert len(outcome.events) == 4 * 4 * n + 4  # 4 sites per iteration
+    assert plain.events == [] and plain.stmts == outcome.stmts
+    assert with_events - without <= 10
 
 
 @given(st.integers(0, 199))

@@ -13,6 +13,7 @@ import mutlab.strategies as strategies
 from mutlab.cli import CORPUS_DIR, main
 from mutlab.fuzz import fuzz_program
 from mutlab.lang import PlainRun, parse_program
+from mutlab.lang.values import canon_key
 from mutlab.strategies import (
     AnalysisConfig, STRATEGY_NAMES, _event_key, _group_key, _trie_cost,
     analyze_program, check_consistency, merge_verdict,
@@ -44,31 +45,52 @@ def ev(point, stmts, val):
     return (point, stmts, ("val", val))
 
 
+def flat(events):
+    """`(point, stmts, (kind, value))` events as a run records them: one
+    flat list, four slots per event."""
+    return [s for point, stmts, (kind, v) in events
+            for s in (point, stmts, kind, v)]
+
+
+def triples(trace):
+    """A flat trace decoded to `(point, stmts, (kind, value))` events."""
+    return [(trace[i], trace[i + 1], (trace[i + 2], trace[i + 3]))
+            for i in range(0, len(trace), 4)]
+
+
+def triple_event_key(event):
+    """`_event_key` as it was written for `(point, stmts, tag)` events."""
+    point_id, _stmts, tag = event
+    if tag[0] == "val":
+        return (point_id, "val", canon_key(tag[1]))
+    return (point_id, "err", tag[1])
+
+
 class TestTrieCost:
     def test_single_stream_charges_total(self):
-        assert _trie_cost([([ev(0, 3, 1)], 10)], 0, 0) == 10
+        assert _trie_cost([(flat([ev(0, 3, 1)]), 10)], 0, 0) == 10
 
     def test_identical_traces_charged_once(self):
-        members = [([ev(0, 3, 1)], 10), ([ev(0, 3, 1)], 10)]
+        members = [(flat([ev(0, 3, 1)]), 10), (flat([ev(0, 3, 1)]), 10)]
         assert _trie_cost(members, 0, 0) == 10
 
     def test_split_charges_prefix_once(self):
         # both share 3 statements, then split and run 7 more each:
         # 3 + 7 + 7 = 17, not 10 + 10 = 20
-        members = [([ev(0, 3, 1)], 10), ([ev(0, 3, 2)], 10)]
+        members = [(flat([ev(0, 3, 1)]), 10), (flat([ev(0, 3, 2)]), 10)]
         assert _trie_cost(members, 0, 0) == 17
 
     def test_nested_split(self):
         # three streams: agree at event0, one splits at event1
-        a = ([ev(0, 3, 1), ev(1, 6, 5)], 10)
-        b = ([ev(0, 3, 1), ev(1, 6, 5)], 10)
-        c = ([ev(0, 3, 1), ev(1, 6, 9)], 12)
+        a = (flat([ev(0, 3, 1), ev(1, 6, 5)]), 10)
+        b = (flat([ev(0, 3, 1), ev(1, 6, 5)]), 10)
+        c = (flat([ev(0, 3, 1), ev(1, 6, 9)]), 12)
         # shared to stmt 6, then {a,b} share 4 more, c runs 6 more
         assert _trie_cost([a, b, c], 0, 0) == 6 + 4 + 6
 
     def test_error_events_split(self):
-        a = ([(0, 3, ("err", "zero-division"))], 4)
-        b = ([ev(0, 3, 1)], 10)
+        a = (flat([(0, 3, ("err", "zero-division"))]), 4)
+        b = (flat([ev(0, 3, 1)]), 10)
         assert _trie_cost([a, b], 0, 0) == 3 + 1 + 7
 
     @given(st.lists(
@@ -81,7 +103,7 @@ class TestTrieCost:
         # total >= last event statement
         members = []
         for vals, extra in raw:
-            trace = [ev(i, i + 1, v) for i, v in enumerate(vals)]
+            trace = flat([ev(i, i + 1, v) for i, v in enumerate(vals)])
             members.append((trace, len(vals) + 1 + extra))
         cost = _trie_cost(members, 0, 0)
         # never more than running everything in isolation, never less
@@ -101,15 +123,16 @@ class TestTrieCost:
         for outcomes, extra in raw:
             trace = [(i, i + 1, ("err", "type") if o == "e" else ("val", o))
                      for i, o in enumerate(outcomes)]
-            members.append((trace, len(trace) + 1 + extra))
+            members.append((flat(trace), len(trace) + 1 + extra))
         assert _trie_cost(members, 0, 0) == reference_trie_cost(members)
 
 
 def reference_trie_cost(members):
     """`_trie_cost(members, 0, 0)` as it was written before streams ending
-    in a split were charged as one: it grouped them by full trace."""
+    in a split were charged as one: it grouped them by full trace. It reads
+    the traces decoded to `(point, stmts, tag)` events."""
     cost = 0
-    work = [(members, 0, 0)]
+    work = [([(triples(trace), total) for trace, total in members], 0, 0)]
     while work:
         members, depth, base = work.pop()
         while True:
@@ -118,7 +141,8 @@ def reference_trie_cost(members):
                 break
             groups = {}
             for trace, total in members:
-                key = ("end",) if len(trace) <= depth else _event_key(trace[depth])
+                key = (("end",) if len(trace) <= depth
+                       else triple_event_key(trace[depth]))
                 groups.setdefault(key, []).append((trace, total))
             if len(groups) == 1:
                 if ("end",) in groups:
@@ -131,7 +155,7 @@ def reference_trie_cost(members):
                 if key == ("end",):
                     by_sig = {}
                     for trace, total in sub:
-                        sig = tuple(_event_key(e) for e in trace)
+                        sig = tuple(triple_event_key(e) for e in trace)
                         by_sig[sig] = max(by_sig.get(sig, 0), total)
                     for total in by_sig.values():
                         cost += total - base
@@ -160,21 +184,27 @@ def test_group_key_equal_exactly_when_event_key_equal():
     events = [(point, stmts, make())
               for point, stmts in ((0, 3), (0, 5), (1, 3))
               for make in GRID for _copy in range(2)]
-    for a, b in itertools.product(events, repeat=2):
-        assert (_group_key(a) == _group_key(b)) == \
-            (_event_key(a) == _event_key(b)), (a, b)
+    trace = flat(events)
+    slots = range(0, len(trace), 4)
+    # the flat trace's keys are those of its events decoded
+    assert [_event_key(trace, i) for i in slots] == \
+        [triple_event_key(e) for e in events]
+    for i, j in itertools.product(slots, repeat=2):
+        assert (_group_key(trace, i) == _group_key(trace, j)) == \
+            (_event_key(trace, i) == _event_key(trace, j)), (i, j)
     # equal keys hash alike, so a dict groups by them as by `_event_key`
-    assert len({_group_key(e) for e in events}) == \
-        len({_event_key(e) for e in events}) == 2 * len(GRID)
+    assert len({_group_key(trace, i) for i in slots}) == \
+        len({_event_key(trace, i) for i in slots}) == 2 * len(GRID)
 
 
 def parent_trie_cost(members):
     """`_trie_cost(members, 0, 0)` as it was written before streams were
     grouped by `_group_key`: every visited event went through `_event_key`
     and a group dict. Returns the cost and the number of subgroups formed
-    at splits."""
+    at splits. It reads the traces decoded to `(point, stmts, tag)`
+    events."""
     cost = subgroups = 0
-    work = [(members, 0, 0)]
+    work = [([(triples(trace), total) for trace, total in members], 0, 0)]
     while work:
         members, depth, base = work.pop()
         while True:
@@ -183,7 +213,8 @@ def parent_trie_cost(members):
                 break
             groups = {}
             for trace, total in members:
-                key = ("end",) if len(trace) <= depth else _event_key(trace[depth])
+                key = (("end",) if len(trace) <= depth
+                       else triple_event_key(trace[depth]))
                 groups.setdefault(key, []).append((trace, total))
             if len(groups) == 1:
                 if ("end",) in groups:
@@ -218,7 +249,7 @@ def test_trie_cost_matches_parent_on_grid(traces, picks):
     for which, length, extra in picks:
         outcomes = traces[which % len(traces)][:length]
         trace = [(0, i + 1, GRID[o]()) for i, o in enumerate(outcomes)]
-        members.append((trace, len(trace) + 1 + extra))
+        members.append((flat(trace), len(trace) + 1 + extra))
     assert _trie_cost(members, 0, 0) == parent_trie_cost(members)[0]
 
 
@@ -254,10 +285,10 @@ def test_event_key_runs_only_to_order_split_subgroups(monkeypatch):
     calls = 0
     event_key = strategies._event_key
 
-    def counting(event):
+    def counting(trace, i):
         nonlocal calls
         calls += 1
-        return event_key(event)
+        return event_key(trace, i)
 
     monkeypatch.setattr(strategies, "_event_key", counting)
     recorded = recorded_trie_members(monkeypatch, range(10))
