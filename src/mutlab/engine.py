@@ -21,15 +21,15 @@ mainline only means the root left the original's passing run, and
 With memo on (`EngineConfig.memo`), diverged runs consult the memo before
 executing a program call and every call fills it, guarded by the mutation
 cache. Every executed choice site is noted, with its variants, in the
-innermost open call's frame; the call writes its mutation-cache records
-when it returns (see `memo`). The root notes each site as it runs. A
-diverged run's choice sites only add their ids to its `covered_points`
-(see `lang.interp`), and the run notes them in one batch before each memo
-lookup, before each `leave` and when it ends. That is exact: while a
-child runs only `lookup`, `store` and `leave` read the frames, and a
-frame opens or closes only right after a batch, before another site
-runs, so every site of a batch ran in the frame that is innermost when
-the batch is noted.
+innermost open call's frame; the call writes its (mutant, function)
+records when it returns (see `memo`). The root notes each site as it
+runs. A diverged run's choice sites only add their ids to its
+`covered_points` (see `lang.interp`), and the run notes them in one batch
+before each memo lookup, before each `leave` and when it ends. That is
+exact: only `leave` and the root's clear read the frames, and a frame
+opens or closes only right after a batch, before another site runs, so
+every site of a batch ran in the frame that is innermost when the batch
+is noted.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class EngineConfig:
 class InfraStats:
     taint_ops: int = 0
     snapshots: int = 0
-    mcache_writes: int = 0     # new (mutant, call key) records, written at return
+    mcache_writes: int = 0     # new (mutant, function) records, written at return
     memo_lookups: int = 0
     memo_stores: int = 0
 
@@ -129,7 +129,7 @@ class _MemoRun(PlainRun):
         hit, cached = self.memo.lookup(key, self.select)
         if hit:
             return cached
-        self.memo.enter(fn.name, args)
+        self.memo.enter(fn.name)
         try:
             rv = self.run_fn(fn, dict(zip(fn.params, args)))
         finally:
@@ -178,7 +178,7 @@ class TaintEngine:
 
     def call_wrapped(self, fn: CompiledFn, args: list):
         if self.cfg.memo:
-            self.memo.enter(fn.name, args)
+            self.memo.enter(fn.name)
         frame = _Frame(fn, dict(zip(fn.params, args)), args)
         try:
             rv = self.run_code(frame)

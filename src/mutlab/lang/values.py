@@ -336,12 +336,10 @@ def _bi_log(a):
 
 
 def _bi_int(a):
-    if is_num(a):
-        return _check_int_range(int(a))
-    if isinstance(a, str):
+    if is_num(a) or isinstance(a, str):
         try:
             return _check_int_range(int(a))
-        except ValueError:
+        except (ValueError, OverflowError):    # bad text, nan, inf
             raise MiniRuntimeError("value", f"cannot convert {a!r} to int") from None
     raise MiniRuntimeError("type", f"int() cannot convert {type_name(a)}")
 

@@ -7,7 +7,7 @@ program_stmts,infra_ops`, one row per strategy.
 
 `infra_ops` is the engine's bookkeeping cost (0 for the baselines): taint
 operations, fork snapshots, memo lookups and stores, and the new
-(mutant, call key) mutation-cache records each call writes when it returns.
+(mutant, function) mutation-cache records each call writes when it returns.
 Taint operations are counted on the root mainline only; diverged mutants
 run concretized on the plain interpreter.
 """

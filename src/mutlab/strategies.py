@@ -158,8 +158,10 @@ def _trie_cost(members: list[tuple[list, int]], depth: int, base: int) -> int:
     statement count already charged for the shared prefix. Streams with
     identical full traces are identical executions and are charged once.
     Events are compared by `_group_key`; the walk steps on without grouping
-    while every stream's next event has the first stream's key, and orders
-    the subgroups of a split by the `repr` of one member's `_event_key`."""
+    while every stream's next event has the first stream's key. The cost is
+    a sum, and every subgroup of a split has the same boundary (the
+    statements before the splitting event, since equal site values leave
+    equal states), so subgroups are visited in the order they were built."""
     cost = 0
     work = [(members, depth, base)]
     while work:
@@ -189,10 +191,7 @@ def _trie_cost(members: list[tuple[list, int]], depth: int, base: int) -> int:
         # statement count) was identical for all members until then,
         # so the run-up to the splitting statement is charged once
         boundary = None
-        # ("end",) sorts apart from event keys; repr keeps the order
-        # deterministic without comparing ints to strings
-        for key, sub in sorted(groups.items(), key=lambda kv: repr(
-                ("end",) if kv[0] is None else _event_key(kv[1][0][0], depth))):
+        for key, sub in groups.items():
             if key is None:
                 # streams that end here have only the events before slot
                 # `depth`, all shared, so identical traces: charged once,

@@ -10,7 +10,8 @@ import pytest
 
 import mutlab.cli as cli
 from mutlab.cli import main
-from mutlab.lang.parser import MAX_DEPTH, MAX_NESTING
+from mutlab.lang.parser import MAX_DEPTH, MAX_NESTING, parse_program
+from mutlab.mutate import discover_mutation_points, enumerate_mutants
 from mutlab.report import CSV_HEADER, SCHEMA
 
 GOOD = """\
@@ -240,6 +241,12 @@ INVALID_TESTS = {
         "    assert y == 2\n", "assert at 6:5"),
     "test with a parameter": (
         "def test_a(p):\n    assert p == 1\n", "error arity"),
+    "int of inf": (
+        'def test_a():\n    x = int(float("1e999"))\n    assert x > 0\n',
+        "error value at 2:9"),
+    "int of nan": (
+        'def test_a():\n    y = float("1e999")\n    x = int(y - y)\n'
+        "    assert x > 0\n", "error value at 3:9"),
 }
 
 
@@ -253,6 +260,24 @@ def test_invalid_test_names_the_failure(tmp_path, capsys, case):
     assert e.value.code == 1
     assert capsys.readouterr().err == (
         f"error: invalid test: original fails test_a in {program}: {failure}\n")
+
+
+def test_mutant_reaching_int_of_inf_is_killed_by_exception(tmp_path, capsys):
+    # `/` -> `*` turns 1.0 / inf into 1.0 * inf, and int() of it raises
+    source = ('def test_a():\n    y = float("1e999")\n    x = int(1.0 / y)\n'
+              "    assert x == 0\n")
+    program, out = tmp_path / "p.ml0", tmp_path / "report.json"
+    program.write_text(source)
+    [mid] = [m.mid for m in enumerate_mutants(
+                 discover_mutation_points(parse_program(source)))
+             if (m.original_op, m.replacement_op) == ("/", "*")]
+    assert main(["compare", "--program", str(program), "--all",
+                 "--out", str(out)]) == 0
+    reports = json.loads(out.read_text())["reports"]
+    assert len(reports) == 7
+    for report in reports:
+        assert report["verdicts"][f"M{mid}"] == "killed:exception", \
+            report["strategy"]
 
 
 def test_fuzz_invalid_test_names_the_failure(capsys, monkeypatch):

@@ -281,7 +281,8 @@ def test_open_caller_frame_vetoes_recursive_reuse():
     # `10 - 5` (M32) makes the first call p(5) for M32, which stores p(5) -> 6.
     # `a * 3` (M2) makes the second call p(5) for M2 and diverges at
     # `h(x) > 8` inside c, whose child calls p(5) again while M2's p(5) is
-    # still open. That call must not reuse 6: M2 recurses until it times
+    # still open. That call must not reuse 6: M2's site in h ran inside the
+    # first p call, so (M2, p) is recorded, and M2 recurses until it times
     # out, as it does without memoization.
     reports = run_all(OPEN_FRAME_RECURSION, "test_t")
     for fork in (False, True):
@@ -380,10 +381,9 @@ def test_diverged_only_paths_agree_across_strategies():
 
 # `3 * 2` -> `3 + 2` (M16) makes the root call h(x) on {M0: 6, M16: 5}, and
 # its result is stored under M16's view: h(5) -> 6. M5 (`+` -> `<<` in h)
-# ran in that call, but the mutation cache records M5 only under M5's own
-# key, h(6). M5 then diverges at `h(2) > 3` (4 > 3), and its diverged run
-# is served h(5) -> 6 from the memo instead of computing 5 << 1 = 10, so
-# `y < 8` holds and M5 survives under the memo variants.
+# ran in that call, so the mutation cache records (M5, h). M5 then diverges
+# at `h(2) > 3` (4 > 3); its diverged run must not be served h(5) -> 6,
+# which it would compute as 5 << 1 = 10, and `y < 8` kills it.
 MEMO_MUTATED_KEY = """\
 def h(a):
     return a + 1
@@ -401,10 +401,6 @@ def test_m():
 """
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "memo serves a diverged mutant a call result stored for another "
-    "mutant's view of the args, although its own mutation ran in that call: "
-    "the mutation cache records it only under its own call key"))
 def test_memo_respects_mutation_in_unexecuted_call_key():
     analysis = analyze_program(parse_program(MEMO_MUTATED_KEY))
     [m5] = [m for m in analysis.mutants if m.mid == 5]
@@ -485,14 +481,15 @@ MEMO_PINS = {
 
 # infra_ops of the four engine variants on each corpus program. Taint ops
 # are counted on the root mainline only: diverged mutants run concretized.
+# The memo variants count one mutation-cache record per (mutant, function).
 INFRA_PINS = {
-    "caesar_cypher": {"exec-taints": 8908, "exec-taints-nf": 8813,
+    "caesar_cypher": {"exec-taints": 7068, "exec-taints-nf": 6973,
                       "exec-taints-nm": 5135, "exec-taints-nf-nm": 4850},
-    "euler": {"exec-taints": 19144, "exec-taints-nf": 20004,
+    "euler": {"exec-taints": 15394, "exec-taints-nf": 15474,
               "exec-taints-nm": 12646, "exec-taints-nf-nm": 11494},
-    "prime": {"exec-taints": 8969, "exec-taints-nf": 8516,
+    "prime": {"exec-taints": 7434, "exec-taints-nf": 6896,
               "exec-taints-nm": 6592, "exec-taints-nf-nm": 5753},
-    "entropy": {"exec-taints": 3872, "exec-taints-nf": 3839,
+    "entropy": {"exec-taints": 3552, "exec-taints-nf": 3519,
                 "exec-taints-nm": 2939, "exec-taints-nf-nm": 2786},
     "newton": {"exec-taints": 6167, "exec-taints-nf": 6139,
                "exec-taints-nm": 5987, "exec-taints-nf-nm": 5959},
@@ -520,7 +517,7 @@ class _FrameLog(MemoState):
 
     def _log(self, event, *args):
         _FrameLog.digest.update(repr((event, args, [
-            sorted(sites) for _, _, sites in self.frames])).encode())
+            sorted(sites) for _, sites in self.frames])).encode())
 
     def lookup(self, key, m):
         self._log("lookup", key, m)

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mutlab.memo import MemoState, make_call_key
-from mutlab.taints import make
+from mutlab.taints import ORIGINAL
 
 
 class TestCallKeys:
@@ -51,7 +51,7 @@ class TestMemoState:
         ms = MemoState()
         k = make_call_key("f", [3])
         ms.store(k, 1, 42)
-        ms.enter("f", [3])
+        ms.enter("f")
         ms.note(0, {0: "+", 2: "-"})              # M2's choice site ran inside
         assert ms.leave() == 1
         assert ms.lookup(k, 2) == (False, None)   # M2's mutation ran inside
@@ -60,7 +60,7 @@ class TestMemoState:
     def test_mutation_cache_vetoes_store(self):
         ms = MemoState()
         k = make_call_key("f", [3])
-        ms.enter("f", [3])
+        ms.enter("f")
         ms.note(0, {1: "*"})
         ms.leave()
         ms.store(k, 1, 42)
@@ -70,30 +70,27 @@ class TestMemoState:
     def test_encounter_marks_all_ancestor_keys_once(self):
         ms = MemoState()
         for expected in (2, 0):
-            ms.enter("g", [2])
-            ms.enter("f", [1])
+            ms.enter("g")
+            ms.enter("f")
             ms.note(0, {1: "+", 2: "-"})
-            assert ms.leave() == expected     # (M1, f(1)), (M2, f(1))
+            assert ms.leave() == expected     # (M1, f), (M2, f)
             assert ms.leave() == expected     # merged into g's set on return
         assert ms.frames == []
 
-    def test_nested_frame_records_inner_and_outer_keys(self):
+    def test_closed_frames_record_their_function_and_callers(self):
         ms = MemoState()
-        ms.enter("g", [make({0: 2, 1: 5})])    # M1 calls g(5), the rest g(2)
-        ms.enter("f", [1])
+        ms.enter("g")
+        ms.enter("f")
         ms.note(0, {0: "<", 1: ">", 2: ">="})
         assert ms.mutation_cache == set()      # nothing written while open
         assert ms.leave() == 2
         assert ms.leave() == 2
-        assert ms.mutation_cache == {
-            (1, make_call_key("f", [1])), (2, make_call_key("f", [1])),
-            (1, make_call_key("g", [5])), (2, make_call_key("g", [2])),
-        }
+        assert ms.mutation_cache == {(1, "f"), (2, "f"), (1, "g"), (2, "g")}
 
     def test_clear_drops_pending_sets_of_open_frames(self):
         ms = MemoState()
-        ms.enter("test_t", [])
-        ms.enter("f", [3])
+        ms.enter("test_t")
+        ms.enter("f")
         ms.note(0, {1: "+"})
         ms.clear_if_all_merged()
         assert ms.stats.clears == 1            # only a pending set was non-empty
@@ -103,44 +100,71 @@ class TestMemoState:
         ms.clear_if_all_merged()
         assert ms.stats.clears == 1
 
-    def test_open_frame_vetoes_its_own_key(self):
+    def test_closed_frame_refuses_every_key_of_its_function_and_callers(self):
+        ms = MemoState()
+        keys = [make_call_key(fn, [x]) for fn in ("p", "c", "q") for x in (5, 6)]
+        ms.enter("p")
+        ms.enter("c")
+        ms.note(0, {0: "+", 1: "*"})             # M1's site runs in c
+        assert ms.leave() == 1
+        assert ms.leave() == 1
+        for k in keys:
+            ms.store(k, 1, 0)                    # refused for p and c
+        assert ms.stats.stores == 2              # only q(5), q(6)
+        for k in keys:
+            ms.store(k, 2, k[1][0])              # M2 ran no site: kept
+        assert ms.stats.stores == 6
+        for k in keys:
+            assert ms.lookup(k, 1) == ((True, 0) if k[0] == "q"
+                                       else (False, None))
+            assert ms.lookup(k, 3) == (True, ms.entries[k])
+
+    def test_open_frame_refuses_nothing(self):
+        ms = MemoState()
+        k, kc = make_call_key("p", [5]), make_call_key("c", [1])
+        ms.store(k, 2, 6)
+        ms.store(kc, 3, 0)
+        ms.enter("p")
+        ms.enter("c")
+        ms.note(7, {0: "+", 2: "*"})             # M2's site runs in c
+        assert ms.lookup(k, 2) == (True, 6)      # no record until c returns
+        assert ms.lookup(kc, 2) == (True, 0)
+        ms.leave()
+        assert ms.lookup(k, 2) == (True, 6)      # c's record leaves p alone
+        assert ms.lookup(kc, 2) == (False, None)
+        ms.leave()
+        assert ms.lookup(k, 2) == (False, None)
+
+    def test_original_is_never_refused(self):
         ms = MemoState()
         k = make_call_key("f", [3])
-        ms.store(k, 1, 42)
-        ms.enter("f", [3])
-        ms.note(0, {2: "-"})
-        assert ms.lookup(k, 2) == (False, None)
-        assert ms.lookup(k, 3) == (True, 42)
-        ms.enter("g", [make({0: 4, 5: 7})])
-        ms.note(1, {5: "*"})
-        ms.store(make_call_key("g", [7]), 5, 1)   # M5's own view of the frame
-        assert ms.stats.stores == 1
-        ms.store(make_call_key("g", [4]), 5, 1)   # a call M5 did not make
-        assert ms.stats.stores == 2
+        ms.enter("f")
+        ms.note(0, {0: "+", 4: "-"})
+        assert ms.leave() == 1                   # (M4, f) only
+        assert (ORIGINAL, "f") not in ms.mutation_cache
+        ms.store(k, ORIGINAL, 9)
+        assert ms.lookup(k, ORIGINAL) == (True, 9)
+        assert ms.lookup(k, 4) == (False, None)
 
-    def test_open_outer_frame_vetoes_while_inner_frame_is_open(self):
+    def test_site_run_many_times_writes_one_record(self):
         ms = MemoState()
-        k = make_call_key("p", [5])
-        ms.store(k, 2, 6)                        # M2 computed p(5) earlier
-        ms.enter("p", [make({0: 2, 1: 5})])      # M1 calls p(5), the rest p(2)
-        ms.enter("c", [make({0: 2, 1: 5})])
-        ms.note(0, {0: "+", 1: "*"})             # M1's site runs in c, not in p
-        assert ms.lookup(k, 1) == (False, None)  # M1's p(5) is still open
-        assert ms.lookup(k, 2) == (True, 6)
-        assert ms.lookup(make_call_key("p", [2]), 1) == (False, None)  # no entry
-        ms.store(make_call_key("p", [2]), 1, 0)  # not M1's view of p: kept
-        assert ms.stats.stores == 2
+        for _ in range(3):                       # three calls of f
+            ms.enter("f")
+            for _ in range(5):
+                ms.note(3, {0: "<", 1: ">"})
+            ms.leave()
+        assert ms.mutation_cache == {(1, "f")}
+        ms.enter("g")
+        ms.note(3, {0: "<", 1: ">"})
         ms.leave()
-        assert ms.lookup(k, 1) == (False, None)
-        ms.leave()
-        assert ms.lookup(k, 1) == (False, None)  # now a mutation-cache record
+        assert ms.mutation_cache == {(1, "f"), (1, "g")}
 
     def test_site_run_many_times_writes_the_records_of_one_run(self):
         written = []
         for times in (1, 7):
             ms = MemoState()
-            ms.enter("g", [make({0: 2, 1: 5})])
-            ms.enter("f", [1])
+            ms.enter("g")
+            ms.enter("f")
             for _ in range(times):
                 ms.note(3, {0: "<", 1: ">", 2: ">="})
             ms.note(4, {0: "+", 6: "-"})
@@ -148,20 +172,6 @@ class TestMemoState:
             written.append((leaves, ms.mutation_cache, ms.stats.as_dict()))
         assert written[0] == written[1]
         assert written[0][0] == (3, 3)
-
-    def test_site_noted_two_frames_deeper_still_vetoes(self):
-        ms = MemoState()
-        k = make_call_key("p", [5])
-        ms.store(k, 2, 6)
-        ms.enter("p", [5])
-        ms.enter("c", [1])
-        ms.enter("d", [0])
-        ms.note(7, {0: "+", 2: "*"})             # M2's site runs in d
-        assert ms.lookup(k, 2) == (False, None)  # p(5) is open for M2
-        assert ms.lookup(k, 3) == (True, 6)
-        assert ms.lookup(k, 0) == (True, 6)      # the original is never vetoed
-        ms.store(make_call_key("c", [1]), 2, 0)
-        assert ms.stats.stores == 1              # c(1) is open for M2 too
 
     def test_clear_only_when_all_merged(self):
         ms = MemoState()
