@@ -20,16 +20,9 @@ mainline only means the root left the original's passing run, and
 
 With memo on (`EngineConfig.memo`), diverged runs consult the memo before
 executing a program call and every call fills it, guarded by the mutation
-cache. Every executed choice site is noted, with its variants, in the
-innermost open call's frame; the call writes its (mutant, function)
-records when it returns (see `memo`). The root notes each site as it
-runs. A diverged run's choice sites only add their ids to its
-`covered_points` (see `lang.interp`), and the run notes them in one batch
-before each memo lookup, before each `leave` and when it ends. That is
-exact: only `leave` and the root's clear read the frames, and a frame
-opens or closes only right after a batch, before another site runs, so
-every site of a batch ran in the frame that is innermost when the batch
-is noted.
+cache. The engine hands the program's static reach sets
+(`CompiledProgram.reach`) to the cache once, when it is built, so running
+a choice site or a call does no memo bookkeeping (see `memo`).
 """
 
 from __future__ import annotations
@@ -62,13 +55,13 @@ class EngineConfig:
 class InfraStats:
     taint_ops: int = 0
     snapshots: int = 0
-    mcache_writes: int = 0     # new (mutant, function) records, written at return
+    mcache_writes: int = 0     # always 0: reach sets come with the program
     memo_lookups: int = 0
     memo_stores: int = 0
 
     def total(self) -> int:
-        return (self.taint_ops + self.snapshots + self.mcache_writes
-                + self.memo_lookups + self.memo_stores)
+        return (self.taint_ops + self.snapshots + self.memo_lookups
+                + self.memo_stores)
 
 
 @dataclass
@@ -103,38 +96,22 @@ class TestReport:
 class _MemoRun(PlainRun):
     """A diverged mutant's run that shares wrapped calls through the memo:
     a call is served from it when the mutation cache allows, and otherwise
-    runs in its own memo frame and is stored. Every lookup may find the
-    memo changed, so a loop back at an earlier state is cut short only
-    when no lookup happened in between. `covered_points` holds the sites
-    run since the last `flush`."""
+    runs and is stored. Every lookup may find the memo changed, so a loop
+    back at an earlier state is cut short only when no lookup happened in
+    between."""
 
     def __init__(self, engine: TaintEngine, mid: int):
         super().__init__(engine.program, select=mid, budget=engine.child_budget)
         self.memo = engine.memo
         self.infra = engine.infra
 
-    def flush(self):
-        """Note the sites run since the last flush in the innermost frame."""
-        sites = self.covered_points
-        if sites:
-            note, variants = self.memo.note, self.program.variants
-            for site in sites:
-                note(site, variants[site])
-            sites.clear()
-
     def call_fn(self, fn: CompiledFn, args: list):
         key = make_call_key(fn.name, args)
         self.infra.memo_lookups += 1
-        self.flush()
         hit, cached = self.memo.lookup(key, self.select)
         if hit:
             return cached
-        self.memo.enter(fn.name)
-        try:
-            rv = self.run_fn(fn, dict(zip(fn.params, args)))
-        finally:
-            self.flush()
-            self.infra.mcache_writes += self.memo.leave()
+        rv = self.run_fn(fn, dict(zip(fn.params, args)))
         self.infra.memo_stores += 1
         self.memo.store(key, self.select, rv)
         return rv
@@ -158,6 +135,9 @@ class TaintEngine:
         self.kills: dict[int, tuple] = {}
         self.pending = 0           # diverged mutants not yet merged back
         self.memo = MemoState()
+        if cfg.memo:
+            for name, mutants in program.reach.items():
+                self.memo.record_mutation_encounter(name, mutants)
         self.infra = InfraStats()
         self.divergences: list[DivergenceEvent] = []
         self.covered_points: set[int] = set()
@@ -177,15 +157,8 @@ class TaintEngine:
     # --- calls ---
 
     def call_wrapped(self, fn: CompiledFn, args: list):
-        if self.cfg.memo:
-            self.memo.enter(fn.name)
         frame = _Frame(fn, dict(zip(fn.params, args)), args)
-        try:
-            rv = self.run_code(frame)
-            rv = self._merge_back(frame, rv)
-        finally:
-            if self.cfg.memo:
-                self.infra.mcache_writes += self.memo.leave()
+        rv = self._merge_back(frame, self.run_code(frame))
         self._memo_store(fn.name, args, rv)
         if self.cfg.memo and self.pending == 0:
             self.memo.clear_if_all_merged()
@@ -209,8 +182,6 @@ class TaintEngine:
                 self.active.add(mid)
                 rv = taints.with_taint(rv, mid, value)
             finally:
-                if self.cfg.memo:
-                    run.flush()
                 self.context_stmts.append(run.stmts)
                 self.pending -= 1
         return rv
@@ -306,8 +277,6 @@ class TaintEngine:
             a = self.eval(e.left, env)
             b = self.eval(e.right, env)
             self.covered_points.add(e.point_id)
-            if self.cfg.memo:
-                self.memo.note(e.point_id, e.variants)
             return taints.apply_binary(a, e.variants[ORIGINAL], e.variants, b,
                                        restrict=self.active,
                                        on_kill=self._kill_exc, stats=self.infra)

@@ -20,8 +20,8 @@ call level costs three Python frames (`run_fn`, the site's closure,
 has no hook, since it is the hottest closure: it adds its point id to
 `run.covered_points` itself, and a `Var`-`Literal` or `Var`-`Var` site
 (most of them) reads its operands inline, so it makes no Python call but
-its operator's. `CompiledProgram.variants` maps each point id to its
-site's variants for a run that needs them (the memo's, see `engine`).
+its operator's. `CompiledProgram.reach` maps each function to the mutants
+whose choice sites a call of it may run, for the memo (see `memo`).
 
 A while loop's back edge is its own instruction (`ILoop`). After 8, then 9,
 10, ... back edges a frame checks its state (pc, env) against the last
@@ -107,7 +107,9 @@ class CompiledFn:
 @dataclass
 class CompiledProgram:
     functions: dict[str, CompiledFn]
-    variants: dict[int, dict]  # point id -> its choice site's variants
+    # function name -> reach(f): the non-original mutant ids of the choice
+    # sites in f and in every function a call in f binds to, transitively
+    reach: dict[str, frozenset] = field(default_factory=dict)
 
 
 def compile_fn(fn: FunctionDef, program: CompiledProgram) -> list[Instr]:
@@ -158,12 +160,53 @@ def compile_fn(fn: FunctionDef, program: CompiledProgram) -> list[Instr]:
 
 def compile_program(ast: Ast) -> CompiledProgram:
     """Every `CompiledFn` exists before any body is compiled, so that each
-    call site binds its callee (`bind_call`)."""
-    program = CompiledProgram({f.name: CompiledFn(f.name, list(f.params), [])
-                               for f in ast.functions}, {})
+    call site binds its callee (`bind_call`); the reach sets follow the
+    same bindings."""
+    functions = {f.name: CompiledFn(f.name, list(f.params), [])
+                 for f in ast.functions}
+    program = CompiledProgram(functions)
     for f in ast.functions:
-        program.functions[f.name].code = compile_fn(f, program)
+        functions[f.name].code = compile_fn(f, program)
+    edges = {name: _edges(fn, functions) for name, fn in functions.items()}
+    for name in functions:
+        mutants, seen, todo = set(), {name}, [name]
+        while todo:
+            own, callees = edges[todo.pop()]
+            mutants |= own
+            todo += callees - seen
+            seen |= callees
+        mutants.discard(0)  # the original
+        program.reach[name] = frozenset(mutants)
     return program
+
+
+def _edges(fn: CompiledFn, functions: dict) -> tuple[set, set]:
+    """The variant ids of `fn`'s choice sites, and the names of the program
+    functions its call sites bind to. A call that `bind_call` turns into an
+    error runs no callee."""
+    mutants, callees = set(), set()
+    todo = [i.cond if type(i) is IBranch else i.expr for i in fn.code
+            if not isinstance(i, IJump)]
+    while todo:
+        e = todo.pop()
+        if e is None or isinstance(e, (Var, Literal)):  # most nodes
+            continue
+        if isinstance(e, (BinOp, Compare, BoolOp, TaintChoice)):
+            todo += e.left, e.right
+            if isinstance(e, TaintChoice):
+                mutants.update(e.variants)
+        elif isinstance(e, Call):
+            todo += e.args
+            callee = bind_call(functions, e.name, len(e.args))
+            if type(callee) is CompiledFn:
+                callees.add(callee.name)
+        elif isinstance(e, ListLit):
+            todo += e.items
+        elif isinstance(e, Index):
+            todo += e.base, e.index
+        elif isinstance(e, UnaryOp):
+            todo.append(e.operand)
+    return mutants, callees
 
 
 # --- expression compiler ---
@@ -179,8 +222,7 @@ def _undefined(name: str, loc: Loc) -> MiniRuntimeError:
 def compile_expr(e: Expr, program: CompiledProgram) -> Callable:
     """Compile an expression of `program` into a closure `ev(run, env)` that
     evaluates it on the PlainRun `run`. A runtime error keeps the innermost
-    location. Each choice site's variants go into `program.variants` under
-    its point id."""
+    location."""
     loc = e.loc
     if isinstance(e, Literal):
         value = e.value
@@ -197,7 +239,6 @@ def compile_expr(e: Expr, program: CompiledProgram) -> Callable:
     if isinstance(e, TaintChoice):
         fns = {m: OPERATORS[op] for m, op in e.variants.items()}
         orig, point, lhs, rhs = fns[0], e.point_id, e.left, e.right
-        program.variants[point] = e.variants
         if type(lhs) is Var and type(rhs) in (Var, Literal):
             # most sites: read the leaf operands inline, with the errors of
             # their closures (a subclass of Var or Literal is not inlined)
@@ -453,7 +494,10 @@ class PlainRun:
         checkpoint (None before the first). A budgeted run whose state
         (pc, env) is bit-identical to the checkpoint's, with the same shared
         epoch, repeats forever and ends here (`run_to_budget`). Returns the
-        new checkpoint and the back edges to the next, one more than before."""
+        new checkpoint and the back edges to the next, one more than before.
+        A run without a budget never ends early, so it keeps no checkpoint."""
+        if self.budget is None:
+            return None, FIRST_GAP
         epoch = self.shared_epoch()
         if last is None:
             gap = FIRST_GAP
@@ -461,7 +505,6 @@ class PlainRun:
             at, env0, stmts0, mark, epoch0, gap = last
             # == rules out most states fast; plain_eq checks type and bits
             if (at == pc and env0 == env and epoch0 == epoch
-                    and self.budget is not None
                     and all(plain_eq(v, env[k]) for k, v in env0.items())):
                 self.run_to_budget(stmts0, mark)
             gap += 1

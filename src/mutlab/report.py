@@ -6,10 +6,10 @@ the header `program,strategy,mutants,killed,survived,not_covered,
 program_stmts,infra_ops`, one row per strategy.
 
 `infra_ops` is the engine's bookkeeping cost (0 for the baselines): taint
-operations, fork snapshots, memo lookups and stores, and the new
-(mutant, function) mutation-cache records each call writes when it returns.
-Taint operations are counted on the root mainline only; diverged mutants
-run concretized on the plain interpreter.
+operations, fork snapshots, and memo lookups and stores. The memo's
+mutation cache holds reach sets built once with the program, so it adds
+nothing. Taint operations are counted on the root mainline only; diverged
+mutants run concretized on the plain interpreter.
 """
 
 from __future__ import annotations

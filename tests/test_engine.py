@@ -2,17 +2,13 @@
 no-fork re-execution, memo behaviour, and verdict agreement across the
 four engine variants."""
 
-import hashlib
 import itertools
 
 import pytest
 
-import mutlab.engine as engine_mod
-from mutlab.cli import CORPUS_DIR, CORPUS_PROGRAMS
+from mutlab.cli import CORPUS_DIR
 from mutlab.engine import EngineConfig, run_test
-from mutlab.fuzz import fuzz_program
 from mutlab.lang import PlainRun, compile_program, parse_program
-from mutlab.memo import MemoState
 from mutlab.mutate import (
     discover_mutation_points, enumerate_mutants, generate_meta_mutant,
 )
@@ -244,8 +240,8 @@ def test_t():
 def test_child_records_every_variant_it_runs():
     # the children of `a > 0` call g(5) with the original `+` and store the
     # result; mutants of that `+` later diverge at `g(b) > 1` and call g(5)
-    # themselves. Only the records the first children wrote for *their*
-    # encounters of the `+` variants keep those mutants from reusing 6.
+    # themselves. Only reach(g), which holds the `+` variants, keeps those
+    # mutants from reusing 6.
     reports = run_all(CHILD_STORE, "test_t")
     for fork in (False, True):
         assert reports[(fork, True)].memo_stats["hits"] > 0
@@ -281,8 +277,8 @@ def test_open_caller_frame_vetoes_recursive_reuse():
     # `10 - 5` (M32) makes the first call p(5) for M32, which stores p(5) -> 6.
     # `a * 3` (M2) makes the second call p(5) for M2 and diverges at
     # `h(x) > 8` inside c, whose child calls p(5) again while M2's p(5) is
-    # still open. That call must not reuse 6: M2's site in h ran inside the
-    # first p call, so (M2, p) is recorded, and M2 recurses until it times
+    # still open. That call must not reuse 6: M2's site is in h, which p
+    # calls through c, so M2 is in reach(p), and M2 recurses until it times
     # out, as it does without memoization.
     reports = run_all(OPEN_FRAME_RECURSION, "test_t")
     for fork in (False, True):
@@ -381,7 +377,7 @@ def test_diverged_only_paths_agree_across_strategies():
 
 # `3 * 2` -> `3 + 2` (M16) makes the root call h(x) on {M0: 6, M16: 5}, and
 # its result is stored under M16's view: h(5) -> 6. M5 (`+` -> `<<` in h)
-# ran in that call, so the mutation cache records (M5, h). M5 then diverges
+# is in reach(h), so the mutation cache refuses it h's keys. M5 then diverges
 # at `h(2) > 3` (4 > 3); its diverged run must not be served h(5) -> 6,
 # which it would compute as 5 << 1 = 10, and `y < 8` kills it.
 MEMO_MUTATED_KEY = """\
@@ -464,34 +460,37 @@ def test_every_mutant_has_exactly_one_verdict(cfg):
 
 # Statements and memo hits/misses/stores/clears (summed over the tests) of
 # the two memo variants on each corpus program. Pinned: a change to how the
-# mutation cache is kept must not change when a call is shared.
+# mutation cache is kept must not change when a call is shared. The clears
+# were re-taken when the cache became static reach sets, because a clear
+# now counts only when it drops an entry.
 MEMO_PINS = {
-    "caesar_cypher": {"exec-taints": (900, (233, 17, 43, 4)),
-                      "exec-taints-nf": (2365, (423, 17, 43, 4))},
-    "euler": {"exec-taints": (4938, (1056, 136, 316, 4)),
-              "exec-taints-nf": (9228, (2184, 188, 368, 4))},
-    "prime": {"exec-taints": (4232, (24, 4, 43, 6)),
-              "exec-taints-nf": (10321, (291, 21, 60, 6))},
-    "entropy": {"exec-taints": (4688, (98, 0, 11, 5)),
-                "exec-taints-nf": (6802, (218, 0, 11, 5))},
-    "newton": {"exec-taints": (2128, (0, 0, 0, 4)),
-               "exec-taints-nf": (5760, (0, 0, 0, 4))},
+    "caesar_cypher": {"exec-taints": (900, (233, 17, 43, 2)),
+                      "exec-taints-nf": (2365, (423, 17, 43, 2))},
+    "euler": {"exec-taints": (4938, (1056, 136, 316, 2)),
+              "exec-taints-nf": (9228, (2184, 188, 368, 2))},
+    "prime": {"exec-taints": (4232, (24, 4, 43, 1)),
+              "exec-taints-nf": (10321, (291, 21, 60, 1))},
+    "entropy": {"exec-taints": (4688, (98, 0, 11, 3)),
+                "exec-taints-nf": (6802, (218, 0, 11, 3))},
+    "newton": {"exec-taints": (2128, (0, 0, 0, 0)),
+               "exec-taints-nf": (5760, (0, 0, 0, 0))},
 }
 
 
 # infra_ops of the four engine variants on each corpus program. Taint ops
 # are counted on the root mainline only: diverged mutants run concretized.
-# The memo variants count one mutation-cache record per (mutant, function).
+# The memo variants add their lookups and stores; reach sets are built with
+# the program and charged nothing.
 INFRA_PINS = {
-    "caesar_cypher": {"exec-taints": 7068, "exec-taints-nf": 6973,
+    "caesar_cypher": {"exec-taints": 6668, "exec-taints-nf": 6573,
                       "exec-taints-nm": 5135, "exec-taints-nf-nm": 4850},
-    "euler": {"exec-taints": 15394, "exec-taints-nf": 15474,
+    "euler": {"exec-taints": 15214, "exec-taints-nf": 15294,
               "exec-taints-nm": 12646, "exec-taints-nf-nm": 11494},
-    "prime": {"exec-taints": 7434, "exec-taints-nf": 6896,
+    "prime": {"exec-taints": 7164, "exec-taints-nf": 6626,
               "exec-taints-nm": 6592, "exec-taints-nf-nm": 5753},
-    "entropy": {"exec-taints": 3552, "exec-taints-nf": 3519,
+    "entropy": {"exec-taints": 3117, "exec-taints-nf": 3084,
                 "exec-taints-nm": 2939, "exec-taints-nf-nm": 2786},
-    "newton": {"exec-taints": 6167, "exec-taints-nf": 6139,
+    "newton": {"exec-taints": 5987, "exec-taints-nf": 5959,
                "exec-taints-nm": 5987, "exec-taints-nf-nm": 5959},
 }
 
@@ -508,59 +507,3 @@ def test_memo_semantics_pinned_on_corpus(name):
         sums = tuple(sum(det["memo"][k] for det in run.details.values())
                      for k in ("hits", "misses", "stores", "clears"))
         assert (run.program_stmts, sums) == (stmts, memo), strategy
-
-
-class _FrameLog(MemoState):
-    """Hashes the sorted site ids of every open memo frame at every lookup,
-    store and leave: the calls that read the frames while a child runs."""
-    digest = None
-
-    def _log(self, event, *args):
-        _FrameLog.digest.update(repr((event, args, [
-            sorted(sites) for _, sites in self.frames])).encode())
-
-    def lookup(self, key, m):
-        self._log("lookup", key, m)
-        return super().lookup(key, m)
-
-    def store(self, key, m, value):
-        self._log("store", key, m)
-        super().store(key, m, value)
-
-    def leave(self):
-        self._log("leave")
-        return super().leave()
-
-
-# sha256 of `_FrameLog` over every test of the workload's programs, per
-# memo variant. Pinned: site notes must reach the frame they ran in before
-# anything reads it, however they are batched.
-FRAME_PINS = {
-    "corpus": {
-        "exec-taints": "0e0076c02cadd7b1740bed21bb006af61cdc1168891ae200c0d2fe32f9817228",
-        "exec-taints-nf": "392174609fb1e59332c3f54b7e105015db4b054505d051fae1686d9d9a183cc9",
-    },
-    "fuzz": {
-        "exec-taints": "0b5972ff815cd6fc5fa22c5c7b9b890ef77fac22b9ff4e48bd6240a311a371c9",
-        "exec-taints-nf": "d40b9d7c88bb60fbeca2f929f781a1bc75feaba59eb0ae9ba4834e884e8f1a74",
-    },
-}
-
-
-def _workload(name):
-    if name == "corpus":
-        return [(CORPUS_DIR / f"{p}.ml0").read_text() for p in CORPUS_PROGRAMS]
-    return [fuzz_program(seed) for seed in range(10)]
-
-
-@pytest.mark.parametrize("workload", sorted(FRAME_PINS))
-def test_memo_frames_pinned(workload, monkeypatch):
-    monkeypatch.setattr(engine_mod, "MemoState", _FrameLog)
-    asts = [parse_program(src) for src in _workload(workload)]
-    got = {}
-    for strategy in FRAME_PINS[workload]:
-        _FrameLog.digest = hashlib.sha256()
-        for ast in asts:
-            analyze_program(ast, AnalysisConfig(strategies=[strategy]))
-        got[strategy] = _FrameLog.digest.hexdigest()
-    assert got == FRAME_PINS[workload]

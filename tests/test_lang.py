@@ -732,17 +732,16 @@ UNBOUND = object()  # an operand variable that the environment lacks
 
 def run_site(site, select, env):
     """What evaluating the compiled `site` shows: its value or error, its
-    covered points and events, and the variants it recorded (a repr, which
-    tells 1 from True, 0.0 from -0.0 and matches nan)."""
-    sites = {}
-    ev = interp.compile_expr(site, interp.CompiledProgram({}, sites))
+    covered points and events (a repr, which tells 1 from True, 0.0 from
+    -0.0 and matches nan)."""
+    ev = interp.compile_expr(site, interp.CompiledProgram({}))
     run = PlainRun(None, select=select, record_events=True)
     run.stmts = 7
     try:
         result = ("val", repr(ev(run, env)))
     except MiniRuntimeError as err:
         result = ("err", err.kind, err.message, err.loc)
-    return repr((result, run.covered_points, run.events, sites))
+    return repr((result, run.covered_points, run.events))
 
 
 @given(st.sampled_from(SITE_OPS), st.integers(0, len(SITE_OPS) + 1),
@@ -948,6 +947,16 @@ def test_unbudgeted_run_never_takes_the_shortcut(monkeypatch):
         PlainRun(meta_program(CYCLING["period-1"])).call("f", [])
 
 
+def test_unbudgeted_run_does_not_compare_deeply_nested_states():
+    # the loop state holds a list nested 1500 deep, which CPython compares
+    # recursively; a run without a budget never compares states, so it ends
+    # normally (a budgeted one still does, until values have a depth bound)
+    src = ("def test_t():\n    l = [0]\n    i = 0\n    while i < 1500:\n"
+           "        l = [l]\n        i = i + 1\n    assert len(l) == 1\n")
+    outcome = eval_plain(parse_program(src), "test_t")
+    assert (outcome.status, outcome.stmts) == ("pass", 4 + 3 * 1500)
+
+
 # A loop with period 2 whose sites produce 1 next to 1.0 (`x * 1`), -0.0
 # (`z * 1.0`) and lists, on the inline path (`xs + ys`) and the generic one
 # (`ys + [z, x]`); neither the corpus nor the fuzz programs cut such a run.
@@ -1002,7 +1011,7 @@ def test_shortcut_replicates_non_int_site_values(monkeypatch):
 
 def test_shortcut_matches_running_on_for_every_mutant_of_mixed_values():
     program = meta_program(MIXED_VALUES)
-    mids = {mid for variants in program.variants.values() for mid in variants}
+    mids = {0, *program.reach["f"]}
     assert len(mids) == 1 + 4 * 10 + 5  # the original, 4 arithmetic sites, `==`
     fired = 0
     for mid in sorted(mids):

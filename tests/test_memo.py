@@ -1,9 +1,16 @@
-"""Memo cache and mutation cache semantics."""
+"""Memo cache and mutation cache semantics, and the static reach sets
+the mutation cache holds."""
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mutlab.cli import CORPUS_DIR, CORPUS_PROGRAMS
+from mutlab.lang import compile_program, parse_program
+from mutlab.lang.nodes import Call, Expr, Stmt, TaintChoice
 from mutlab.memo import MemoState, make_call_key
+from mutlab.mutate import (
+    discover_mutation_points, enumerate_mutants, generate_meta_mutant,
+)
 from mutlab.taints import ORIGINAL
 
 
@@ -51,127 +58,53 @@ class TestMemoState:
         ms = MemoState()
         k = make_call_key("f", [3])
         ms.store(k, 1, 42)
-        ms.enter("f")
-        ms.note(0, {0: "+", 2: "-"})              # M2's choice site ran inside
-        assert ms.leave() == 1
-        assert ms.lookup(k, 2) == (False, None)   # M2's mutation ran inside
+        ms.record_mutation_encounter("f", frozenset({2}))  # M2's site is in f
+        assert ms.lookup(k, 2) == (False, None)   # M2's mutation may run inside
         assert ms.lookup(k, 3) == (True, 42)      # other mutants still share
 
     def test_mutation_cache_vetoes_store(self):
         ms = MemoState()
         k = make_call_key("f", [3])
-        ms.enter("f")
-        ms.note(0, {1: "*"})
-        ms.leave()
+        ms.record_mutation_encounter("f", frozenset({1}))
         ms.store(k, 1, 42)
         assert ms.stats.stores == 0
         assert ms.lookup(k, 1) == (False, None)
 
-    def test_encounter_marks_all_ancestor_keys_once(self):
-        ms = MemoState()
-        for expected in (2, 0):
-            ms.enter("g")
-            ms.enter("f")
-            ms.note(0, {1: "+", 2: "-"})
-            assert ms.leave() == expected     # (M1, f), (M2, f)
-            assert ms.leave() == expected     # merged into g's set on return
-        assert ms.frames == []
-
-    def test_closed_frames_record_their_function_and_callers(self):
-        ms = MemoState()
-        ms.enter("g")
-        ms.enter("f")
-        ms.note(0, {0: "<", 1: ">", 2: ">="})
-        assert ms.mutation_cache == set()      # nothing written while open
-        assert ms.leave() == 2
-        assert ms.leave() == 2
-        assert ms.mutation_cache == {(1, "f"), (2, "f"), (1, "g"), (2, "g")}
-
-    def test_clear_drops_pending_sets_of_open_frames(self):
-        ms = MemoState()
-        ms.enter("test_t")
-        ms.enter("f")
-        ms.note(0, {1: "+"})
-        ms.clear_if_all_merged()
-        assert ms.stats.clears == 1            # only a pending set was non-empty
-        assert ms.leave() == 0
-        assert ms.leave() == 0
-        assert ms.mutation_cache == set()
-        ms.clear_if_all_merged()
-        assert ms.stats.clears == 1
-
-    def test_closed_frame_refuses_every_key_of_its_function_and_callers(self):
+    def test_reach_refuses_every_key_of_its_function(self):
         ms = MemoState()
         keys = [make_call_key(fn, [x]) for fn in ("p", "c", "q") for x in (5, 6)]
-        ms.enter("p")
-        ms.enter("c")
-        ms.note(0, {0: "+", 1: "*"})             # M1's site runs in c
-        assert ms.leave() == 1
-        assert ms.leave() == 1
+        for fn, mutants in (("p", {1}), ("c", {1}), ("q", set())):
+            ms.record_mutation_encounter(fn, frozenset(mutants))  # p calls c
         for k in keys:
             ms.store(k, 1, 0)                    # refused for p and c
         assert ms.stats.stores == 2              # only q(5), q(6)
         for k in keys:
-            ms.store(k, 2, k[1][0])              # M2 ran no site: kept
+            ms.store(k, 2, k[1][0])              # M2 has no site: kept
         assert ms.stats.stores == 6
         for k in keys:
             assert ms.lookup(k, 1) == ((True, 0) if k[0] == "q"
                                        else (False, None))
             assert ms.lookup(k, 3) == (True, ms.entries[k])
 
-    def test_open_frame_refuses_nothing(self):
-        ms = MemoState()
-        k, kc = make_call_key("p", [5]), make_call_key("c", [1])
-        ms.store(k, 2, 6)
-        ms.store(kc, 3, 0)
-        ms.enter("p")
-        ms.enter("c")
-        ms.note(7, {0: "+", 2: "*"})             # M2's site runs in c
-        assert ms.lookup(k, 2) == (True, 6)      # no record until c returns
-        assert ms.lookup(kc, 2) == (True, 0)
-        ms.leave()
-        assert ms.lookup(k, 2) == (True, 6)      # c's record leaves p alone
-        assert ms.lookup(kc, 2) == (False, None)
-        ms.leave()
-        assert ms.lookup(k, 2) == (False, None)
-
     def test_original_is_never_refused(self):
         ms = MemoState()
         k = make_call_key("f", [3])
-        ms.enter("f")
-        ms.note(0, {0: "+", 4: "-"})
-        assert ms.leave() == 1                   # (M4, f) only
-        assert (ORIGINAL, "f") not in ms.mutation_cache
+        ms.record_mutation_encounter("f", frozenset({4}))
         ms.store(k, ORIGINAL, 9)
         assert ms.lookup(k, ORIGINAL) == (True, 9)
         assert ms.lookup(k, 4) == (False, None)
 
-    def test_site_run_many_times_writes_one_record(self):
+    def test_clear_keeps_the_reach_sets(self):
         ms = MemoState()
-        for _ in range(3):                       # three calls of f
-            ms.enter("f")
-            for _ in range(5):
-                ms.note(3, {0: "<", 1: ">"})
-            ms.leave()
-        assert ms.mutation_cache == {(1, "f")}
-        ms.enter("g")
-        ms.note(3, {0: "<", 1: ">"})
-        ms.leave()
-        assert ms.mutation_cache == {(1, "f"), (1, "g")}
-
-    def test_site_run_many_times_writes_the_records_of_one_run(self):
-        written = []
-        for times in (1, 7):
-            ms = MemoState()
-            ms.enter("g")
-            ms.enter("f")
-            for _ in range(times):
-                ms.note(3, {0: "<", 1: ">", 2: ">="})
-            ms.note(4, {0: "+", 6: "-"})
-            leaves = (ms.leave(), ms.leave())
-            written.append((leaves, ms.mutation_cache, ms.stats.as_dict()))
-        assert written[0] == written[1]
-        assert written[0][0] == (3, 3)
+        k = make_call_key("f", [3])
+        ms.record_mutation_encounter("f", frozenset({1}))
+        ms.clear_if_all_merged()
+        assert ms.stats.clears == 0              # no entry to drop
+        ms.store(k, 2, 42)
+        ms.clear_if_all_merged()
+        assert ms.stats.clears == 1 and ms.entries == {}
+        ms.store(k, 1, 42)                       # still refused
+        assert ms.mutation_cache == {"f": {1}} and ms.entries == {}
 
     def test_clear_only_when_all_merged(self):
         ms = MemoState()
@@ -184,3 +117,130 @@ class TestMemoState:
         # clearing an already-empty store doesn't count
         ms.clear_if_all_merged()
         assert ms.stats.clears == 1
+
+
+def meta_ast(src):
+    ast = parse_program(src)
+    points = discover_mutation_points(ast)
+    return generate_meta_mutant(ast, points, enumerate_mutants(points))
+
+
+def _nodes(node):
+    """`node` and every statement and expression under it."""
+    yield node
+    for v in vars(node).values():
+        for child in v if isinstance(v, list) else [v]:
+            if isinstance(child, (Expr, Stmt)):
+                yield from _nodes(child)
+
+
+def brute_force_reach(meta):
+    """reach(f) by a breadth-first search over the calls written in the
+    source, bound by name and argument count."""
+    arity = {f.name: len(f.params) for f in meta.functions}
+    own, calls = {}, {}
+    for f in meta.functions:
+        nodes = [n for s in f.body for n in _nodes(s)]
+        own[f.name] = {m for n in nodes if isinstance(n, TaintChoice)
+                       for m in n.variants if m != ORIGINAL}
+        calls[f.name] = {n.name for n in nodes if isinstance(n, Call)
+                         and arity.get(n.name) == len(n.args)}
+    reach = {}
+    for name in arity:
+        seen, frontier = {name}, [name]
+        while frontier:
+            frontier = [g for f in frontier for g in calls[f] if g not in seen]
+            seen.update(frontier)
+        reach[name] = frozenset().union(*(own[f] for f in seen))
+    return own, reach
+
+
+def reach_sets(src):
+    """The program's reach sets, and each function's own mutants."""
+    meta = meta_ast(src)
+    return brute_force_reach(meta)[0], compile_program(meta).reach
+
+
+class TestReachSets:
+    def test_closure_over_calls(self):
+        own, reach = reach_sets(
+            "def c(x):\n    return x * 2\n\n"
+            "def b(x):\n    return c(x) + 1\n\n"
+            "def a(x):\n    return b(x)\n")
+        assert own["a"] == set() and own["b"] and own["c"]
+        assert reach["c"] == own["c"]
+        assert reach["b"] == reach["a"] == own["b"] | own["c"]
+
+    def test_mutual_recursion(self):
+        own, reach = reach_sets(
+            "def p(n):\n    if n < 1:\n        return 0\n    return q(n - 1)\n\n"
+            "def q(n):\n    if n < 2:\n        return 1\n    return p(n - 2)\n\n"
+            "def r(n):\n    return p(n)\n")
+        assert own["p"] and own["q"] and not own["p"] & own["q"]
+        assert reach["p"] == reach["q"] == reach["r"] == own["p"] | own["q"]
+
+    def test_call_with_the_wrong_arity_adds_nothing(self):
+        own, reach = reach_sets(
+            "def h(x):\n    return x + 1\n\n"
+            "def g(x):\n    return h(x, 1)\n")
+        assert reach == {"h": own["h"], "g": frozenset()} and own["h"]
+
+    def test_program_function_hides_a_builtin(self):
+        own, reach = reach_sets(
+            "def len(s):\n    return s + 1\n\n"
+            "def f(s):\n    return len(s)\n\n"
+            "def g(s):\n    return abs(s)\n")
+        assert reach == {"len": own["len"], "f": own["len"],
+                         "g": frozenset()} and own["len"]
+
+    def test_uncalled_function_is_in_no_other_set(self):
+        own, reach = reach_sets(
+            "def u(x):\n    return x - 1\n\n"
+            "def f(x):\n    return x + 1\n\n"
+            "def test_f():\n    assert f(1) == 2\n")
+        assert reach["u"] == own["u"] and own["u"]
+        assert not own["u"] & (reach["f"] | reach["test_f"])
+
+    def test_original_id_is_in_no_set(self):
+        for src in (CORPUS_DIR / f"{n}.ml0" for n in CORPUS_PROGRAMS):
+            _, reach = reach_sets(src.read_text())
+            assert reach and all(ORIGINAL not in s for s in reach.values())
+
+
+NAMES = ["f0", "f1", "f2", "f3", "len", "abs"]
+
+
+@st.composite
+def call_graph_programs(draw):
+    """Source text of 1-4 functions, some named like builtins, whose
+    bodies call any of the names (undefined ones too) with 0-3 arguments,
+    inside branches, loops, arithmetic and other calls."""
+    def expr(depth):
+        kind = draw(st.sampled_from(["leaf", "op", "call"] if depth else ["leaf"]))
+        if kind == "leaf":
+            return draw(st.sampled_from(["1", "2"]))
+        if kind == "op":
+            op = draw(st.sampled_from("+-*<"))
+            return f"({expr(depth - 1)} {op} {expr(depth - 1)})"
+        args = [expr(depth - 1) for _ in range(draw(st.integers(0, 3)))]
+        return f"{draw(st.sampled_from(NAMES + ['nope']))}({', '.join(args)})"
+
+    lines = []
+    for name in draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=4,
+                              unique=True)):
+        params = ", ".join(f"p{i}" for i in range(draw(st.integers(0, 3))))
+        lines.append(f"def {name}({params}):")
+        for _ in range(draw(st.integers(1, 3))):
+            head = draw(st.sampled_from(["", "if", "while"]))
+            if head:
+                lines.append(f"    {head} {expr(2)}:")
+            lines.append(f"{'    ' * (2 if head else 1)}x = {expr(2)}")
+        lines.append(f"    return {expr(2)}")
+    return "\n".join(lines) + "\n"
+
+
+@given(call_graph_programs())
+@settings(max_examples=200, deadline=None)
+def test_reach_sets_match_a_brute_force_search(src):
+    meta = meta_ast(src)
+    assert compile_program(meta).reach == brute_force_reach(meta)[1]

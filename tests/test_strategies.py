@@ -385,15 +385,16 @@ class TestAnalyzeProgram:
 # sha256 of `mutlab compare --program corpus/<name>.ml0 --all` (JSON, default
 # budget multiplier), computed when each baseline still looped over the
 # mutants itself; the shared pass must report the same bytes, every
-# baseline's `program_stmts` included. caesar_cypher, entropy, euler and
-# prime were re-taken when mutation-cache records became (mutant, function)
-# pairs: only the memo variants' `infra_ops` moved, by the fewer records.
+# baseline's `program_stmts` included. All five were re-taken when the
+# mutation cache became static reach sets: only the memo variants'
+# `infra_ops` and per-test `clears` moved (no run-time records, and a clear
+# counts only when it drops an entry).
 REPORT_PINS = {
-    "caesar_cypher": "44ba9d9deda64b6325d7fe8e678ba1eff37746624a34cc0560a49adbc4ae3ba4",
-    "entropy": "f6668cb5988d88344a50b75ccb0ba94eee4b09fb791d57ec10f5ef650868a377",
-    "euler": "9e1f5c50e136881883b821e5496e9d34d8fbc5530e9e7db99b2994ab5e17d89a",
-    "newton": "3bfdfb5b694566398d7f1f8d14671c6d3395fac654153a38af35c182d19c99eb",
-    "prime": "272f091020f4c529876547dde8dd05423367a6e179dbcaf122f230f2338dbc26",
+    "caesar_cypher": "64c3293035ca9201524a7d3c9465d0f7803f016e88e7a1c0dc8258d4abbe61d4",
+    "entropy": "66672062c8377c0cf2221112539205cc004b2b863fdbb603c93fe6c225a6379f",
+    "euler": "e3a17d3ba8436190465b3a59e393546492a43264ca665962c0683422cbace574",
+    "newton": "8345cbd3f047f389bb1ba8f9f0070d8643e13f86c95db4302141cc1c074435b1",
+    "prime": "9d4f6e20e9a39333823d40099f2ae97af9932498ae9e872fd9f4276a8879877d",
 }
 
 
@@ -409,18 +410,18 @@ def test_compare_report_pinned_on_corpus(name, tmp_path, monkeypatch):
 # The same for the benchmark's fuzz programs (seeds 0-9, written to
 # fuzz<seed>.ml0), taken while every run that loops forever still ran until
 # its budget stopped it. Split-stream and modulo-state costs read the site
-# events of those runs. Seeds 2 and 4 were re-taken like the corpus pins.
+# events of those runs. All ten were re-taken like the corpus pins.
 FUZZ_REPORT_PINS = {
-    0: "355640305068f8812ab37151a8f661854f42c484d6bcca1a924bc54a244146fa",
-    1: "ff83727949cf318ff00c294c9be0ecfc9f1e4e0760c82120436d2a47d18b4a62",
-    2: "2c0e5f66cafcd870480fc57f36fe895db386e1811deb1dcbe2ee82e0f215937d",
-    3: "f2ff044a87ecf3e74b6ffa10a2b8ab530aaae35ad6f08ad02fa27235661d460e",
-    4: "38e1679934f9279ca33a1b289c5f16f1f355cc1118df8f576d4919a26c95b01b",
-    5: "de1c6cb119cf165ffcc780151b27d8d810b9dbb8ff53babf514fac362790cb44",
-    6: "1e9c14c150c7af02a70bff461977b9d35de4cca4979b8775960751e2a9484e01",
-    7: "3a40cdf5c6d5dd624ecd224f477ddfecd8659e6d068e2127a2aa7f5a5b829077",
-    8: "bc94dd2c8abb57269a438f24bfe68e2e65e650487ce483b77b51257b041568a7",
-    9: "cd5a1bfc70044557adbd745eb405fb4361899ebc84cf019c1158831e498e994e",
+    0: "79afc9768e9377adff9db61b29128ef737359ae619575a339ed2cdeed5861a24",
+    1: "c91c409ba27d7feafd2daba207c0a25ced1e48f915f8180659a2e4034ae0c624",
+    2: "fe548acee2337b493d4bd7d3b469875d454af96a0e46472d8ccf8fce17d9d1f4",
+    3: "27a876da4039b85d88bf9dd216a11069b4cfb9d4876f54c8f6bdc1230c469fde",
+    4: "071455b78f667923d16d8dfb7feade915111285f26b62de61f3c066de470f033",
+    5: "ddbac70333033067e424d109175a08c745869e9b1c48da33132977f8cf9c70ae",
+    6: "4e4b5f74bd3f56bd4223ab233d38062d6f53693198f388ca9ae0cee8dbc587ae",
+    7: "8d30819f8f638544ecb997b81157452aab0dcfa027ac0b8e499f7dd412c310e7",
+    8: "d26536d5ddb573b1fc52f128a1f5a4db57a05423bd917f7d3016d4c15ae63888",
+    9: "97749317531f0e9f5e52ebcbce36f81c8b78ed5526385b6019c56c545dc60612",
 }
 
 
