@@ -1,32 +1,38 @@
 """Flat-instruction compiler and the plain (untainted) evaluator.
 
 Function bodies compile to instruction lists with explicit branch targets,
-so an execution position is just (function, pc). Each instruction's
-expression is compiled once per program into a closure `ev(run, env)`
-(`compile_expr`); a choice site's closure holds one operator function per
-variant and picks the one for `run.select`. The plain evaluator runs one
-variant of the program (the original, or a single mutant selected by id
-when executing a meta-mutant) and counts one statement per executed
-statement node; each branch/loop condition evaluation counts once.
+so an execution position is just (function, pc); the taint engine's root
+walks these lists itself. The plain evaluator runs one variant of the
+program (the original, or a single mutant selected by id when executing a
+meta-mutant) and counts one statement per executed statement node; each
+branch/loop condition evaluation counts once.
 
-It runs the original and isolated mutant runs, and also every mutant the
-taint engine sees diverge: `run_fn` starts at any pc of a function, so a
-forked mutant resumes at its branch target on its concretized environment.
-Each call site binds its callee when the program is compiled
-(`bind_call`): a program function is called through `call_fn`, the one
-hook subclasses override, and a builtin's function directly, so a `.ml0`
-call level costs three Python frames (`run_fn`, the site's closure,
-`call_fn`). `call` looks a name up only for `run_entry`. A choice site
-has no hook, since it is the hottest closure: it adds its point id to
-`run.covered_points` itself, and a `Var`-`Literal` or `Var`-`Var` site
-(most of them) reads its operands inline, so it makes no Python call but
-its operator's. `CompiledProgram.reach` maps each function to the mutants
-whose choice sites a call of it may run, for the memo (see `memo`).
+Dispatch is threaded code: every instruction is compiled once per program
+into a step `step(run, env) -> next` (`compile_steps`), and `run_fn` is the
+loop `pc = steps[pc](run, env)`. A step counts its statement, checks the
+budget, evaluates its expression and stores, branches, asserts or returns.
+`next` is a pc, `RETURN` or `BACK - t` for a loop's back edge to pc `t`,
+so the checkpoint countdown stays in the frame; a step never lands on a
+jump, it goes to the jump's target. Every pc has a step, so a forked
+mutant resumes at its branch target on its concretized environment.
 
-A while loop's back edge is its own instruction (`ILoop`). After 8, then 9,
-10, ... back edges a frame checks its state (pc, env) against the last
-checkpoint: runs are deterministic, so a bit-identical state repeats
-forever, and a budgeted run ends there as running to its budget would.
+A statement's top-level choice site, bare `Var` or `Literal`, or call
+bound to a program function is evaluated inside its step; any other
+expression, and a site's operands other than a `Var` or `Literal`, is a
+closure `ev(run, env)` (`compile_expr`). A choice site picks the operator
+for `run.select` and adds its point id to `run.covered_points` itself, so
+a `Var`-`Literal` assignment or branch makes two Python calls: the step
+and the operator. Call sites bind their callee when the program is
+compiled (`bind_call`); a program function is called through
+`run.call_fn`, the one hook subclasses override, so a `.ml0` call level
+costs three Python frames (`run_fn`, the statement's step, `call_fn`).
+`CompiledProgram.reach` maps each function to the mutants whose choice
+sites a call of it may run, for the memo (see `memo`).
+
+After 8, then 9, 10, ... back edges a frame checks its state (pc, env)
+against the last checkpoint: runs are deterministic, so a bit-identical
+state repeats forever, and a budgeted run ends there as running to its
+budget would.
 """
 
 from __future__ import annotations
@@ -52,8 +58,6 @@ from .values import BUILTINS, OPERATORS, plain_eq
 class Instr:
     loc: Loc
     counted: bool = field(default=True, init=False)
-    # the instruction's expression compiled once: ev(run, env) -> value
-    ev: Callable = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -102,6 +106,9 @@ class CompiledFn:
     name: str
     params: list[str]
     code: list[Instr]
+    # one step per instruction of `code` (see `compile_steps`)
+    steps: list[Callable] = field(default_factory=list, repr=False,
+                                  compare=False)
 
 
 @dataclass
@@ -110,30 +117,30 @@ class CompiledProgram:
     # function name -> reach(f): the non-original mutant ids of the choice
     # sites in f and in every function a call in f binds to, transitively
     reach: dict[str, frozenset] = field(default_factory=dict)
+    # while a function compiles: the variant ids of its choice sites and
+    # the names of the program functions its call sites bind to
+    found: tuple[set, set] = field(default_factory=lambda: (set(), set()),
+                                   repr=False, compare=False)
 
 
-def compile_fn(fn: FunctionDef, program: CompiledProgram) -> list[Instr]:
+def compile_fn(fn: FunctionDef) -> list[Instr]:
     """The instruction list of `fn`'s body."""
     code: list[Instr] = []
-
-    def emit(instr: Instr, expr: Expr | None = None) -> int:
-        instr.ev = _unit if expr is None else compile_expr(expr, program)
-        code.append(instr)
-        return len(code) - 1
+    emit = code.append
 
     def compile_block(body: list[Stmt]) -> None:
         for s in body:
             if isinstance(s, Assign):
-                emit(IAssign(s.loc, s.name, s.value), s.value)
+                emit(IAssign(s.loc, s.name, s.value))
             elif isinstance(s, Return):
-                emit(IReturn(s.loc, s.value), s.value)
+                emit(IReturn(s.loc, s.value))
             elif isinstance(s, Assert):
-                emit(IAssert(s.loc, s.test), s.test)
+                emit(IAssert(s.loc, s.test))
             elif isinstance(s, ExprStmt):
-                emit(IExpr(s.loc, s.value), s.value)
+                emit(IExpr(s.loc, s.value))
             elif isinstance(s, If):
                 br = IBranch(s.loc, s.cond)
-                emit(br, s.cond)
+                emit(br)
                 br.true_pc = len(code)
                 compile_block(s.then_body)
                 jend = IJump(s.loc)
@@ -144,7 +151,7 @@ def compile_fn(fn: FunctionDef, program: CompiledProgram) -> list[Instr]:
             elif isinstance(s, While):
                 top = len(code)
                 br = IBranch(s.loc, s.cond)
-                emit(br, s.cond)
+                emit(br)
                 br.true_pc = len(code)
                 compile_block(s.body)
                 emit(ILoop(s.loc, target=top))
@@ -161,13 +168,15 @@ def compile_fn(fn: FunctionDef, program: CompiledProgram) -> list[Instr]:
 def compile_program(ast: Ast) -> CompiledProgram:
     """Every `CompiledFn` exists before any body is compiled, so that each
     call site binds its callee (`bind_call`); the reach sets follow the
-    same bindings."""
-    functions = {f.name: CompiledFn(f.name, list(f.params), [])
+    same bindings, as compiling each function finds them. A call that
+    `bind_call` turns into an error runs no callee."""
+    functions = {f.name: CompiledFn(f.name, list(f.params), compile_fn(f))
                  for f in ast.functions}
     program = CompiledProgram(functions)
-    for f in ast.functions:
-        functions[f.name].code = compile_fn(f, program)
-    edges = {name: _edges(fn, functions) for name, fn in functions.items()}
+    edges = {}
+    for name, fn in functions.items():
+        program.found = edges[name] = set(), set()
+        fn.steps = compile_steps(fn.code, program)
     for name in functions:
         mutants, seen, todo = set(), {name}, [name]
         while todo:
@@ -180,43 +189,32 @@ def compile_program(ast: Ast) -> CompiledProgram:
     return program
 
 
-def _edges(fn: CompiledFn, functions: dict) -> tuple[set, set]:
-    """The variant ids of `fn`'s choice sites, and the names of the program
-    functions its call sites bind to. A call that `bind_call` turns into an
-    error runs no callee."""
-    mutants, callees = set(), set()
-    todo = [i.cond if type(i) is IBranch else i.expr for i in fn.code
-            if not isinstance(i, IJump)]
-    while todo:
-        e = todo.pop()
-        if e is None or isinstance(e, (Var, Literal)):  # most nodes
-            continue
-        if isinstance(e, (BinOp, Compare, BoolOp, TaintChoice)):
-            todo += e.left, e.right
-            if isinstance(e, TaintChoice):
-                mutants.update(e.variants)
-        elif isinstance(e, Call):
-            todo += e.args
-            callee = bind_call(functions, e.name, len(e.args))
-            if type(callee) is CompiledFn:
-                callees.add(callee.name)
-        elif isinstance(e, ListLit):
-            todo += e.items
-        elif isinstance(e, Index):
-            todo += e.base, e.index
-        elif isinstance(e, UnaryOp):
-            todo.append(e.operand)
-    return mutants, callees
-
-
 # --- expression compiler ---
 
-def _unit(run, env):
-    return None
+def _constant(value) -> Callable:
+    return lambda run, env: value
 
 
 def _undefined(name: str, loc: Loc) -> MiniRuntimeError:
     return MiniRuntimeError("name", f"undefined variable {name!r}", loc)
+
+
+def _kernels(e: TaintChoice, program: CompiledProgram) -> dict:
+    """Mutant id -> the operator function of each variant of the site, whose
+    variants `program.found` records."""
+    program.found[0].update(e.variants)
+    return dict(zip(e.variants, map(OPERATORS.__getitem__, e.variants.values())))
+
+
+def _operand(e: Expr, program: CompiledProgram) -> tuple:
+    """How a choice site reads an operand: (name, None, None) for a `Var`,
+    (None, value, None) for a `Literal`, otherwise (None, None, its
+    closure). A subclass of `Var` or `Literal` takes a closure."""
+    if type(e) is Var:
+        return e.name, None, None
+    if type(e) is Literal:
+        return None, e.value, None
+    return None, None, compile_expr(e, program)
 
 
 def compile_expr(e: Expr, program: CompiledProgram) -> Callable:
@@ -225,8 +223,7 @@ def compile_expr(e: Expr, program: CompiledProgram) -> Callable:
     location."""
     loc = e.loc
     if isinstance(e, Literal):
-        value = e.value
-        return lambda run, env: value
+        return _constant(e.value)
     if isinstance(e, Var):
         name = e.name
 
@@ -237,40 +234,26 @@ def compile_expr(e: Expr, program: CompiledProgram) -> Callable:
                 raise _undefined(name, loc) from None
         return ev
     if isinstance(e, TaintChoice):
-        fns = {m: OPERATORS[op] for m, op in e.variants.items()}
+        fns = _kernels(e, program)
         orig, point, lhs, rhs = fns[0], e.point_id, e.left, e.right
-        if type(lhs) is Var and type(rhs) in (Var, Literal):
-            # most sites: read the leaf operands inline, with the errors of
-            # their closures (a subclass of Var or Literal is not inlined)
-            lname, rname = lhs.name, getattr(rhs, "name", None)
-            value = getattr(rhs, "value", None)
-
-            def ev(run, env):
-                try:
-                    a = env[lname]
-                    b = value if rname is None else env[rname]
-                except KeyError:
-                    bad = rhs if lname in env else lhs
-                    raise _undefined(bad.name, bad.loc) from None
-                fn = fns.get(run.select, orig)
-                run.covered_points.add(point)
-                events = run.events
-                try:
-                    v = fn(a, b)
-                except MiniRuntimeError as err:
-                    if events is not None:
-                        events += point, run.stmts - 1, "err", err.kind
-                    err.loc = err.loc or loc
-                    raise
-                if events is not None:
-                    events += point, run.stmts - 1, "val", v
-                return v
-            return ev
-        left, right = compile_expr(lhs, program), compile_expr(rhs, program)
+        lname, lvalue, left = _operand(lhs, program)
+        rname, rvalue, right = _operand(rhs, program)
 
         def ev(run, env):
-            a = left(run, env)
-            b = right(run, env)
+            if lname is not None:
+                try:
+                    a = env[lname]
+                except KeyError:
+                    raise _undefined(lname, lhs.loc) from None
+            else:
+                a = lvalue if left is None else left(run, env)
+            if rname is not None:
+                try:
+                    b = env[rname]
+                except KeyError:
+                    raise _undefined(rname, rhs.loc) from None
+            else:
+                b = rvalue if right is None else right(run, env)
             fn = fns.get(run.select, orig)
             run.covered_points.add(point)
             events = run.events
@@ -304,7 +287,7 @@ def compile_expr(e: Expr, program: CompiledProgram) -> Callable:
         return ev
     if isinstance(e, Call):
         return _compile_call(e, [compile_expr(a, program) for a in e.args],
-                             program.functions)
+                             program)
     if isinstance(e, ListLit):
         items = [compile_expr(a, program) for a in e.items]
         return lambda run, env: tuple([a(run, env) for a in items])
@@ -329,15 +312,17 @@ def bind_call(functions: dict, name: str, nargs: int):
     return builtin
 
 
-def _compile_call(e: Call, args: list, functions: dict) -> Callable:
+def _compile_call(e: Call, args: list, program: CompiledProgram) -> Callable:
     """A call site bound to its callee when the program is compiled. It
     evaluates the arguments, then calls `run.call_fn` for a program function
     (the hook of a memo run) or the builtin's function, or raises the
     illegal call's error, with `e.loc` on errors that have no location yet.
     Most calls pass one argument, or two to a program function: those sites
     read them without a list comprehension."""
-    loc, callee = e.loc, bind_call(functions, e.name, len(args))
+    loc, callee = e.loc, bind_call(program.functions, e.name, len(args))
     kind = type(callee)
+    if kind is CompiledFn:
+        program.found[1].add(callee.name)
     if kind is CompiledFn and len(args) == 1:
         arg, = args
 
@@ -400,6 +385,174 @@ def _located(fn, loc: Loc, left, right):
     return ev
 
 
+
+# --- statement steps ---
+
+RETURN = -1  # a step's result when its frame returns `run.rv`
+BACK = -2    # a step's result `BACK - t`: a loop's back edge to pc `t`
+
+
+def _return_none(run, env):
+    run.rv = None
+    return RETURN
+
+
+def compile_steps(code: list[Instr], program: CompiledProgram) -> list[Callable]:
+    """One step per instruction of `code`: `step(run, env)` counts the
+    statement, checks the budget, evaluates the expression, then stores,
+    branches, returns or asserts, and returns the next pc, `RETURN` or a
+    back edge's `BACK - t`. A top-level choice site, `Var`, `Literal` or
+    call bound to a program function is evaluated in the step itself, any
+    other expression through its closure. A jump's step only goes to its
+    target, and no other step returns a jump's pc."""
+    # dest[pc]: the result that moves control to pc (a jump's target lies
+    # ahead, a back edge's behind)
+    dest = list(range(len(code)))
+    for pc in range(len(code) - 1, -1, -1):
+        instr = code[pc]
+        if isinstance(instr, IJump):
+            dest[pc] = (BACK - instr.target if type(instr) is ILoop
+                        else dest[instr.target])
+    steps = []
+    for pc, instr in enumerate(code):
+        kind = type(instr)
+        if isinstance(instr, IJump):
+            steps.append(_constant(dest[pc]))
+        elif not instr.counted:
+            steps.append(_return_none)
+        elif kind is IBranch:
+            make = _site_step if type(instr.cond) is TaintChoice else _value_step
+            steps.append(make(instr.cond, kind, None, dest[instr.true_pc],
+                              dest[instr.false_pc], instr.loc, program))
+        else:
+            make = _site_step if type(instr.expr) is TaintChoice else _value_step
+            steps.append(make(instr.expr, kind, getattr(instr, "name", None),
+                              dest[pc + 1], None, instr.loc, program))
+    return steps
+
+
+# A Python call copies every name a closure holds, and making a closure
+# makes a cell for each, so each kind of step holds only what it reads.
+# `nxt` is where control goes after the statement, or on a true condition;
+# `alt` where a false condition goes.
+
+def _site_step(e: TaintChoice, kind: type, name: str | None, nxt: int,
+               alt: int | None, loc: Loc, program: CompiledProgram) -> Callable:
+    """A step whose top-level expression is the choice site `e`."""
+    fns = _kernels(e, program)
+    orig, point = fns[0], e.point_id
+    lname, lvalue, left = _operand(e.left, program)
+    rname, rvalue, right = _operand(e.right, program)
+
+    def step(run, env):
+        n = run.stmts + 1
+        run.stmts = n
+        if n > run.limit:
+            raise StepBudgetExceeded()
+        if lname is not None:
+            try:
+                a = env[lname]
+            except KeyError:
+                raise _undefined(lname, e.left.loc) from None
+        else:
+            a = lvalue if left is None else left(run, env)
+        if rname is not None:
+            try:
+                b = env[rname]
+            except KeyError:
+                raise _undefined(rname, e.right.loc) from None
+        else:
+            b = rvalue if right is None else right(run, env)
+        fn = fns.get(run.select, orig)
+        run.covered_points.add(point)
+        events = run.events
+        try:
+            v = fn(a, b)
+        except MiniRuntimeError as err:
+            if events is not None:
+                events += point, run.stmts - 1, "err", err.kind
+            err.loc = err.loc or e.loc
+            raise
+        if events is not None:
+            events += point, run.stmts - 1, "val", v
+        if name is not None:
+            env[name] = v
+            return nxt
+        if kind is IBranch:
+            if v is True:
+                return nxt
+            if v is False:
+                return alt
+            values.require_bool(v, "condition")
+        if kind is IReturn:
+            run.rv = v
+            return RETURN
+        if kind is IAssert and v is not True:
+            values.require_bool(v, "assert expression")
+            raise MiniAssertionError(loc)
+        return nxt
+    return step
+
+
+def _value_step(e: Expr | None, kind: type, name: str | None, nxt: int,
+                alt: int | None, loc: Loc, program: CompiledProgram) -> Callable:
+    """A step whose top-level expression is not a choice site: a `Var`, a
+    `Literal` (or none), a call bound to a program function, or any other
+    expression through its closure."""
+    vname = callee = ev = value = None
+    if type(e) is Var:
+        vname = e.name
+    elif type(e) is Literal:
+        value = e.value
+    elif type(e) is Call and type(callee := bind_call(
+            program.functions, e.name, len(e.args))) is CompiledFn:
+        program.found[1].add(callee.name)
+        args = [compile_expr(a, program) for a in e.args]
+    elif e is not None:
+        callee, ev = None, compile_expr(e, program)
+
+    def step(run, env):
+        n = run.stmts + 1
+        run.stmts = n
+        if n > run.limit:
+            raise StepBudgetExceeded()
+        if vname is not None:
+            try:
+                v = env[vname]
+            except KeyError:
+                raise _undefined(vname, e.loc) from None
+        elif callee is not None:
+            vals = []
+            for a in args:
+                vals.append(a(run, env))
+            try:
+                v = run.call_fn(callee, vals)
+            except MiniRuntimeError as err:
+                err.loc = err.loc or e.loc
+                raise
+        elif ev is not None:
+            v = ev(run, env)
+        else:
+            v = value
+        if name is not None:
+            env[name] = v
+            return nxt
+        if kind is IBranch:
+            if v is True:
+                return nxt
+            if v is False:
+                return alt
+            values.require_bool(v, "condition")
+        if kind is IReturn:
+            run.rv = v
+            return RETURN
+        if kind is IAssert and v is not True:
+            values.require_bool(v, "assert expression")
+            raise MiniAssertionError(loc)
+        return nxt
+    return step
+
+
 # --- plain evaluation ---
 
 @dataclass
@@ -419,16 +572,26 @@ FIRST_GAP = 8  # back edges of a frame before its first loop checkpoint
 
 class PlainRun:
     """Executes one variant: at every TaintChoice the operator for
-    `select` is applied when present, otherwise the original."""
+    `select` is applied when present, otherwise the original.
+
+    A frame is `run_fn` running its function's steps from any pc. The steps
+    keep the run's state: they count `stmts` (a statement past `limit`,
+    the budget, raises `StepBudgetExceeded`), add to `covered_points`,
+    append to `events` when it is a list, and leave a returned value in
+    `rv`. `run_fn` itself counts the frame's back edges and calls
+    `at_checkpoint` on schedule. Subclasses override `call_fn`, through
+    which every call of a program function goes, and `shared_epoch`."""
 
     def __init__(self, program: CompiledProgram, select: int = 0,
                  budget: int | None = None, record_events: bool = False):
         self.program = program
         self.select = select
         self.budget = budget
+        self.limit = math.inf if budget is None else budget
         self.stmts = 0
         self.covered_points: set[int] = set()
         self.events: list | None = [] if record_events else None
+        self.rv = None
 
     def call(self, name: str, args: list):
         """Call a function by name: `run_entry`'s way in. A compiled call
@@ -450,44 +613,17 @@ class PlainRun:
         return 0
 
     def run_fn(self, fn: CompiledFn, env: dict, pc: int = 0):
-        code = fn.code
-        limit = math.inf if self.budget is None else self.budget
+        steps = fn.steps
         edges, checkpoint = FIRST_GAP, None
         while True:
-            instr = code[pc]
-            if instr.counted:
-                self.stmts += 1
-                if self.stmts > limit:
-                    raise StepBudgetExceeded()
-            kind = type(instr)
-            if kind is IAssign:
-                env[instr.name] = instr.ev(self, env)
-                pc += 1
-            elif kind is IBranch:
-                cond = instr.ev(self, env)
-                if cond is not True and cond is not False:
-                    values.require_bool(cond, "condition")
-                pc = instr.true_pc if cond else instr.false_pc
-            elif kind is ILoop:
-                pc = instr.target
-                edges -= 1
-                if not edges:
-                    checkpoint, edges = self.at_checkpoint(pc, env, checkpoint)
-            elif kind is IReturn:
-                return instr.ev(self, env)
-            elif kind is IJump:
-                pc = instr.target
-            elif kind is IAssert:
-                test = instr.ev(self, env)
-                if test is not True:
-                    values.require_bool(test, "assert expression")
-                    raise MiniAssertionError(instr.loc)
-                pc += 1
-            elif kind is IExpr:
-                instr.ev(self, env)
-                pc += 1
-            else:
-                raise TypeError(f"bad instruction {instr!r}")
+            while pc >= 0:
+                pc = steps[pc](self, env)
+            if pc == RETURN:
+                return self.rv
+            pc = BACK - pc
+            edges -= 1
+            if not edges:
+                checkpoint, edges = self.at_checkpoint(pc, env, checkpoint)
 
     def at_checkpoint(self, pc: int, env: dict, last):
         """A frame is at a loop head, `gap` back edges after its `last`

@@ -768,6 +768,169 @@ def test_inline_site_operands_match_generic_path(op, select, a, b, literal):
     assert run_site(inline, select, env) == run_site(generic, select, env)
 
 
+# --- each statement runs as one step ---
+
+STEP_LOC = Loc(3, 5)
+SITE_VARIANTS = {0: "+", **{mid: o for mid, o in enumerate(SITE_OPS, 1)}}
+
+
+def leaf_operands(loc):
+    """A bound or unbound variable, an opaque variable, or a literal."""
+    return st.one_of(
+        st.sampled_from([Var(loc, "a"), Var(loc, "b"), Var(loc, "u"),
+                         OpaqueVar(loc, "b")]),
+        st.builds(lambda v: Literal(loc, v), SITE_VALUES))
+
+
+def site_exprs(op, left, right):
+    return st.builds(
+        lambda o, point, a, b: TaintChoice(
+            Loc(3, 11), point, {**SITE_VARIANTS, 0: o}, a, b),
+        op, st.sampled_from([5, 6]), left, right)
+
+
+def step_operands():
+    """Leaf operands and nested ones: a choice site, a negation, a call
+    bound to a program function."""
+    leaf = leaf_operands(Loc(3, 9))
+    return st.one_of(
+        leaf,
+        site_exprs(st.sampled_from(SITE_OPS), leaf, leaf),
+        st.builds(lambda a: UnaryOp(Loc(3, 9), "-", a), leaf),
+        st.builds(lambda name, a: Call(Loc(3, 9), name, [a]),
+                  st.sampled_from(["f1", "f4"]), leaf))
+
+
+# a condition error has no location until a call site adds its own
+F4 = """
+def f4(a):
+    if a:
+        return 1
+    return 0
+"""
+
+
+STEP_EXPRS = st.one_of(
+    site_exprs(st.sampled_from(SITE_OPS), step_operands(), step_operands()),
+    step_operands(),
+    st.builds(lambda a, b: Call(Loc(3, 7), "f2", [a, b]),
+              step_operands(), step_operands()),
+    st.just(None))
+
+
+def reference_step(instr, program):
+    """The reference for a compiled step: count, check the budget,
+    evaluate the expression's closure, then store, branch, return or
+    assert."""
+    e = instr.cond if type(instr) is interp.IBranch else instr.expr
+    ev = (lambda run, env: None) if e is None else interp.compile_expr(e, program)
+
+    def step(run, env):
+        run.stmts += 1
+        if run.stmts > run.budget:
+            raise interp.StepBudgetExceeded()
+        v = ev(run, env)
+        if type(instr) is interp.IAssign:
+            env[instr.name] = v
+        elif type(instr) is interp.IBranch:
+            return instr.true_pc if values.require_bool(v, "condition") \
+                else instr.false_pc
+        elif type(instr) is interp.IReturn:
+            return "return", v
+        elif type(instr) is interp.IAssert and not values.require_bool(
+                v, "assert expression"):
+            raise interp.MiniAssertionError(instr.loc)
+        return 1
+    return step
+
+
+def run_step(step, program, select, budget, env):
+    """What one step shows: where control goes, its error, the environment,
+    the statements run, the points covered and the events recorded."""
+    run = PlainRun(program, select=select, budget=budget, record_events=True)
+    run.stmts = 7
+    try:
+        result = step(run, env)
+        if result == interp.RETURN:
+            result = "return", run.rv
+        result = ("ok", repr(result))
+    except MiniRuntimeError as err:
+        result = ("err", err.kind, err.message, err.loc)
+    except interp.MiniAssertionError as err:
+        result = ("assert", err.loc)
+    except interp.StepBudgetExceeded:
+        result = ("timeout",)
+    return repr((result, sorted(env.items()), run.stmts,
+                 sorted(run.covered_points), run.events))
+
+
+@given(st.sampled_from(["assign", "branch", "return", "expr", "assert"]),
+       STEP_EXPRS, st.integers(0, len(SITE_OPS) + 1),
+       st.one_of(SITE_VALUES, st.just(UNBOUND)), st.sampled_from([7, 8, 500]))
+@example("assign", TaintChoice(Loc(3, 11), 5, SITE_VARIANTS, Var(Loc(3, 9), "a"),
+                               Literal(Loc(3, 9), 1)), 0, 2, 8)
+@example("branch", TaintChoice(Loc(3, 11), 5, {**SITE_VARIANTS, 0: "<"},
+                               Var(Loc(3, 9), "a"), Var(Loc(3, 9), "b")), 3, 1, 7)
+@example("assert", Var(Loc(3, 9), "u"), 0, 1, 500)
+@example("expr", TaintChoice(Loc(3, 11), 5, SITE_VARIANTS, Var(Loc(3, 9), "a"),
+                             Var(Loc(3, 10), "u")), 0, 1, 500)
+@example("expr", TaintChoice(Loc(3, 11), 5, SITE_VARIANTS, Var(Loc(3, 9), "u"),
+                             Var(Loc(3, 10), "u")), 0, 1, 500)
+@example("assign", Call(Loc(3, 7), "f4", [Literal(Loc(3, 9), 2)]), 0, 1, 500)
+@example("return", Call(Loc(3, 7), "f2", [Literal(Loc(3, 9), 2),
+                                          Var(Loc(3, 9), "a")]), 12, 3, 8)
+@settings(max_examples=300, deadline=None)
+def test_steps_match_reference(kind, e, select, a, budget):
+    """The compiled step of each statement kind against a reference step
+    over the expression's closure. `b` is bound to 2, `u` never; a budget
+    of 7 ends before the statement, 8 exactly on it, so a call in it runs
+    out of budget."""
+    program = meta_program(CALLEES + F4)
+    if e is None and kind != "return":
+        e = Literal(Loc(3, 9), True)
+    filler = interp.IExpr(STEP_LOC, Literal(STEP_LOC, 0))
+    end = interp.IReturn(STEP_LOC, None)
+    end.counted = False  # as a function's implicit return
+    instr = {"assign": lambda: interp.IAssign(STEP_LOC, "x", e),
+             "branch": lambda: interp.IBranch(STEP_LOC, e, 1, 2),
+             "return": lambda: interp.IReturn(STEP_LOC, e),
+             "expr": lambda: interp.IExpr(STEP_LOC, e),
+             "assert": lambda: interp.IAssert(STEP_LOC, e)}[kind]()
+    code = [instr, filler, end]
+    env = {k: v for k, v in (("a", a), ("b", 2)) if v is not UNBOUND}
+    assert (run_step(interp.compile_steps(code, program)[0], program, select,
+                     budget, dict(env))
+            == run_step(reference_step(instr, program), program, select,
+                        budget, dict(env)))
+
+
+def python_calls(step, run, env):
+    """The Python functions one call of `step` runs, itself included."""
+    calls = []
+    sys.setprofile(lambda frame, event, arg: calls.append(frame.f_code.co_name)
+                   if event == "call" else None)
+    try:
+        step(run, env)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("stmt, calls", [
+    ("x = a + 1", 2),               # the step and the operator's kernel
+    ("if a < 1:\n        x = 0", 2),
+    ("x = 0", 1),
+], ids=["assign-site", "branch-site", "assign-literal"])
+def test_python_calls_per_statement(stmt, calls):
+    """A statement whose top-level expression is a leaf choice site, or a
+    literal, runs inside its step: losing that fusion adds a call."""
+    program = meta_program(f"def f(a):\n    {stmt}\n    return a\n")
+    step = program.functions["f"].steps[0]
+    run = PlainRun(program, budget=100)
+    assert len(python_calls(step, run, {"a": 3})) == calls
+    assert run.stmts == 1
+
+
 # --- a loop back at a state it had before is a timeout ---
 
 class NoShortcut(PlainRun):
@@ -1183,7 +1346,9 @@ def test_program_function_hides_a_builtin():
     assert (outcome.status, outcome.value) == ("pass", 14)
 
 
-FRAMES_PER_CALL_LEVEL = 3  # run_fn, the call site's closure, call_fn
+FRAMES_PER_CALL_LEVEL = 3  # run_fn, the statement's step, call_fn
+# the recursive call as a return value, with two arguments, as an
+# assignment's value and as a bare expression statement
 RECURSING = """\
 def f(n):
     if n == 0:
@@ -1194,6 +1359,20 @@ def g(n, k):
     if n == 0:
         return print(k)
     return g(n - 1, k)
+
+def h(n):
+    x = 0
+    if n == 0:
+        x = print()
+    else:
+        x = h(n - 1)
+    return x
+
+def k(n):
+    if n == 0:
+        print()
+    else:
+        k(n - 1)
 """
 
 
@@ -1204,7 +1383,8 @@ def stack_depth() -> int:
     return depth
 
 
-@pytest.mark.parametrize("entry, args", [("f", []), ("g", [5])])
+@pytest.mark.parametrize("entry, args", [("f", []), ("g", [5]), ("h", []),
+                                         ("k", [])])
 def test_python_frames_per_call_level(monkeypatch, entry, args):
     """The Python stack grows by FRAMES_PER_CALL_LEVEL for each `.ml0`
     call level on PlainRun, read inside a builtin at two recursion depths.
@@ -1219,7 +1399,8 @@ def test_python_frames_per_call_level(monkeypatch, entry, args):
     assert depths[1] - depths[0] == 20 * FRAMES_PER_CALL_LEVEL
 
 
-@pytest.mark.parametrize("entry, args", [("f", []), ("g", [5])])
+@pytest.mark.parametrize("entry, args", [("f", []), ("g", [5]), ("h", []),
+                                         ("k", [])])
 def test_root_python_frames_per_call_level(monkeypatch, entry, args):
     """The taint engine's root mainline also costs FRAMES_PER_CALL_LEVEL
     Python frames per `.ml0` call level (`run_code`, `eval`,
