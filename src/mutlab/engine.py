@@ -96,9 +96,8 @@ class TestReport:
 class _MemoRun(PlainRun):
     """A diverged mutant's run that shares wrapped calls through the memo:
     a call is served from it when the mutation cache allows, and otherwise
-    runs and is stored. Every lookup may find the memo changed, so a loop
-    back at an earlier state is cut short only when no lookup happened in
-    between."""
+    runs and is stored. A hit returns what running the call would, so a
+    loop back at an earlier state is cut short as in a plain run."""
 
     def __init__(self, engine: TaintEngine, mid: int):
         super().__init__(engine.program, select=mid, budget=engine.child_budget)
@@ -115,10 +114,6 @@ class _MemoRun(PlainRun):
         self.infra.memo_stores += 1
         self.memo.store(key, self.select, rv)
         return rv
-
-    def shared_epoch(self):
-        # the memo may change at every lookup
-        return self.infra.memo_lookups
 
 
 class TaintEngine:

@@ -16,23 +16,25 @@ so the checkpoint countdown stays in the frame; a step never lands on a
 jump, it goes to the jump's target. Every pc has a step, so a forked
 mutant resumes at its branch target on its concretized environment.
 
-A statement's top-level choice site, bare `Var` or `Literal`, or call
-bound to a program function is evaluated inside its step; any other
-expression, and a site's operands other than a `Var` or `Literal`, is a
-closure `ev(run, env)` (`compile_expr`). A choice site picks the operator
-for `run.select` and adds its point id to `run.covered_points` itself, so
-a `Var`-`Literal` assignment or branch makes two Python calls: the step
-and the operator. Call sites bind their callee when the program is
-compiled (`bind_call`); a program function is called through
-`run.call_fn`, the one hook subclasses override, so a `.ml0` call level
-costs three Python frames (`run_fn`, the statement's step, `call_fn`).
-`CompiledProgram.reach` maps each function to the mutants whose choice
-sites a call of it may run, for the memo (see `memo`).
+Every binary node (a choice site, `and`/`or`, `Index`, `BinOp` or
+`Compare`) is one closure body, `_binary`, which reads `Var` and `Literal`
+operands inline; a choice site also picks its operator for `run.select`,
+adds its point id to `run.covered_points` and records its event. A
+statement whose top-level expression is binary runs as that body itself,
+so `x = a + 1`, `x = s[i]` or `if a and b:` makes two Python calls, the
+step and the operator. A top-level bare `Var`, `Literal` or call bound to
+a program function is evaluated inside its step (`_value_step`); any
+other expression is a closure `ev(run, env)` (`compile_expr`). Call sites
+bind their callee when the program is compiled (`bind_call`); a program
+function is called through `run.call_fn`, the one hook subclasses
+override, so a `.ml0` call level costs three Python frames (`run_fn`, the
+statement's step, `call_fn`). `CompiledProgram.reach` maps each function
+to the mutants whose choice sites a call of it may run, for the memo.
 
 After 8, then 9, 10, ... back edges a frame checks its state (pc, env)
-against the last checkpoint: runs are deterministic, so a bit-identical
-state repeats forever, and a budgeted run ends there as running to its
-budget would.
+against the last checkpoint: runs are deterministic, and a memo hit
+returns what the call would (see `memo`), so a bit-identical state repeats
+forever, and a budgeted run ends there as running to its budget would.
 """
 
 from __future__ import annotations
@@ -207,7 +209,7 @@ def _kernels(e: TaintChoice, program: CompiledProgram) -> dict:
 
 
 def _operand(e: Expr, program: CompiledProgram) -> tuple:
-    """How a choice site reads an operand: (name, None, None) for a `Var`,
+    """How a binary node reads an operand: (name, None, None) for a `Var`,
     (None, value, None) for a `Literal`, otherwise (None, None, its
     closure). A subclass of `Var` or `Literal` takes a closure."""
     if type(e) is Var:
@@ -233,47 +235,8 @@ def compile_expr(e: Expr, program: CompiledProgram) -> Callable:
             except KeyError:
                 raise _undefined(name, loc) from None
         return ev
-    if isinstance(e, TaintChoice):
-        fns = _kernels(e, program)
-        orig, point, lhs, rhs = fns[0], e.point_id, e.left, e.right
-        lname, lvalue, left = _operand(lhs, program)
-        rname, rvalue, right = _operand(rhs, program)
-
-        def ev(run, env):
-            if lname is not None:
-                try:
-                    a = env[lname]
-                except KeyError:
-                    raise _undefined(lname, lhs.loc) from None
-            else:
-                a = lvalue if left is None else left(run, env)
-            if rname is not None:
-                try:
-                    b = env[rname]
-                except KeyError:
-                    raise _undefined(rname, rhs.loc) from None
-            else:
-                b = rvalue if right is None else right(run, env)
-            fn = fns.get(run.select, orig)
-            run.covered_points.add(point)
-            events = run.events
-            try:
-                v = fn(a, b)
-            except MiniRuntimeError as err:
-                if events is not None:
-                    events += point, run.stmts - 1, "err", err.kind
-                err.loc = err.loc or loc
-                raise
-            if events is not None:
-                events += point, run.stmts - 1, "val", v
-            return v
-        return ev
-    if isinstance(e, (BinOp, Compare, BoolOp)):
-        return _located(OPERATORS[e.op], loc, compile_expr(e.left, program),
-                        compile_expr(e.right, program))
-    if isinstance(e, Index):
-        return _located(values.index_value, loc, compile_expr(e.base, program),
-                        compile_expr(e.index, program))
+    if isinstance(e, BINARY):
+        return _binary(e, program)
     if isinstance(e, UnaryOp):
         op, operand = e.op, compile_expr(e.operand, program)
 
@@ -372,20 +335,6 @@ def _compile_call(e: Call, args: list, program: CompiledProgram) -> Callable:
     return ev
 
 
-def _located(fn, loc: Loc, left, right):
-    """Evaluate both operands, then `fn(a, b)` with `loc` on its errors."""
-    def ev(run, env):
-        a = left(run, env)
-        b = right(run, env)
-        try:
-            return fn(a, b)
-        except MiniRuntimeError as err:
-            err.loc = err.loc or loc
-            raise
-    return ev
-
-
-
 # --- statement steps ---
 
 RETURN = -1  # a step's result when its frame returns `run.rv`
@@ -401,10 +350,11 @@ def compile_steps(code: list[Instr], program: CompiledProgram) -> list[Callable]
     """One step per instruction of `code`: `step(run, env)` counts the
     statement, checks the budget, evaluates the expression, then stores,
     branches, returns or asserts, and returns the next pc, `RETURN` or a
-    back edge's `BACK - t`. A top-level choice site, `Var`, `Literal` or
-    call bound to a program function is evaluated in the step itself, any
-    other expression through its closure. A jump's step only goes to its
-    target, and no other step returns a jump's pc."""
+    back edge's `BACK - t`. A top-level binary node is the step itself
+    (`_binary`); a `Var`, `Literal` or call bound to a program function is
+    evaluated in the step, any other expression through its closure
+    (`_value_step`). A jump's step only goes to its target, and no other
+    step returns a jump's pc."""
     # dest[pc]: the result that moves control to pc (a jump's target lies
     # ahead, a back edge's behind)
     dest = list(range(len(code)))
@@ -420,83 +370,103 @@ def compile_steps(code: list[Instr], program: CompiledProgram) -> list[Callable]
             steps.append(_constant(dest[pc]))
         elif not instr.counted:
             steps.append(_return_none)
-        elif kind is IBranch:
-            make = _site_step if type(instr.cond) is TaintChoice else _value_step
-            steps.append(make(instr.cond, kind, None, dest[instr.true_pc],
-                              dest[instr.false_pc], instr.loc, program))
         else:
-            make = _site_step if type(instr.expr) is TaintChoice else _value_step
-            steps.append(make(instr.expr, kind, getattr(instr, "name", None),
-                              dest[pc + 1], None, instr.loc, program))
+            e, nxt, alt = ((instr.cond, dest[instr.true_pc], dest[instr.false_pc])
+                           if kind is IBranch else (instr.expr, dest[pc + 1], None))
+            make = _binary if isinstance(e, BINARY) else _value_step
+            steps.append(make(e, program, kind, getattr(instr, "name", None),
+                              nxt, alt, instr.loc))
     return steps
 
 
-# A Python call copies every name a closure holds, and making a closure
-# makes a cell for each, so each kind of step holds only what it reads.
-# `nxt` is where control goes after the statement, or on a true condition;
-# `alt` where a false condition goes.
+# A Python call copies every name a closure holds, so a closure holds only
+# what it reads. A step's `nxt` is where control goes after the statement,
+# or on a true condition, `alt` where a false one goes; `loc` is its own.
 
-def _site_step(e: TaintChoice, kind: type, name: str | None, nxt: int,
-               alt: int | None, loc: Loc, program: CompiledProgram) -> Callable:
-    """A step whose top-level expression is the choice site `e`."""
-    fns = _kernels(e, program)
-    orig, point = fns[0], e.point_id
-    lname, lvalue, left = _operand(e.left, program)
-    rname, rvalue, right = _operand(e.right, program)
+BINARY = (TaintChoice, BinOp, Compare, BoolOp, Index)
 
-    def step(run, env):
-        n = run.stmts + 1
-        run.stmts = n
-        if n > run.limit:
-            raise StepBudgetExceeded()
+
+def _binary(e: Expr, program: CompiledProgram, kind: type | None = None,
+            name: str | None = None, nxt: int | None = None,
+            alt: int | None = None, loc: Loc | None = None) -> Callable:
+    """The closure of the binary node `e`: a choice site, `and`/`or`, an
+    `Index`, or a `BinOp`/`Compare` of a plain AST. It reads a `Var` or
+    `Literal` operand inline (`_operand`) and applies the operator with
+    `e.loc` on its errors; only a choice site selects a kernel, covers its
+    point and records its event. With no `kind` it is the expression's
+    closure `ev(run, env)`, with one the step of a statement of that kind
+    whose top-level expression is `e`."""
+    fns = point = None
+    if isinstance(e, TaintChoice):
+        fns = _kernels(e, program)
+        op, point = fns[0], e.point_id
+    else:
+        op = values.index_value if isinstance(e, Index) else OPERATORS[e.op]
+    lhs, rhs = (e.base, e.index) if isinstance(e, Index) else (e.left, e.right)
+    lname, lvalue, left = _operand(lhs, program)
+    rname, rvalue, right = _operand(rhs, program)
+    at = e.loc, lhs.loc, rhs.loc, loc  # read on errors only: one cell, not 4
+
+    def ev(run, env):
+        if kind is not None:
+            n = run.stmts + 1
+            run.stmts = n
+            if n > run.limit:
+                raise StepBudgetExceeded()
         if lname is not None:
             try:
                 a = env[lname]
             except KeyError:
-                raise _undefined(lname, e.left.loc) from None
+                raise _undefined(lname, at[1]) from None
         else:
             a = lvalue if left is None else left(run, env)
         if rname is not None:
             try:
                 b = env[rname]
             except KeyError:
-                raise _undefined(rname, e.right.loc) from None
+                raise _undefined(rname, at[2]) from None
         else:
             b = rvalue if right is None else right(run, env)
-        fn = fns.get(run.select, orig)
-        run.covered_points.add(point)
-        events = run.events
+        if fns is None:
+            fn, events = op, None
+        else:
+            fn = fns.get(run.select, op)
+            run.covered_points.add(point)
+            events = run.events
         try:
             v = fn(a, b)
         except MiniRuntimeError as err:
             if events is not None:
                 events += point, run.stmts - 1, "err", err.kind
-            err.loc = err.loc or e.loc
+            err.loc = err.loc or at[0]
             raise
         if events is not None:
             events += point, run.stmts - 1, "val", v
         if name is not None:
             env[name] = v
             return nxt
+        if kind is None:
+            return v
         if kind is IBranch:
             if v is True:
                 return nxt
             if v is False:
                 return alt
-            values.require_bool(v, "condition")
+            values.require_bool(v, "condition", at[3])
         if kind is IReturn:
             run.rv = v
             return RETURN
         if kind is IAssert and v is not True:
-            values.require_bool(v, "assert expression")
-            raise MiniAssertionError(loc)
+            values.require_bool(v, "assert expression", at[3])
+            raise MiniAssertionError(at[3])
         return nxt
-    return step
+    return ev
 
 
-def _value_step(e: Expr | None, kind: type, name: str | None, nxt: int,
-                alt: int | None, loc: Loc, program: CompiledProgram) -> Callable:
-    """A step whose top-level expression is not a choice site: a `Var`, a
+def _value_step(e: Expr | None, program: CompiledProgram, kind: type,
+                name: str | None, nxt: int, alt: int | None,
+                loc: Loc) -> Callable:
+    """A step whose top-level expression is not a binary node: a `Var`, a
     `Literal` (or none), a call bound to a program function, or any other
     expression through its closure."""
     vname = callee = ev = value = None
@@ -542,12 +512,12 @@ def _value_step(e: Expr | None, kind: type, name: str | None, nxt: int,
                 return nxt
             if v is False:
                 return alt
-            values.require_bool(v, "condition")
+            values.require_bool(v, "condition", loc)
         if kind is IReturn:
             run.rv = v
             return RETURN
         if kind is IAssert and v is not True:
-            values.require_bool(v, "assert expression")
+            values.require_bool(v, "assert expression", loc)
             raise MiniAssertionError(loc)
         return nxt
     return step
@@ -580,7 +550,7 @@ class PlainRun:
     append to `events` when it is a list, and leave a returned value in
     `rv`. `run_fn` itself counts the frame's back edges and calls
     `at_checkpoint` on schedule. Subclasses override `call_fn`, through
-    which every call of a program function goes, and `shared_epoch`."""
+    which every call of a program function goes, and nothing else."""
 
     def __init__(self, program: CompiledProgram, select: int = 0,
                  budget: int | None = None, record_events: bool = False):
@@ -607,11 +577,6 @@ class PlainRun:
         """A call of a program function with arity-checked args."""
         return self.run_fn(fn, dict(zip(fn.params, args)))
 
-    def shared_epoch(self):
-        """Changes whenever state a call may read beyond its arguments may
-        have changed; a plain run has none."""
-        return 0
-
     def run_fn(self, fn: CompiledFn, env: dict, pc: int = 0):
         steps = fn.steps
         edges, checkpoint = FIRST_GAP, None
@@ -628,24 +593,23 @@ class PlainRun:
     def at_checkpoint(self, pc: int, env: dict, last):
         """A frame is at a loop head, `gap` back edges after its `last`
         checkpoint (None before the first). A budgeted run whose state
-        (pc, env) is bit-identical to the checkpoint's, with the same shared
-        epoch, repeats forever and ends here (`run_to_budget`). Returns the
-        new checkpoint and the back edges to the next, one more than before.
-        A run without a budget never ends early, so it keeps no checkpoint."""
+        (pc, env) is bit-identical to the checkpoint's repeats forever and
+        ends here (`run_to_budget`). Returns the new checkpoint and the back
+        edges to the next, one more than before. A run without a budget
+        never ends early, so it keeps no checkpoint."""
         if self.budget is None:
             return None, FIRST_GAP
-        epoch = self.shared_epoch()
         if last is None:
             gap = FIRST_GAP
         else:
-            at, env0, stmts0, mark, epoch0, gap = last
+            at, env0, stmts0, mark, gap = last
             # == rules out most states fast; plain_eq checks type and bits
-            if (at == pc and env0 == env and epoch0 == epoch
+            if (at == pc and env0 == env
                     and all(plain_eq(v, env[k]) for k, v in env0.items())):
                 self.run_to_budget(stmts0, mark)
             gap += 1
         mark = 0 if self.events is None else len(self.events)
-        return (pc, dict(env), self.stmts, mark, epoch, gap), gap
+        return (pc, dict(env), self.stmts, mark, gap), gap
 
     def run_to_budget(self, stmts0: int, mark: int):
         """The run repeats every `self.stmts - stmts0` statements from here

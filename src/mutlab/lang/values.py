@@ -275,9 +275,10 @@ OPERATORS.update({op: _compare(op, fn) for op, fn in zip(
                   operator.gt, operator.ge))})
 
 
-def require_bool(v, what: str):
+def require_bool(v, what: str, loc=None):
     if not isinstance(v, bool):
-        raise MiniRuntimeError("type", f"{what} must be a bool, got {type_name(v)}")
+        raise MiniRuntimeError("type", f"{what} must be a bool, got {type_name(v)}",
+                               loc)
     return v
 
 

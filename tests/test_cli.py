@@ -247,6 +247,17 @@ INVALID_TESTS = {
     "int of nan": (
         'def test_a():\n    y = float("1e999")\n    x = int(y - y)\n'
         "    assert x > 0\n", "error value at 3:9"),
+    # a condition's or an assert's type error is at its own statement, not
+    # at the call that reached it
+    "condition in a callee": (
+        "def h(a):\n    if a:\n        return 1\n    return 0\n\n"
+        "def test_a():\n    x = 1\n    y = h(x)\n    assert y == 1\n",
+        "error type at 2:5"),
+    "condition in the test": (
+        "def test_a():\n    x = 1\n    if x:\n        x = 2\n"
+        "    assert x == 2\n", "error type at 3:5"),
+    "assert of an int": (
+        "def test_a():\n    x = 1\n    assert x\n", "error type at 3:5"),
 }
 
 

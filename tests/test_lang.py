@@ -14,7 +14,7 @@ from mutlab.cli import CORPUS_DIR
 from mutlab.engine import HARD_BUDGET, EngineConfig, run_test
 from mutlab.fuzz import fuzz_program
 from mutlab.lang import (
-    Ast, Call, Index, ListLit, Literal, Loc, MiniRuntimeError,
+    Ast, BoolOp, Call, Index, ListLit, Literal, Loc, MiniRuntimeError,
     MiniSyntaxError, PlainRun, TaintChoice, UnaryOp, Var, compile_program,
     eval_plain, interp, parse_program, run_entry,
 )
@@ -744,7 +744,19 @@ def run_site(site, select, env):
     return repr((result, run.covered_points, run.events))
 
 
-@given(st.sampled_from(SITE_OPS), st.integers(0, len(SITE_OPS) + 1),
+def binary_node(op, left, right):
+    """A choice site of `op` (its variants every site operator), or the
+    `and`/`or` or `[]` node of a plain AST."""
+    if op in ("and", "or"):
+        return BoolOp(Loc(2, 7), op, left, right)
+    if op == "[]":
+        return Index(Loc(2, 7), left, right)
+    variants = {0: op, **{mid: o for mid, o in enumerate(SITE_OPS, 1)}}
+    return TaintChoice(Loc(2, 7), 5, variants, left, right)
+
+
+@given(st.sampled_from([*SITE_OPS, "and", "or", "[]"]),
+       st.integers(0, len(SITE_OPS) + 1),
        st.one_of(SITE_VALUES, st.just(UNBOUND)),
        st.one_of(SITE_VALUES, st.just(UNBOUND)), st.booleans())
 @example("/", 0, 1, 0, True)
@@ -752,19 +764,22 @@ def run_site(site, select, env):
 @example("<", 0, 1, UNBOUND, False)
 @example("<<", 4, 1, 64, True)
 @example("==", 0, math.nan, math.nan, False)
+@example("and", 0, True, False, False)
+@example("or", 0, 1, True, True)
+@example("[]", 0, "ab", 1, True)
+@example("[]", 0, "ab", 2, False)
 def test_inline_site_operands_match_generic_path(op, select, a, b, literal):
-    """A Var-Literal (`literal`) or Var-Var site against the same site with
-    operands of subclasses, which take the generic path of leaf closures."""
-    variants = {0: op, **{mid: o for mid, o in enumerate(SITE_OPS, 1)}}
+    """A Var-Literal (`literal`) or Var-Var choice site, `and`/`or` or
+    `Index` against the same node with operands of subclasses, which take
+    the generic path of leaf closures."""
     env = {k: v for k, v in (("a", a), ("b", b)) if v is not UNBOUND}
     if literal:
         b = 0 if b is UNBOUND else b
         right, opaque_right = Literal(Loc(2, 9), b), OpaqueLiteral(Loc(2, 9), b)
     else:
         right, opaque_right = Var(Loc(2, 9), "b"), OpaqueVar(Loc(2, 9), "b")
-    inline = TaintChoice(Loc(2, 7), 5, variants, Var(Loc(2, 5), "a"), right)
-    generic = TaintChoice(Loc(2, 7), 5, variants, OpaqueVar(Loc(2, 5), "a"),
-                          opaque_right)
+    inline = binary_node(op, Var(Loc(2, 5), "a"), right)
+    generic = binary_node(op, OpaqueVar(Loc(2, 5), "a"), opaque_right)
     assert run_site(inline, select, env) == run_site(generic, select, env)
 
 
@@ -801,7 +816,7 @@ def step_operands():
                   st.sampled_from(["f1", "f4"]), leaf))
 
 
-# a condition error has no location until a call site adds its own
+# a condition error carries the `if`'s own location, not the call site's
 F4 = """
 def f4(a):
     if a:
@@ -815,30 +830,64 @@ STEP_EXPRS = st.one_of(
     step_operands(),
     st.builds(lambda a, b: Call(Loc(3, 7), "f2", [a, b]),
               step_operands(), step_operands()),
+    st.builds(lambda a, b: Index(Loc(3, 8), a, b),
+              step_operands(), step_operands()),
+    st.builds(lambda op, a, b: BoolOp(Loc(3, 8), op, a, b),
+              st.sampled_from(["and", "or"]), step_operands(), step_operands()),
     st.just(None))
+
+
+def reference_eval(e, program, run, env):
+    """A choice site, `Index` or `and`/`or` evaluated here: its operands,
+    then the operator (a site's for the run's variant) with the node's
+    location on its error; a site also covers its point and records its
+    event. Any other expression runs its compiled closure."""
+    if type(e) in (Index, BoolOp):
+        a = reference_eval(e.base if type(e) is Index else e.left,
+                           program, run, env)
+        b = reference_eval(e.index if type(e) is Index else e.right,
+                           program, run, env)
+        try:
+            return (values.index_value if type(e) is Index
+                    else OPERATORS[e.op])(a, b)
+        except MiniRuntimeError as err:
+            err.loc = err.loc or e.loc
+            raise
+    if type(e) is not TaintChoice:
+        return interp.compile_expr(e, program)(run, env)
+    a = reference_eval(e.left, program, run, env)
+    b = reference_eval(e.right, program, run, env)
+    run.covered_points.add(e.point_id)
+    try:
+        v = OPERATORS[e.variants.get(run.select, e.variants[0])](a, b)
+    except MiniRuntimeError as err:
+        run.events += e.point_id, run.stmts - 1, "err", err.kind
+        err.loc = err.loc or e.loc
+        raise
+    run.events += e.point_id, run.stmts - 1, "val", v
+    return v
 
 
 def reference_step(instr, program):
     """The reference for a compiled step: count, check the budget,
-    evaluate the expression's closure, then store, branch, return or
-    assert."""
+    evaluate the expression, then store, branch, return or assert, with
+    the statement's location on a condition's or an assert's type error."""
     e = instr.cond if type(instr) is interp.IBranch else instr.expr
-    ev = (lambda run, env: None) if e is None else interp.compile_expr(e, program)
 
     def step(run, env):
         run.stmts += 1
         if run.stmts > run.budget:
             raise interp.StepBudgetExceeded()
-        v = ev(run, env)
+        v = None if e is None else reference_eval(e, program, run, env)
         if type(instr) is interp.IAssign:
             env[instr.name] = v
         elif type(instr) is interp.IBranch:
-            return instr.true_pc if values.require_bool(v, "condition") \
-                else instr.false_pc
+            return instr.true_pc if values.require_bool(
+                v, "condition", instr.loc) else instr.false_pc
         elif type(instr) is interp.IReturn:
             return "return", v
         elif type(instr) is interp.IAssert and not values.require_bool(
-                v, "assert expression"):
+                v, "assert expression", instr.loc):
             raise interp.MiniAssertionError(instr.loc)
         return 1
     return step
@@ -879,10 +928,19 @@ def run_step(step, program, select, budget, env):
 @example("assign", Call(Loc(3, 7), "f4", [Literal(Loc(3, 9), 2)]), 0, 1, 500)
 @example("return", Call(Loc(3, 7), "f2", [Literal(Loc(3, 9), 2),
                                           Var(Loc(3, 9), "a")]), 12, 3, 8)
+@example("branch", BoolOp(Loc(3, 8), "and", Var(Loc(3, 9), "a"),
+                          Literal(Loc(3, 9), True)), 0, 1, 500)
+@example("branch", TaintChoice(Loc(3, 11), 5, SITE_VARIANTS, Var(Loc(3, 9), "a"),
+                               Literal(Loc(3, 9), 1)), 0, 2, 500)
+@example("assert", Index(Loc(3, 8), Var(Loc(3, 9), "a"), Literal(Loc(3, 9), 0)),
+         0, "ab", 500)
+@example("assign", Index(Loc(3, 8), Var(Loc(3, 9), "a"), Var(Loc(3, 9), "b")),
+         0, "abc", 500)
 @settings(max_examples=300, deadline=None)
 def test_steps_match_reference(kind, e, select, a, budget):
     """The compiled step of each statement kind against a reference step
-    over the expression's closure. `b` is bound to 2, `u` never; a budget
+    that evaluates choice sites, `Index` and `and`/`or` itself
+    (`reference_eval`). `b` is bound to 2, `u` never; a budget
     of 7 ends before the statement, 8 exactly on it, so a call in it runs
     out of budget."""
     program = meta_program(CALLEES + F4)
@@ -916,18 +974,22 @@ def python_calls(step, run, env):
     return calls
 
 
-@pytest.mark.parametrize("stmt, calls", [
-    ("x = a + 1", 2),               # the step and the operator's kernel
-    ("if a < 1:\n        x = 0", 2),
-    ("x = 0", 1),
-], ids=["assign-site", "branch-site", "assign-literal"])
-def test_python_calls_per_statement(stmt, calls):
-    """A statement whose top-level expression is a leaf choice site, or a
-    literal, runs inside its step: losing that fusion adds a call."""
+@pytest.mark.parametrize("stmt, env, calls", [
+    ("x = a + 1", {"a": 3}, 2),     # the step and the operator's kernel
+    ("if a < 1:\n        x = 0", {"a": 3}, 2),
+    ("x = 0", {"a": 3}, 1),
+    ("x = s[i]", {"s": (4, 5), "i": 1}, 2),  # the step and `index_value`
+    ("if a and b:\n        x = 0", {"a": True, "b": False}, 2),
+], ids=["assign-site", "branch-site", "assign-literal", "assign-index",
+        "branch-and"])
+def test_python_calls_per_statement(stmt, env, calls):
+    """A statement whose top-level expression is a binary node with leaf
+    operands, or a literal, runs inside its step: losing that fusion adds
+    a call."""
     program = meta_program(f"def f(a):\n    {stmt}\n    return a\n")
     step = program.functions["f"].steps[0]
     run = PlainRun(program, budget=100)
-    assert len(python_calls(step, run, {"a": 3})) == calls
+    assert len(python_calls(step, run, env)) == calls
     assert run.stmts == 1
 
 
