@@ -371,8 +371,10 @@ def compile_steps(code: list[Instr], program: CompiledProgram) -> list[Callable]
         elif not instr.counted:
             steps.append(_return_none)
         else:
-            e, nxt, alt = ((instr.cond, dest[instr.true_pc], dest[instr.false_pc])
-                           if kind is IBranch else (instr.expr, dest[pc + 1], None))
+            if kind is IBranch:
+                e, nxt, alt = instr.cond, dest[instr.true_pc], dest[instr.false_pc]
+            else:
+                e, nxt, alt = instr.expr, dest[pc + 1], None
             make = _binary if isinstance(e, BINARY) else _value_step
             steps.append(make(e, program, kind, getattr(instr, "name", None),
                               nxt, alt, instr.loc))

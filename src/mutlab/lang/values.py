@@ -277,8 +277,8 @@ OPERATORS.update({op: _compare(op, fn) for op, fn in zip(
 
 def require_bool(v, what: str, loc=None):
     if not isinstance(v, bool):
-        raise MiniRuntimeError("type", f"{what} must be a bool, got {type_name(v)}",
-                               loc)
+        raise MiniRuntimeError(
+            "type", f"{what} must be a bool, got {type_name(v)}", loc)
     return v
 
 

@@ -19,10 +19,11 @@ That is exact for the mutants it lets share: `.ml0` is deterministic, and
 a mutant outside reach(f) runs the original's code in every call of f, so
 it computes the original's f(K), the value every entry for f(K) holds.
 So a hit returns what running the call would, and a memo run's loop state
-(pc, env) alone decides its future, as in a plain run. This departs from the paper's mutation cache, which is filled while the
-program runs with the mutants whose mutation did run inside a call. It is
-more conservative: a mutant whose site could run in f is refused every
-key of f, also keys whose call never reaches that site. On 150 generated
+(pc, env) alone decides its future, as in a plain run. This departs from
+the paper's mutation cache, which is filled while the program runs with
+the mutants whose mutation did run inside a call. It is more
+conservative: a mutant whose site could run in f is refused every key of
+f, also keys whose call never reaches that site. On 150 generated
 mutually recursive programs that refused 2.5% of the hits the dynamic
 cache took.
 """

@@ -833,7 +833,8 @@ STEP_EXPRS = st.one_of(
     st.builds(lambda a, b: Index(Loc(3, 8), a, b),
               step_operands(), step_operands()),
     st.builds(lambda op, a, b: BoolOp(Loc(3, 8), op, a, b),
-              st.sampled_from(["and", "or"]), step_operands(), step_operands()),
+              st.sampled_from(["and", "or"]), step_operands(),
+              step_operands()),
     st.just(None))
 
 
@@ -930,10 +931,11 @@ def run_step(step, program, select, budget, env):
                                           Var(Loc(3, 9), "a")]), 12, 3, 8)
 @example("branch", BoolOp(Loc(3, 8), "and", Var(Loc(3, 9), "a"),
                           Literal(Loc(3, 9), True)), 0, 1, 500)
-@example("branch", TaintChoice(Loc(3, 11), 5, SITE_VARIANTS, Var(Loc(3, 9), "a"),
-                               Literal(Loc(3, 9), 1)), 0, 2, 500)
-@example("assert", Index(Loc(3, 8), Var(Loc(3, 9), "a"), Literal(Loc(3, 9), 0)),
-         0, "ab", 500)
+@example("branch", TaintChoice(Loc(3, 11), 5, SITE_VARIANTS,
+                               Var(Loc(3, 9), "a"), Literal(Loc(3, 9), 1)),
+         0, 2, 500)
+@example("assert", Index(Loc(3, 8), Var(Loc(3, 9), "a"),
+                         Literal(Loc(3, 9), 0)), 0, "ab", 500)
 @example("assign", Index(Loc(3, 8), Var(Loc(3, 9), "a"), Var(Loc(3, 9), "b")),
          0, "abc", 500)
 @settings(max_examples=300, deadline=None)
