@@ -95,22 +95,26 @@ class TestReport:
 
 class _MemoRun(PlainRun):
     """A diverged mutant's run that shares wrapped calls through the memo:
-    a call is served from it when the mutation cache allows, and otherwise
-    runs and is stored. A hit returns what running the call would, so a
-    loop back at an earlier state is cut short as in a plain run."""
+    `run_fn`, which every call enters, serves a call from it when the
+    mutation cache allows, and otherwise runs the call and stores it, so a
+    call level costs three Python frames. A hit returns what running the
+    call would, so a loop back at an earlier state is cut short as in a
+    plain run."""
 
     def __init__(self, engine: TaintEngine, mid: int):
         super().__init__(engine.program, select=mid, budget=engine.child_budget)
         self.memo = engine.memo
         self.infra = engine.infra
 
-    def call_fn(self, fn: CompiledFn, args: list):
-        key = make_call_key(fn.name, args)
+    def run_fn(self, fn: CompiledFn, env: dict):
+        # a call's env is new and in parameter order (the parser rejects
+        # duplicate parameters), so its values are the call's arguments
+        key = make_call_key(fn.name, env.values())
         self.infra.memo_lookups += 1
         hit, cached = self.memo.lookup(key, self.select)
         if hit:
             return cached
-        rv = self.run_fn(fn, dict(zip(fn.params, args)))
+        rv = PlainRun.run_fn(self, fn, env)
         self.infra.memo_stores += 1
         self.memo.store(key, self.select, rv)
         return rv
@@ -161,12 +165,14 @@ class TaintEngine:
 
     def _merge_back(self, frame: _Frame, rv):
         """Run this frame's diverged mutants alone, in mutant order, and
-        merge each return value onto the mainline return value's taint map."""
+        merge each return value onto the mainline return value's taint map.
+        Each starts in `PlainRun.run_fn`, so a memo run's hook serves the
+        calls it makes, never the frame it diverged in."""
         for mid, env, pc in sorted(frame.diverged, key=lambda d: d[0]):
             run = (_MemoRun(self, mid) if self.cfg.memo else
                    PlainRun(self.program, select=mid, budget=self.child_budget))
             try:
-                value = run.run_fn(frame.fn, env, pc)
+                value = PlainRun.run_fn(run, frame.fn, env, pc)
             except MiniAssertionError:
                 self.kill(mid, "assertion")
             except MiniRuntimeError as err:

@@ -18,18 +18,23 @@ mutant resumes at its branch target on its concretized environment.
 
 Every binary node (a choice site, `and`/`or`, `Index`, `BinOp` or
 `Compare`) is one closure body, `_binary`, which reads `Var` and `Literal`
-operands inline; a choice site also picks its operator for `run.select`,
-adds its point id to `run.covered_points` and records its event. A
-statement whose top-level expression is binary runs as that body itself,
-so `x = a + 1`, `x = s[i]` or `if a and b:` makes two Python calls, the
-step and the operator. A top-level bare `Var`, `Literal` or call bound to
-a program function is evaluated inside its step (`_value_step`); any
-other expression is a closure `ev(run, env)` (`compile_expr`). Call sites
-bind their callee when the program is compiled (`bind_call`); a program
-function is called through `run.call_fn`, the one hook subclasses
-override, so a `.ml0` call level costs three Python frames (`run_fn`, the
-statement's step, `call_fn`). `CompiledProgram.reach` maps each function
-to the mutants whose choice sites a call of it may run, for the memo.
+operands inline; a choice site also picks its operator and records its
+event. A run resolves its mutant once: `CompiledProgram.mutants` gives
+the selected mutant's (point id, kernel), so a site compares `run.point`
+with its own point and makes no lookup. A statement whose top-level
+expression is binary runs as that body itself, so `x = a + 1`, `x = s[i]`
+or `if a and b:` makes two Python calls, the step and the operator. A
+top-level bare `Var`, `Literal` or call bound to a program function is
+evaluated inside its step (`_value_step`); any other expression is a
+closure `ev(run, env)` (`compile_expr`). Call sites bind their callee when
+the program is compiled (`bind_call`), build the callee's environment in
+place and call `run.run_fn`, the one hook subclasses override, so a `.ml0`
+call level costs two Python frames (`run_fn` and the statement's step).
+`CompiledProgram.reach` maps each function to the mutants whose choice
+sites a call of it may run, for the memo.
+
+A run's coverage is the point slots of its site events (`run_entry`):
+every site execution records exactly one event.
 
 After 8, then 9, 10, ... back edges a frame checks its state (pc, env)
 against the last checkpoint: runs are deterministic, and a memo hit
@@ -119,6 +124,9 @@ class CompiledProgram:
     # function name -> reach(f): the non-original mutant ids of the choice
     # sites in f and in every function a call in f binds to, transitively
     reach: dict[str, frozenset] = field(default_factory=dict)
+    # mutant id -> (point id, kernel): the choice site of each non-original
+    # variant and its operator function
+    mutants: dict[int, tuple] = field(default_factory=dict)
     # while a function compiles: the variant ids of its choice sites and
     # the names of the program functions its call sites bind to
     found: tuple[set, set] = field(default_factory=lambda: (set(), set()),
@@ -201,11 +209,15 @@ def _undefined(name: str, loc: Loc) -> MiniRuntimeError:
     return MiniRuntimeError("name", f"undefined variable {name!r}", loc)
 
 
-def _kernels(e: TaintChoice, program: CompiledProgram) -> dict:
-    """Mutant id -> the operator function of each variant of the site, whose
-    variants `program.found` records."""
+def _kernels(e: TaintChoice, program: CompiledProgram) -> Callable:
+    """The operator function of the site's original. `program.found` records
+    the site's variants and `program.mutants` each mutant's (point id,
+    operator function)."""
     program.found[0].update(e.variants)
-    return dict(zip(e.variants, map(OPERATORS.__getitem__, e.variants.values())))
+    for mid, token in e.variants.items():
+        if mid:
+            program.mutants[mid] = e.point_id, OPERATORS[token]
+    return OPERATORS[e.variants[0]]
 
 
 def _operand(e: Expr, program: CompiledProgram) -> tuple:
@@ -277,34 +289,37 @@ def bind_call(functions: dict, name: str, nargs: int):
 
 def _compile_call(e: Call, args: list, program: CompiledProgram) -> Callable:
     """A call site bound to its callee when the program is compiled. It
-    evaluates the arguments, then calls `run.call_fn` for a program function
-    (the hook of a memo run) or the builtin's function, or raises the
-    illegal call's error, with `e.loc` on errors that have no location yet.
-    Most calls pass one argument, or two to a program function: those sites
-    read them without a list comprehension."""
+    evaluates the arguments, then calls `run.run_fn` on the callee's new
+    environment for a program function (the hook of a memo run) or the
+    builtin's function, or raises the illegal call's error, with `e.loc` on
+    errors that have no location yet. Most calls pass one argument, or two
+    to a program function: those sites read them without a list
+    comprehension."""
     loc, callee = e.loc, bind_call(program.functions, e.name, len(args))
     kind = type(callee)
     if kind is CompiledFn:
         program.found[1].add(callee.name)
     if kind is CompiledFn and len(args) == 1:
         arg, = args
+        param, = callee.params
 
         def ev(run, env):
             v = arg(run, env)
             try:
-                return run.call_fn(callee, [v])
+                return run.run_fn(callee, {param: v})
             except MiniRuntimeError as err:
                 err.loc = err.loc or loc
                 raise
         return ev
     if kind is CompiledFn and len(args) == 2:
         arg1, arg2 = args
+        param1, param2 = callee.params
 
         def ev(run, env):
             v1 = arg1(run, env)
             v2 = arg2(run, env)
             try:
-                return run.call_fn(callee, [v1, v2])
+                return run.run_fn(callee, {param1: v1, param2: v2})
             except MiniRuntimeError as err:
                 err.loc = err.loc or loc
                 raise
@@ -325,7 +340,7 @@ def _compile_call(e: Call, args: list, program: CompiledProgram) -> Callable:
         vals = [a(run, env) for a in args]
         try:
             if kind is CompiledFn:
-                return run.call_fn(callee, vals)
+                return run.run_fn(callee, dict(zip(callee.params, vals)))
             if kind is tuple:
                 raise MiniRuntimeError(*callee)
             return callee(*vals)
@@ -394,14 +409,13 @@ def _binary(e: Expr, program: CompiledProgram, kind: type | None = None,
     """The closure of the binary node `e`: a choice site, `and`/`or`, an
     `Index`, or a `BinOp`/`Compare` of a plain AST. It reads a `Var` or
     `Literal` operand inline (`_operand`) and applies the operator with
-    `e.loc` on its errors; only a choice site selects a kernel, covers its
-    point and records its event. With no `kind` it is the expression's
-    closure `ev(run, env)`, with one the step of a statement of that kind
-    whose top-level expression is `e`."""
-    fns = point = None
+    `e.loc` on its errors; only a choice site selects a kernel (the run's
+    own at the run's point) and records its event. With no `kind` it is
+    the expression's closure `ev(run, env)`, with one the step of a
+    statement of that kind whose top-level expression is `e`."""
+    point = None
     if isinstance(e, TaintChoice):
-        fns = _kernels(e, program)
-        op, point = fns[0], e.point_id
+        op, point = _kernels(e, program), e.point_id
     else:
         op = values.index_value if isinstance(e, Index) else OPERATORS[e.op]
     lhs, rhs = (e.base, e.index) if isinstance(e, Index) else (e.left, e.right)
@@ -429,11 +443,10 @@ def _binary(e: Expr, program: CompiledProgram, kind: type | None = None,
                 raise _undefined(rname, at[2]) from None
         else:
             b = rvalue if right is None else right(run, env)
-        if fns is None:
+        if point is None:
             fn, events = op, None
         else:
-            fn = fns.get(run.select, op)
-            run.covered_points.add(point)
+            fn = run.kernel if run.point == point else op
             events = run.events
         try:
             v = fn(a, b)
@@ -479,7 +492,8 @@ def _value_step(e: Expr | None, program: CompiledProgram, kind: type,
     elif type(e) is Call and type(callee := bind_call(
             program.functions, e.name, len(e.args))) is CompiledFn:
         program.found[1].add(callee.name)
-        args = [compile_expr(a, program) for a in e.args]
+        args = [(p, compile_expr(a, program))
+                for p, a in zip(callee.params, e.args)]
     elif e is not None:
         callee, ev = None, compile_expr(e, program)
 
@@ -494,11 +508,11 @@ def _value_step(e: Expr | None, program: CompiledProgram, kind: type,
             except KeyError:
                 raise _undefined(vname, e.loc) from None
         elif callee is not None:
-            vals = []
-            for a in args:
-                vals.append(a(run, env))
+            new = {}
+            for p, a in args:
+                new[p] = a(run, env)
             try:
-                v = run.call_fn(callee, vals)
+                v = run.run_fn(callee, new)
             except MiniRuntimeError as err:
                 err.loc = err.loc or e.loc
                 raise
@@ -534,6 +548,8 @@ class Outcome:
     kind: str | None      # runtime-error kind when status == 'error'
     loc: Loc | None
     stmts: int
+    # the point slots of `events`: a run that records no events reports
+    # no coverage
     covered_points: set[int]
     events: list          # per site event: point_id, stmts_before, kind, value
     value: object = None
@@ -543,25 +559,27 @@ FIRST_GAP = 8  # back edges of a frame before its first loop checkpoint
 
 
 class PlainRun:
-    """Executes one variant: at every TaintChoice the operator for
-    `select` is applied when present, otherwise the original.
+    """Executes one variant: the choice site of mutant `select` applies its
+    operator (`kernel` at `point`, both None for the original), every
+    other site the original's.
 
     A frame is `run_fn` running its function's steps from any pc. The steps
     keep the run's state: they count `stmts` (a statement past `limit`,
-    the budget, raises `StepBudgetExceeded`), add to `covered_points`,
-    append to `events` when it is a list, and leave a returned value in
-    `rv`. `run_fn` itself counts the frame's back edges and calls
-    `at_checkpoint` on schedule. Subclasses override `call_fn`, through
-    which every call of a program function goes, and nothing else."""
+    the budget, raises `StepBudgetExceeded`), append to `events` when it
+    is a list, and leave a returned value in `rv`. `run_fn` itself counts
+    the frame's back edges and calls `at_checkpoint` on schedule. Every
+    call of a program function enters `run_fn` with the callee's new
+    environment; subclasses override `run_fn` as a call hook, and nothing
+    else."""
 
     def __init__(self, program: CompiledProgram, select: int = 0,
                  budget: int | None = None, record_events: bool = False):
         self.program = program
         self.select = select
+        self.point, self.kernel = program.mutants.get(select, (None, None))
         self.budget = budget
         self.limit = math.inf if budget is None else budget
         self.stmts = 0
-        self.covered_points: set[int] = set()
         self.events: list | None = [] if record_events else None
         self.rv = None
 
@@ -570,14 +588,10 @@ class PlainRun:
         site binds its callee once instead (`bind_call`)."""
         callee = bind_call(self.program.functions, name, len(args))
         if isinstance(callee, CompiledFn):
-            return self.call_fn(callee, args)
+            return self.run_fn(callee, dict(zip(callee.params, args)))
         if isinstance(callee, tuple):
             raise MiniRuntimeError(*callee)
         return callee(*args)
-
-    def call_fn(self, fn: CompiledFn, args: list):
-        """A call of a program function with arity-checked args."""
-        return self.run_fn(fn, dict(zip(fn.params, args)))
 
     def run_fn(self, fn: CompiledFn, env: dict, pc: int = 0):
         steps = fn.steps
@@ -635,16 +649,19 @@ def run_entry(program: CompiledProgram, entry: str, args: list,
               record_events: bool = False) -> Outcome:
     """Run one entry function to an Outcome, catching mini-language errors."""
     run = PlainRun(program, select=select, budget=budget, record_events=record_events)
-    events = run.events if record_events else []
+    value = kind = loc = None
     try:
         value = run.call(entry, args)
-        return Outcome("pass", None, None, run.stmts, run.covered_points, events, value)
+        status = "pass"
     except MiniAssertionError as err:
-        return Outcome("assert", None, err.loc, run.stmts, run.covered_points, events)
+        status, loc = "assert", err.loc
     except MiniRuntimeError as err:
-        return Outcome("error", err.kind, err.loc, run.stmts, run.covered_points, events)
+        status, kind, loc = "error", err.kind, err.loc
     except StepBudgetExceeded:
-        return Outcome("timeout", None, None, run.stmts, run.covered_points, events)
+        status = "timeout"
+    events = run.events if record_events else []
+    return Outcome(status, kind, loc, run.stmts, set(events[::4]), events,
+                   value)
 
 
 def eval_plain(ast: Ast, entry: str, env: dict | None = None,

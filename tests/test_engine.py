@@ -7,7 +7,7 @@ import itertools
 import pytest
 
 from mutlab.cli import CORPUS_DIR
-from mutlab.engine import EngineConfig, run_test
+from mutlab.engine import EngineConfig, InfraStats, run_test
 from mutlab.lang import PlainRun, compile_program, parse_program
 from mutlab.mutate import (
     discover_mutation_points, enumerate_mutants, generate_meta_mutant,
@@ -446,6 +446,49 @@ def test_cycling_loop_with_a_call_runs_to_budget_under_memo(monkeypatch):
         assert ("_MemoRun" in fired) == (name in ("exec-taints",
                                                   "exec-taints-nf")), name
     assert check_consistency(analyze_program(ast)) == []
+
+
+# The mutants of `n > 1` (M26, M28, M29) diverge in outer and stay pending,
+# so the root stores f(0) -> 1 and f(4) -> 8. A mutant of `n + 2`, outside
+# reach(f) (e.g. `n - 2`, M31), hands f a tainted argument and diverges at
+# `a > 3` inside f; without fork it re-runs the whole call f(0) as its own
+# frame. The memo serves calls a diverged run makes, never that frame: the
+# six lookups are the outer children's calls of f, all hits.
+MEMO_BOUNDARY = """\
+def f(a):
+    if a > 3:
+        return a * 2
+    return a + 1
+
+def outer(n):
+    p = 0
+    if n > 1:
+        p = 1
+    q = f(0)
+    x = n + 2
+    y = f(x)
+    return y + p
+
+def test_boundary():
+    assert outer(2) == 9
+"""
+
+
+def test_memo_never_serves_a_diverged_frame():
+    program, mids, point_of, _ = prepare(MEMO_BOUNDARY)
+    assert not program.reach["f"] & {31, 33, 34, *range(36, 41)}
+    report = run_test(program, "test_boundary", mids, point_of,
+                      EngineConfig(fork=False, memo=True))
+    assert {d.mutant for d in report.divergences if d.loc.line == 2} >= {
+        31, 33, 34, *range(36, 41)}
+    survived = {2, 5, *range(16, 26), 27, 30, 32, 47, 48, 53, 55}
+    assert report.verdicts == {
+        m: ("survived",) if m in survived else ("killed", "assertion")
+        for m in mids}
+    assert report.infra == InfraStats(taint_ops=125, memo_lookups=6,
+                                      memo_stores=35)
+    assert report.memo_stats == {"hits": 6, "misses": 0, "stores": 6,
+                                 "clears": 1}
 
 
 @pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=CONFIG_IDS)

@@ -11,7 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mutlab.cli import CORPUS_DIR
-from mutlab.engine import HARD_BUDGET, EngineConfig, run_test
+from mutlab.engine import (
+    HARD_BUDGET, EngineConfig, TaintEngine, _MemoRun, run_test,
+)
 from mutlab.fuzz import fuzz_program
 from mutlab.lang import (
     Ast, BoolOp, Call, Index, ListLit, Literal, Loc, MiniRuntimeError,
@@ -734,14 +736,15 @@ def run_site(site, select, env):
     """What evaluating the compiled `site` shows: its value or error, its
     covered points and events (a repr, which tells 1 from True, 0.0 from
     -0.0 and matches nan)."""
-    ev = interp.compile_expr(site, interp.CompiledProgram({}))
-    run = PlainRun(None, select=select, record_events=True)
+    program = interp.CompiledProgram({})
+    ev = interp.compile_expr(site, program)
+    run = PlainRun(program, select=select, record_events=True)
     run.stmts = 7
     try:
         result = ("val", repr(ev(run, env)))
     except MiniRuntimeError as err:
         result = ("err", err.kind, err.message, err.loc)
-    return repr((result, run.covered_points, run.events))
+    return repr((result, set(run.events[::4]), run.events))
 
 
 def binary_node(op, left, right):
@@ -786,7 +789,20 @@ def test_inline_site_operands_match_generic_path(op, select, a, b, literal):
 # --- each statement runs as one step ---
 
 STEP_LOC = Loc(3, 5)
-SITE_VARIANTS = {0: "+", **{mid: o for mid, o in enumerate(SITE_OPS, 1)}}
+
+
+def site_variants(point, op="+"):
+    """The variants of a site at `point`: `op`, then every site operator,
+    each a mutant of its own (ids 100 * point + 1, ...), as one mutant
+    belongs to one site in a meta-mutant."""
+    return {0: op, **{100 * point + i: o for i, o in enumerate(SITE_OPS, 1)}}
+
+
+SITE_VARIANTS = site_variants(5)
+# the original, the mutants of CALLEES (45) and those of each site
+STEP_SELECTS = st.one_of(st.integers(0, 46),
+                         st.integers(500, 501 + len(SITE_OPS)),
+                         st.integers(600, 601 + len(SITE_OPS)))
 
 
 def leaf_operands(loc):
@@ -800,7 +816,7 @@ def leaf_operands(loc):
 def site_exprs(op, left, right):
     return st.builds(
         lambda o, point, a, b: TaintChoice(
-            Loc(3, 11), point, {**SITE_VARIANTS, 0: o}, a, b),
+            Loc(3, 11), point, site_variants(point, o), a, b),
         op, st.sampled_from([5, 6]), left, right)
 
 
@@ -838,6 +854,15 @@ STEP_EXPRS = st.one_of(
     st.just(None))
 
 
+class ReferenceRun(PlainRun):
+    """A plain run that keeps its own coverage set, which `reference_eval`
+    fills at every site it evaluates itself."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.covered = set()
+
+
 def reference_eval(e, program, run, env):
     """A choice site, `Index` or `and`/`or` evaluated here: its operands,
     then the operator (a site's for the run's variant) with the node's
@@ -855,10 +880,14 @@ def reference_eval(e, program, run, env):
             err.loc = err.loc or e.loc
             raise
     if type(e) is not TaintChoice:
-        return interp.compile_expr(e, program)(run, env)
+        mark = len(run.events)
+        try:
+            return interp.compile_expr(e, program)(run, env)
+        finally:  # a compiled callee covers the points of its events
+            run.covered.update(run.events[mark::4])
     a = reference_eval(e.left, program, run, env)
     b = reference_eval(e.right, program, run, env)
-    run.covered_points.add(e.point_id)
+    run.covered.add(e.point_id)
     try:
         v = OPERATORS[e.variants.get(run.select, e.variants[0])](a, b)
     except MiniRuntimeError as err:
@@ -894,10 +923,12 @@ def reference_step(instr, program):
     return step
 
 
-def run_step(step, program, select, budget, env):
+def run_step(step, program, select, budget, env, run_class=PlainRun):
     """What one step shows: where control goes, its error, the environment,
-    the statements run, the points covered and the events recorded."""
-    run = PlainRun(program, select=select, budget=budget, record_events=True)
+    the statements run, the points covered and the events recorded. A
+    `ReferenceRun` reports its own coverage set, any other run the points
+    of its events."""
+    run = run_class(program, select=select, budget=budget, record_events=True)
     run.stmts = 7
     try:
         result = step(run, env)
@@ -910,17 +941,20 @@ def run_step(step, program, select, budget, env):
         result = ("assert", err.loc)
     except interp.StepBudgetExceeded:
         result = ("timeout",)
-    return repr((result, sorted(env.items()), run.stmts,
-                 sorted(run.covered_points), run.events))
+    covered = (run.covered if run_class is ReferenceRun
+               else set(run.events[::4]))
+    return repr((result, sorted(env.items()), run.stmts, sorted(covered),
+                 run.events))
 
 
 @given(st.sampled_from(["assign", "branch", "return", "expr", "assert"]),
-       STEP_EXPRS, st.integers(0, len(SITE_OPS) + 1),
+       STEP_EXPRS, STEP_SELECTS,
        st.one_of(SITE_VALUES, st.just(UNBOUND)), st.sampled_from([7, 8, 500]))
 @example("assign", TaintChoice(Loc(3, 11), 5, SITE_VARIANTS, Var(Loc(3, 9), "a"),
                                Literal(Loc(3, 9), 1)), 0, 2, 8)
-@example("branch", TaintChoice(Loc(3, 11), 5, {**SITE_VARIANTS, 0: "<"},
-                               Var(Loc(3, 9), "a"), Var(Loc(3, 9), "b")), 3, 1, 7)
+@example("branch", TaintChoice(Loc(3, 11), 5, site_variants(5, "<"),
+                               Var(Loc(3, 9), "a"), Var(Loc(3, 9), "b")),
+         503, 1, 7)
 @example("assert", Var(Loc(3, 9), "u"), 0, 1, 500)
 @example("expr", TaintChoice(Loc(3, 11), 5, SITE_VARIANTS, Var(Loc(3, 9), "a"),
                              Var(Loc(3, 10), "u")), 0, 1, 500)
@@ -942,9 +976,10 @@ def run_step(step, program, select, budget, env):
 def test_steps_match_reference(kind, e, select, a, budget):
     """The compiled step of each statement kind against a reference step
     that evaluates choice sites, `Index` and `and`/`or` itself
-    (`reference_eval`). `b` is bound to 2, `u` never; a budget
-    of 7 ends before the statement, 8 exactly on it, so a call in it runs
-    out of budget."""
+    (`reference_eval`) and keeps its own coverage set, which must be the
+    points of the compiled run's events. `b` is bound to 2, `u` never; a
+    budget of 7 ends before the statement, 8 exactly on it, so a call in
+    it runs out of budget."""
     program = meta_program(CALLEES + F4)
     if e is None and kind != "return":
         e = Literal(Loc(3, 9), True)
@@ -961,38 +996,51 @@ def test_steps_match_reference(kind, e, select, a, budget):
     assert (run_step(interp.compile_steps(code, program)[0], program, select,
                      budget, dict(env))
             == run_step(reference_step(instr, program), program, select,
-                        budget, dict(env)))
+                        budget, dict(env), ReferenceRun))
 
 
 def python_calls(step, run, env):
-    """The Python functions one call of `step` runs, itself included."""
-    calls = []
-    sys.setprofile(lambda frame, event, arg: calls.append(frame.f_code.co_name)
-                   if event == "call" else None)
+    """The Python functions one call of `step` runs, itself included, and
+    the C functions that the step's own frame calls."""
+    calls, c_calls = [], []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+        elif event == "c_call" and frame.f_code is step.__code__:
+            c_calls.append(arg)
+
+    sys.setprofile(profile)
     try:
         step(run, env)
     finally:
         sys.setprofile(None)
-    return calls
+    return calls, c_calls
 
 
 @pytest.mark.parametrize("stmt, env, calls", [
-    ("x = a + 1", {"a": 3}, 2),     # the step and the operator's kernel
-    ("if a < 1:\n        x = 0", {"a": 3}, 2),
-    ("x = 0", {"a": 3}, 1),
-    ("x = s[i]", {"s": (4, 5), "i": 1}, 2),  # the step and `index_value`
-    ("if a and b:\n        x = 0", {"a": True, "b": False}, 2),
-], ids=["assign-site", "branch-site", "assign-literal", "assign-index",
-        "branch-and"])
+    ("x = a + 1", {"a": 3}, ["ev", "kernel"]),  # the step and the operator
+    ("x = a * b", {"a": 3, "b": 4}, ["ev", "kernel"]),
+    ("if a < 1:\n        x = 0", {"a": 3}, ["ev", "kernel"]),
+    ("x = 0", {"a": 3}, ["step"]),
+    ("x = s[i]", {"s": (4, 5), "i": 1}, ["ev", "index_value"]),
+    ("if a and b:\n        x = 0", {"a": True, "b": False}, ["ev", "bool_op"]),
+    # the step, its argument, then g's frame and g's return step
+    ("x = g(a)", {"a": 3}, ["step", "ev", "run_fn", "step"]),
+], ids=["assign-site", "assign-site-vars", "branch-site", "assign-literal",
+        "assign-index", "branch-and", "assign-call"])
 def test_python_calls_per_statement(stmt, env, calls):
     """A statement whose top-level expression is a binary node with leaf
     operands, or a literal, runs inside its step: losing that fusion adds
-    a call."""
-    program = meta_program(f"def f(a):\n    {stmt}\n    return a\n")
+    a call. A call enters its callee through `run_fn` alone. No step calls
+    a C function itself: a choice site neither adds coverage to a set nor
+    looks its kernel up in a dict, and a call builds no argument list."""
+    program = meta_program(f"def g(b):\n    return b\n\n"
+                           f"def f(a):\n    {stmt}\n    return a\n")
     step = program.functions["f"].steps[0]
     run = PlainRun(program, budget=100)
-    assert len(python_calls(step, run, env)) == calls
-    assert run.stmts == 1
+    assert python_calls(step, run, env) == (calls, [])
+    assert run.stmts == (2 if "g(" in stmt else 1)  # g's return counts
 
 
 # --- a loop back at a state it had before is a timeout ---
@@ -1354,7 +1402,7 @@ def run_call_site(ev, program, select):
         result = ("val", repr(ev(run, {"v": 2})))
     except MiniRuntimeError as err:
         result = ("err", err.kind, err.message, err.loc)
-    return repr((result, run.stmts, sorted(run.covered_points), run.events))
+    return repr((result, run.stmts, sorted(set(run.events[::4])), run.events))
 
 
 @given(st.sampled_from(CALLEE_NAMES), st.lists(CALL_ARGS, max_size=4),
@@ -1410,7 +1458,10 @@ def test_program_function_hides_a_builtin():
     assert (outcome.status, outcome.value) == ("pass", 14)
 
 
-FRAMES_PER_CALL_LEVEL = 3  # run_fn, the statement's step, call_fn
+FRAMES_PER_CALL_LEVEL = 2  # run_fn, the statement's step
+# the step, the memo hook `_MemoRun.run_fn` and `PlainRun.run_fn`
+MEMO_FRAMES_PER_CALL_LEVEL = 3
+ROOT_FRAMES_PER_CALL_LEVEL = 3  # run_code, eval, call_wrapped
 # the recursive call as a return value, with two arguments, as an
 # assignment's value and as a bare expression statement
 RECURSING = """\
@@ -1465,8 +1516,26 @@ def test_python_frames_per_call_level(monkeypatch, entry, args):
 
 @pytest.mark.parametrize("entry, args", [("f", []), ("g", [5]), ("h", []),
                                          ("k", [])])
+def test_memo_python_frames_per_call_level(monkeypatch, entry, args):
+    """A memo run, whose hook every call enters, costs
+    MEMO_FRAMES_PER_CALL_LEVEL Python frames per `.ml0` call level. Each
+    depth runs on a new engine, so no call is served from the memo."""
+    depths = []
+    monkeypatch.setitem(values.BUILTINS, "print",
+                        (lambda *a: depths.append(stack_depth()), 0, None))
+    program = compile_program(parse_program(RECURSING))
+    for n in (10, 30):
+        engine = TaintEngine(program, [], EngineConfig(), child_budget=10_000,
+                             budget=10_000)
+        _MemoRun(engine, 0).call(entry, [n, *args])
+        assert engine.memo.stats.hits == 0
+    assert depths[1] - depths[0] == 20 * MEMO_FRAMES_PER_CALL_LEVEL
+
+
+@pytest.mark.parametrize("entry, args", [("f", []), ("g", [5]), ("h", []),
+                                         ("k", [])])
 def test_root_python_frames_per_call_level(monkeypatch, entry, args):
-    """The taint engine's root mainline also costs FRAMES_PER_CALL_LEVEL
+    """The taint engine's root mainline costs ROOT_FRAMES_PER_CALL_LEVEL
     Python frames per `.ml0` call level (`run_code`, `eval`,
     `call_wrapped`), read inside a builtin at two recursion depths."""
     depths = []
@@ -1480,4 +1549,4 @@ def test_root_python_frames_per_call_level(monkeypatch, entry, args):
         assert run_test(program, f"test_{n}", [], {}, EngineConfig()).valid
     # each test prints once in its original run, then once on the root
     root_depths = depths[1::2]
-    assert root_depths[1] - root_depths[0] == 20 * FRAMES_PER_CALL_LEVEL
+    assert root_depths[1] - root_depths[0] == 20 * ROOT_FRAMES_PER_CALL_LEVEL
