@@ -23,11 +23,26 @@ executing a program call and every call fills it, guarded by the mutation
 cache. The engine hands the program's static reach sets
 (`CompiledProgram.reach`) to the cache once, when it is built, so running
 a choice site or a call does no memo bookkeeping (see `memo`).
+
+The engine pays for no bookkeeping it would throw away:
+  - memo: a memo run's call of f for a mutant in reach(f) builds no key,
+    and a root call's stores key only the live mutants outside reach(f);
+    both still count the lookups, misses and stores they skip;
+  - root: `eval` dispatches on the node's exact type (`Var` and `Literal`
+    first; an instance of a subclass evaluates as its class), an untainted
+    condition decides at once, and a divergent condition's forked envs are
+    one plain copy of the frame's env each, with the mutant's own entries
+    written over it (`taints.concretize_env`, once per condition);
+  - merge-back: a frame's survivors fold into one copy of the return
+    value's taint map (`taints.with_taints`);
+  - one original run: `run_test` reads the test's original `Outcome` from
+    `CompiledProgram.originals`, where `strategies.analyze_program`
+    records it, and runs it only when no caller has.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .lang.errors import MiniAssertionError, MiniRuntimeError, StepBudgetExceeded
 from .lang.interp import (
@@ -41,7 +56,7 @@ from .lang.nodes import (
 from .lang import values
 from .memo import MemoState, make_call_key, mutant_call_keys
 from . import taints
-from .taints import ORIGINAL, taint_get, taint_keys, value_of
+from .taints import ORIGINAL, Tainted, taint_get, taint_keys, value_of
 
 
 @dataclass
@@ -107,16 +122,25 @@ class _MemoRun(PlainRun):
         self.infra = engine.infra
 
     def run_fn(self, fn: CompiledFn, env: dict):
-        # a call's env is new and in parameter order (the parser rejects
-        # duplicate parameters), so its values are the call's arguments
-        key = make_call_key(fn.name, env.values())
+        memo = self.memo
         self.infra.memo_lookups += 1
-        hit, cached = self.memo.lookup(key, self.select)
-        if hit:
-            return cached
+        if self.select in memo.mutation_cache[fn.name]:
+            # the memo refuses this mutant every key of fn: no key, and
+            # the lookup it would refuse counts as a miss
+            key = None
+            memo.stats.misses += 1
+        else:
+            # a call's env is new and in parameter order (the parser
+            # rejects duplicate parameters), so its values are the
+            # call's arguments
+            key = make_call_key(fn.name, env.values())
+            hit, cached = memo.lookup(key, self.select)
+            if hit:
+                return cached
         rv = PlainRun.run_fn(self, fn, env)
         self.infra.memo_stores += 1
-        self.memo.store(key, self.select, rv)
+        if key is not None:
+            memo.store(key, self.select, rv)
         return rv
 
 
@@ -165,9 +189,11 @@ class TaintEngine:
 
     def _merge_back(self, frame: _Frame, rv):
         """Run this frame's diverged mutants alone, in mutant order, and
-        merge each return value onto the mainline return value's taint map.
-        Each starts in `PlainRun.run_fn`, so a memo run's hook serves the
-        calls it makes, never the frame it diverged in."""
+        merge the survivors' return values onto the mainline return value's
+        taint map, all into one copy of it. Each starts in
+        `PlainRun.run_fn`, so a memo run's hook serves the calls it makes,
+        never the frame it diverged in."""
+        merged = []
         for mid, env, pc in sorted(frame.diverged, key=lambda d: d[0]):
             run = (_MemoRun(self, mid) if self.cfg.memo else
                    PlainRun(self.program, select=mid, budget=self.child_budget))
@@ -181,19 +207,23 @@ class TaintEngine:
                 self.kill(mid, "timeout")
             else:
                 self.active.add(mid)
-                rv = taints.with_taint(rv, mid, value)
+                merged.append((mid, value))
             finally:
                 self.context_stmts.append(run.stmts)
                 self.pending -= 1
-        return rv
+        return taints.with_taints(rv, merged)
 
     def _memo_store(self, name: str, args: list, rv):
+        """Store the call's value for every live mutant; only those the
+        memo does not refuse (outside reach(name)) get a key."""
         if not self.cfg.memo or self.pending == 0:
             return
-        rv_map = taints.entries(rv)
+        rv_map = rv.taints if type(rv) is Tainted else {ORIGINAL: rv}
         live = [mid for mid in rv_map if mid == ORIGINAL or mid in self.active]
-        for mid, key in mutant_call_keys(name, args, live).items():
-            self.infra.memo_stores += 1
+        self.infra.memo_stores += len(live)
+        vetoed = self.memo.mutation_cache[name]
+        kept = [mid for mid in live if mid not in vetoed]
+        for mid, key in mutant_call_keys(name, args, kept).items():
             self.memo.store(key, mid, rv_map[mid])
 
     # --- execution ---
@@ -231,9 +261,16 @@ class TaintEngine:
                 raise TypeError(f"bad instruction {instr!r}")
 
     def exec_cond(self, frame: _Frame, instr: IBranch, cond) -> int:
+        if type(cond) is bool:  # untainted: nothing can diverge
+            return instr.true_pc if cond else instr.false_pc
         mainline, _, diverge = taints.partition_condition(
             cond, restrict=self.active, on_kill=self._kill_exc)
-        for mid in sorted(diverge):
+        if not diverge:
+            return instr.true_pc if mainline else instr.false_pc
+        diverge = sorted(diverge)
+        if self.cfg.fork:
+            envs = taints.concretize_env(frame.env, diverge)
+        for i, mid in enumerate(diverge):
             decision = taint_get(cond, mid)
             self.divergences.append(
                 DivergenceEvent(instr.loc, mid, decision, mainline))
@@ -241,8 +278,7 @@ class TaintEngine:
             self.pending += 1
             if self.cfg.fork:
                 target = instr.true_pc if decision else instr.false_pc
-                frame.diverged.append(
-                    (mid, taints.concretize_env(frame.env, mid), target))
+                frame.diverged.append((mid, envs[i], target))
                 self.infra.snapshots += 1
             else:
                 args_m = [taint_get(a, mid) for a in frame.args]
@@ -268,29 +304,28 @@ class TaintEngine:
     # --- expression evaluation ---
 
     def eval(self, e: Expr, env: dict):
-        if isinstance(e, Literal):
+        kind = type(e)
+        if kind is Var:
+            try:
+                return env[e.name]
+            except KeyError:
+                raise MiniRuntimeError("name", f"undefined variable {e.name!r}",
+                                       e.loc) from None
+        if kind is Literal:
             return e.value
-        if isinstance(e, Var):
-            if e.name not in env:
-                raise MiniRuntimeError("name", f"undefined variable {e.name!r}", e.loc)
-            return env[e.name]
-        if isinstance(e, TaintChoice):
+        if kind is TaintChoice:
             a = self.eval(e.left, env)
             b = self.eval(e.right, env)
             self.covered_points.add(e.point_id)
             return taints.apply_binary(a, e.variants[ORIGINAL], e.variants, b,
                                        restrict=self.active,
                                        on_kill=self._kill_exc, stats=self.infra)
-        if isinstance(e, (BinOp, Compare, BoolOp)):
+        if kind is BinOp or kind is Compare or kind is BoolOp:
             a = self.eval(e.left, env)
             b = self.eval(e.right, env)
             return taints.apply_binary(a, e.op, {}, b, restrict=self.active,
                                        on_kill=self._kill_exc, stats=self.infra)
-        if isinstance(e, UnaryOp):
-            a = self.eval(e.operand, env)
-            return taints.apply_unary(e.op, a, restrict=self.active,
-                                      on_kill=self._kill_exc, stats=self.infra)
-        if isinstance(e, Call):
+        if kind is Call:
             args = [self.eval(a, env) for a in e.args]
             callee = bind_call(self.program.functions, e.name, len(args))
             kind = type(callee)
@@ -299,14 +334,18 @@ class TaintEngine:
             if kind is tuple:
                 raise MiniRuntimeError(*callee)
             return self._pointwise(callee, args)
-        if isinstance(e, ListLit):
+        if kind is UnaryOp:
+            a = self.eval(e.operand, env)
+            return taints.apply_unary(e.op, a, restrict=self.active,
+                                      on_kill=self._kill_exc, stats=self.infra)
+        if kind is ListLit:
             items = [self.eval(a, env) for a in e.items]
             return self._pointwise(lambda *vs: tuple(vs), items)
-        if isinstance(e, Index):
+        if kind is Index:
             base = self.eval(e.base, env)
             idx = self.eval(e.index, env)
             return self._pointwise(values.index_value, [base, idx])
-        raise TypeError(f"cannot evaluate {e!r}")
+        return self.eval(_as_expr_class(e), env)
 
     def _pointwise(self, fn, args: list):
         """Apply a plain n-ary operation per taint entry (builtins, list
@@ -324,6 +363,16 @@ class TaintEngine:
         return taints.make(out)
 
 
+def _as_expr_class(e: Expr) -> Expr:
+    """A copy of `e`, an instance of a subclass of an expression class
+    that `TaintEngine.eval` evaluates, as an instance of that class."""
+    for kind in (Var, Literal, TaintChoice, BinOp, Compare, BoolOp, Call,
+                 UnaryOp, ListLit, Index):
+        if isinstance(e, kind):
+            return kind(**{f.name: getattr(e, f.name) for f in fields(kind)})
+    raise TypeError(f"cannot evaluate {e!r}")
+
+
 HARD_BUDGET = 2_000_000  # statement cap for an unbudgeted original run
 
 
@@ -334,8 +383,13 @@ def budget_for(original_stmts: int, mult: int) -> int:
 
 def run_test(program: CompiledProgram, test: str, mutant_ids: list[int],
              point_of_mutant: dict[int, int], cfg: EngineConfig) -> TestReport:
-    """Execute one test under the taint engine and classify every mutant."""
-    pre = run_entry(program, test, [], select=ORIGINAL, budget=HARD_BUDGET)
+    """Execute one test under the taint engine and classify every mutant.
+    The test's original run is the one recorded in `program.originals`;
+    the first engine run of a test that has none runs and records it."""
+    pre = program.originals.get(test)
+    if pre is None:
+        pre = program.originals[test] = run_entry(
+            program, test, [], select=ORIGINAL, budget=HARD_BUDGET)
     if pre.status != "pass":
         return TestReport(test, False, {}, pre.stmts, [pre.stmts],
                           InfraStats(), {}, [])

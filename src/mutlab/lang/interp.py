@@ -33,8 +33,9 @@ call level costs two Python frames (`run_fn` and the statement's step).
 `CompiledProgram.reach` maps each function to the mutants whose choice
 sites a call of it may run, for the memo.
 
-A run's coverage is the point slots of its site events (`run_entry`):
-every site execution records exactly one event.
+A run's coverage is the point slots of its site events, built only where
+it is read (`Outcome.covered_points`): every site execution records
+exactly one event.
 
 After 8, then 9, 10, ... back edges a frame checks its state (pc, env)
 against the last checkpoint: runs are deterministic, and a memo hit
@@ -48,6 +49,7 @@ import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import MiniAssertionError, MiniRuntimeError, StepBudgetExceeded
 from .nodes import (
@@ -127,6 +129,11 @@ class CompiledProgram:
     # mutant id -> (point id, kernel): the choice site of each non-original
     # variant and its operator function
     mutants: dict[int, tuple] = field(default_factory=dict)
+    # test name -> the Outcome of the test's original run, recorded by the
+    # first caller that runs it (`strategies.analyze_program`, else
+    # `engine.run_test`) so that every later one reads it
+    originals: dict[str, Outcome] = field(default_factory=dict, repr=False,
+                                          compare=False)
     # while a function compiles: the variant ids of its choice sites and
     # the names of the program functions its call sites bind to
     found: tuple[set, set] = field(default_factory=lambda: (set(), set()),
@@ -548,11 +555,14 @@ class Outcome:
     kind: str | None      # runtime-error kind when status == 'error'
     loc: Loc | None
     stmts: int
-    # the point slots of `events`: a run that records no events reports
-    # no coverage
-    covered_points: set[int]
     events: list          # per site event: point_id, stmts_before, kind, value
     value: object = None
+
+    @cached_property
+    def covered_points(self) -> set[int]:
+        """The point slots of `events`, built when first read: a run that
+        records no events reports no coverage."""
+        return set(self.events[::4])
 
 
 FIRST_GAP = 8  # back edges of a frame before its first loop checkpoint
@@ -659,9 +669,8 @@ def run_entry(program: CompiledProgram, entry: str, args: list,
         status, kind, loc = "error", err.kind, err.loc
     except StepBudgetExceeded:
         status = "timeout"
-    events = run.events if record_events else []
-    return Outcome(status, kind, loc, run.stmts, set(events[::4]), events,
-                   value)
+    return Outcome(status, kind, loc, run.stmts,
+                   run.events if record_events else [], value)
 
 
 def eval_plain(ast: Ast, entry: str, env: dict | None = None,

@@ -92,7 +92,20 @@ def plain_eq(a, b) -> bool:
 
 
 def canon_key(v):
-    """Hashable canonical form used for memo call keys (bit-exact floats)."""
+    """Hashable canonical form used for memo call keys (bit-exact floats).
+    Dispatches on the exact type; None and a subclass of a value type take
+    `type_name`, so they get the key of the type they extend."""
+    t = type(v)
+    if t is int:
+        return ("i", v)
+    if t is float:
+        return ("f", struct.pack("<d", v))
+    if t is tuple:
+        return ("l", tuple(map(canon_key, v)))
+    if t is bool:
+        return ("b", v)
+    if t is str:
+        return ("s", v)
     t = type_name(v)
     if t == "float":
         return ("f", struct.pack("<d", v))

@@ -26,6 +26,13 @@ conservative: a mutant whose site could run in f is refused every key of
 f, also keys whose call never reaches that site. On 150 generated
 mutually recursive programs that refused 2.5% of the hits the dynamic
 cache took.
+
+A mutant in reach(f) builds no key of f, since `lookup` and `store`
+would refuse it every key: a memo run asks the mutation cache before it
+keys a call and counts a vetoed call's lookup as a miss, and the root's
+stores key only the live mutants outside reach(f). The counts do not
+change: `MemoStats` and the engine's `InfraStats` read what they would
+if every key were built.
 """
 
 from __future__ import annotations
@@ -39,20 +46,28 @@ CallKey = tuple
 
 
 def make_call_key(fn_name: str, args: list) -> CallKey:
-    return (fn_name, tuple(canon_key(a) for a in args))
+    return (fn_name, tuple(map(canon_key, args)))
 
 
 def mutant_call_keys(fn_name: str, args: list, mutants) -> dict:
     """{m: the key of the call as mutant m sees its (possibly tainted)
     args} in the order of `mutants`; mutants no argument is tainted for
-    share the original key, built once."""
+    share the original key, built once if any does."""
     tainted = set()
     for a in args:
-        if isinstance(a, Tainted):
+        if type(a) is Tainted:
             tainted.update(a.taints)
-    base = make_call_key(fn_name, [taint_get(a, ORIGINAL) for a in args])
-    return {m: make_call_key(fn_name, [taint_get(a, m) for a in args])
-            if m in tainted else base for m in mutants}
+    tainted.discard(ORIGINAL)
+    keys, base = {}, None
+    for m in mutants:
+        if m in tainted:
+            keys[m] = make_call_key(fn_name, [taint_get(a, m) for a in args])
+        else:
+            if base is None:
+                base = make_call_key(fn_name, [taint_get(a, ORIGINAL)
+                                               for a in args])
+            keys[m] = base
+    return keys
 
 
 @dataclass

@@ -246,9 +246,11 @@ def analyze_program(ast: Ast, cfg: AnalysisConfig | None = None) -> ProgramAnaly
     analysis.runs = runs
 
     for test in ast.tests:
-        # the original always records events: its coverage is read from them
-        original = run_entry(program, test, [], select=0,
-                             budget=HARD_BUDGET, record_events=True)
+        # the original always records events: its coverage is read from
+        # them; the engine variants read the run from `program.originals`
+        original = program.originals[test] = run_entry(
+            program, test, [], select=0, budget=HARD_BUDGET,
+            record_events=True)
         if original.status != "pass":
             analysis.invalid_test, analysis.invalid_outcome = test, original
             return analysis

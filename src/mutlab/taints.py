@@ -86,6 +86,21 @@ def with_taint(v, m: int, mval):
     return Tainted(t) if len(t) > 1 else t[ORIGINAL]
 
 
+def with_taints(v, merged: list):
+    """`with_taint` folded over the (m, mval) pairs of `merged`, in order,
+    on one copy of v's taint map; v itself when `merged` is empty."""
+    if not merged:
+        return v
+    t = entries(v)
+    base = t[ORIGINAL]
+    for m, mval in merged:
+        if plain_eq(mval, base):
+            t.pop(m, None)
+        else:
+            t[m] = mval
+    return Tainted(t) if len(t) > 1 else base
+
+
 def render(v) -> str:
     """Debug rendering `{M0:v0, Mi:vi, ...}` sorted by id."""
     t = entries(v)
@@ -193,5 +208,23 @@ def partition_condition(c, *, restrict: set | None = None, on_kill=None):
     return mainline, follow, diverge
 
 
-def concretize_env(env: dict, m: int) -> dict:
-    return {k: taint_get(v, m) for k, v in env.items()}
+def concretize_env(env: dict, mutants: list) -> list[dict]:
+    """Each mutant's plain view of `env`, in the order of `mutants`: one
+    copy of the original's view with the mutant's own entries written over
+    it, so the key order is env's."""
+    plain = {}
+    tainted = []
+    for k, v in env.items():
+        if type(v) is Tainted:
+            plain[k] = v.taints[ORIGINAL]
+            tainted.append((k, v.taints))
+        else:
+            plain[k] = v
+    out = []
+    for m in mutants:
+        view = dict(plain)
+        for k, t in tainted:
+            if m in t:
+                view[k] = t[m]
+        out.append(view)
+    return out

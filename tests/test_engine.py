@@ -7,15 +7,21 @@ import itertools
 import pytest
 
 from mutlab.cli import CORPUS_DIR
-from mutlab.engine import EngineConfig, InfraStats, run_test
+import mutlab.engine as engine_mod
+from mutlab.engine import (
+    EngineConfig, InfraStats, TaintEngine, _MemoRun, run_test,
+)
 from mutlab.lang import PlainRun, compile_program, parse_program
+from mutlab.lang.errors import MiniRuntimeError
+from mutlab.lang.nodes import BinOp, Call, Literal, Loc, Var
+from mutlab.memo import MemoStats, make_call_key
 from mutlab.mutate import (
     discover_mutation_points, enumerate_mutants, generate_meta_mutant,
 )
 from mutlab.strategies import (
     STRATEGY_NAMES, AnalysisConfig, analyze_program, check_consistency,
 )
-from mutlab.taints import apply_binary, entries
+from mutlab.taints import apply_binary, entries, make
 
 ALL_CONFIGS = [EngineConfig(fork=f, memo=m)
                for f, m in itertools.product([False, True], repeat=2)]
@@ -549,3 +555,79 @@ def test_memo_semantics_pinned_on_corpus(name):
         sums = tuple(sum(det["memo"][k] for det in run.details.values())
                      for k in ("hits", "misses", "stores", "clears"))
         assert (run.program_stmts, sums) == (stmts, memo), strategy
+
+
+VETO = """\
+def f(x):
+    return x + 1
+
+def g(x):
+    return f(x) * f(x + 2)
+
+def k(x):
+    return x - 3
+
+def test_g():
+    assert g(1) == 8
+    assert k(5) == 2
+"""
+
+
+def test_a_vetoed_memo_call_builds_no_key(monkeypatch):
+    """A memo run of a mutant in reach(f) keys no call of f; its lookups
+    count as misses and its stores as stores, as when it built the keys
+    that the memo then refused."""
+    program, mids, _, _ = prepare(VETO)
+    keyed = []
+    monkeypatch.setattr(engine_mod, "make_call_key",
+                        lambda name, args: keyed.append(name)
+                        or make_call_key(name, args))
+    engine = TaintEngine(program, mids, EngineConfig(), child_budget=1000,
+                         budget=1000)
+    # M1 mutates f's `+`, so g and f refuse it; M31 and M32 mutate k's `-`
+    assert 1 in program.reach["f"] and 1 in program.reach["g"]
+    assert not {31, 32} & program.reach["g"]
+    runs = [(1, 0, [], (3, 3), (0, 3, 0)),
+            (31, 8, ["g", "f", "f"], (6, 6), (0, 6, 3)),
+            (32, 8, ["g"], (7, 6), (1, 6, 3)),
+            (1, 0, [], (10, 9), (1, 9, 3))]
+    for mid, value, keys, infra, memo in runs:
+        del keyed[:]
+        assert _MemoRun(engine, mid).call("g", [1]) == value
+        assert keyed == keys
+        assert engine.infra == InfraStats(memo_lookups=infra[0],
+                                          memo_stores=infra[1])
+        assert engine.memo.stats == MemoStats(*memo)
+
+
+class SubVar(Var):
+    pass
+
+
+class SubLiteral(Literal):
+    pass
+
+
+class SubBinOp(BinOp):
+    pass
+
+
+class SubCall(Call):
+    pass
+
+
+def test_root_evaluates_subclasses_of_expression_classes():
+    program, mids, _, _ = prepare(VETO)
+    engine = TaintEngine(program, mids, EngineConfig(), child_budget=1000,
+                         budget=1000)
+    loc = Loc(1, 1)
+    env = {"a": make({0: 3, 7: 4})}
+    for sub, plain in ((SubVar(loc, "a"), Var(loc, "a")),
+                       (SubLiteral(loc, 2.5), Literal(loc, 2.5)),
+                       (SubBinOp(loc, "*", SubVar(loc, "a"), Literal(loc, 2)),
+                        BinOp(loc, "*", Var(loc, "a"), Literal(loc, 2))),
+                       (SubCall(loc, "f", [SubLiteral(loc, 1)]),
+                        Call(loc, "f", [Literal(loc, 1)]))):
+        assert entries(engine.eval(sub, env)) == entries(engine.eval(plain, env))
+    with pytest.raises(MiniRuntimeError, match="undefined variable 'b'"):
+        engine.eval(SubVar(loc, "b"), env)

@@ -1,12 +1,15 @@
 """Memo cache and mutation cache semantics, and the static reach sets
 the mutation cache holds."""
 
+import struct
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mutlab.cli import CORPUS_DIR, CORPUS_PROGRAMS
 from mutlab.lang import compile_program, parse_program
 from mutlab.lang.nodes import Call, Expr, Stmt, TaintChoice
+from mutlab.lang.values import canon_key
 from mutlab.memo import MemoState, make_call_key
 from mutlab.mutate import (
     discover_mutation_points, enumerate_mutants, generate_meta_mutant,
@@ -28,6 +31,35 @@ class TestCallKeys:
         assert (make_call_key("f", [(1, 2.0)])
                 == make_call_key("f", [(1, 2.0)]))
         assert make_call_key("f", [(1,)]) != make_call_key("f", [(1.0,)])
+
+    def test_canon_key_output_is_pinned(self):
+        # call keys are decoded from this exact form (acceptance
+        # criterion 6); repr tells True from 1 and the float bytes apart
+        nan = struct.unpack("<d", b"\x00\x00\x00\x00\x00\x00\xf8\x7f")[0]
+        pins = [
+            (7, "('i', 7)"),
+            (-2**63, "('i', -9223372036854775808)"),
+            (True, "('b', True)"),
+            (False, "('b', False)"),
+            ("ab", "('s', 'ab')"),
+            (1.5, "('f', b'\\x00\\x00\\x00\\x00\\x00\\x00\\xf8?')"),
+            (-0.0, "('f', b'\\x00\\x00\\x00\\x00\\x00\\x00\\x00\\x80')"),
+            (nan, "('f', b'\\x00\\x00\\x00\\x00\\x00\\x00\\xf8\\x7f')"),
+            (None, "('n', None)"),
+            ((), "('l', ())"),
+            ((1, (True, "x"), ()),
+             "('l', (('i', 1), ('l', (('b', True), ('s', 'x'))), ('l', ())))"),
+        ]
+        for v, want in pins:
+            assert repr(canon_key(v)) == want, v
+
+        class Float(float):
+            pass
+        # a subclass is keyed as the value type it extends
+        assert repr(canon_key(Float(-0.0))) == repr(canon_key(-0.0))
+        assert repr(make_call_key("f", [2, (0.0,)])) == (
+            "('f', (('i', 2), ('l', (('f', b'\\x00\\x00\\x00\\x00\\x00"
+            "\\x00\\x00\\x00'),))))")
 
     @given(st.floats(allow_nan=False))
     def test_float_keys_hashable_and_stable(self, x):

@@ -464,3 +464,24 @@ def test_repeated_loop_state_shortcut_fires(monkeypatch):
     for name in sorted(REPORT_PINS):
         analyze_program(parse_program((CORPUS_DIR / f"{name}.ml0").read_text()))
     assert fired == []
+
+
+def test_compare_runs_each_original_once(monkeypatch):
+    """A compare analysis runs each test's original (`select=0`) once: the
+    engine variants read the outcome `analyze_program` recorded."""
+    import mutlab.engine as engine
+    originals = Counter()
+
+    def counting(run_entry):
+        def wrapper(program, test, args, select=0, **kwargs):
+            if select == 0:
+                originals[test] += 1
+            return run_entry(program, test, args, select=select, **kwargs)
+        return wrapper
+
+    for module in (strategies, engine):
+        monkeypatch.setattr(module, "run_entry", counting(module.run_entry))
+    ast = parse_program((CORPUS_DIR / "euler.ml0").read_text())
+    analysis = analyze_program(ast)
+    assert analysis.valid and sorted(analysis.runs) == sorted(STRATEGY_NAMES)
+    assert originals == Counter({test: 1 for test in ast.tests})

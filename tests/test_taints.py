@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from mutlab.lang.errors import MiniRuntimeError
 from mutlab.lang.values import ARITH_OPS, COMPARE_OPS, OPERATORS, canon_key
 from mutlab.taints import (
-    Tainted, apply_binary, apply_unary, entries, make, partition_condition,
-    taint_get, taint_keys, value_of, with_taint,
+    Tainted, apply_binary, apply_unary, concretize_env, entries, make,
+    partition_condition, taint_get, taint_keys, value_of, with_taint,
+    with_taints,
 )
 
 
@@ -224,3 +225,33 @@ def test_with_taint_matches_make(v, m, mval):
     got = with_taint(v, m, mval)
     assert [(k, canon_key(x)) for k, x in entries(got).items()] == \
         [(k, canon_key(x)) for k, x in entries(want).items()]
+
+
+def keyed(v):
+    """A value's taint map as (id, canon_key) pairs, in map order."""
+    return [(k, canon_key(x)) for k, x in entries(v).items()]
+
+
+@given(TAINT_MAPS, st.dictionaries(st.integers(1, 8), OPERANDS, max_size=6))
+def test_one_map_merge_back_matches_folding_with_taint(v, survivors):
+    # the engine merges a frame's survivors in mutant order
+    merged = sorted(survivors.items())
+    want = v
+    for m, mval in merged:
+        want = with_taint(want, m, mval)
+    got = with_taints(v, merged)
+    assert type(got) is type(want)
+    assert keyed(got) == keyed(want)
+
+
+@given(st.dictionaries(st.sampled_from("abcdefg"), TAINT_MAPS, max_size=6),
+       st.lists(st.integers(1, 9), unique=True, max_size=5))
+def test_divergence_envs_match_each_mutants_view(env, mutants):
+    # each diverging mutant gets env concretized for it: same values (the
+    # same objects), same key order
+    views = concretize_env(env, mutants)
+    assert len(views) == len(mutants)
+    for m, view in zip(mutants, views):
+        want = {k: taint_get(v, m) for k, v in env.items()}
+        assert list(view) == list(want)
+        assert all(view[k] is want[k] for k in want)
