@@ -52,22 +52,15 @@ def make_call_key(fn_name: str, args: list) -> CallKey:
 def mutant_call_keys(fn_name: str, args: list, mutants) -> dict:
     """{m: the key of the call as mutant m sees its (possibly tainted)
     args} in the order of `mutants`; mutants no argument is tainted for
-    share the original key, built once if any does."""
+    share the original key, built once."""
     tainted = set()
     for a in args:
         if type(a) is Tainted:
             tainted.update(a.taints)
     tainted.discard(ORIGINAL)
-    keys, base = {}, None
-    for m in mutants:
-        if m in tainted:
-            keys[m] = make_call_key(fn_name, [taint_get(a, m) for a in args])
-        else:
-            if base is None:
-                base = make_call_key(fn_name, [taint_get(a, ORIGINAL)
-                                               for a in args])
-            keys[m] = base
-    return keys
+    base = make_call_key(fn_name, [taint_get(a, ORIGINAL) for a in args])
+    return {m: make_call_key(fn_name, [taint_get(a, m) for a in args])
+            if m in tainted else base for m in mutants}
 
 
 @dataclass

@@ -212,19 +212,13 @@ def concretize_env(env: dict, mutants: list) -> list[dict]:
     """Each mutant's plain view of `env`, in the order of `mutants`: one
     copy of the original's view with the mutant's own entries written over
     it, so the key order is env's."""
-    plain = {}
-    tainted = []
-    for k, v in env.items():
-        if type(v) is Tainted:
-            plain[k] = v.taints[ORIGINAL]
-            tainted.append((k, v.taints))
-        else:
-            plain[k] = v
-    out = []
+    plain = {k: value_of(v) for k, v in env.items()}
+    tainted = [(k, v.taints) for k, v in env.items() if type(v) is Tainted]
+    views = []
     for m in mutants:
         view = dict(plain)
         for k, t in tainted:
             if m in t:
                 view[k] = t[m]
-        out.append(view)
-    return out
+        views.append(view)
+    return views
