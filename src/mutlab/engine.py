@@ -29,10 +29,10 @@ The engine pays for no bookkeeping it would throw away:
     and a root call's stores key only the live mutants outside reach(f);
     both still count the lookups, misses and stores they skip;
   - root: `eval` dispatches on the node's exact type (`Var` and `Literal`
-    first; an instance of a subclass evaluates as its class), an untainted
-    condition decides at once, and a divergent condition's forked envs are
-    one plain copy of the frame's env each, with the mutant's own entries
-    written over it (`taints.concretize_env`, once per condition);
+    first), an untainted condition decides at once, and a divergent
+    condition's forked envs are one plain copy of the frame's env each,
+    with the mutant's own entries written over it (`taints.concretize_env`,
+    once per condition);
   - merge-back: a frame's survivors fold into one copy of the return
     value's taint map (`taints.with_taints`);
   - one original run: `run_test` reads the test's original `Outcome` from
@@ -42,7 +42,7 @@ The engine pays for no bookkeeping it would throw away:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from .lang.errors import MiniAssertionError, MiniRuntimeError, StepBudgetExceeded
 from .lang.interp import (
@@ -263,7 +263,7 @@ class TaintEngine:
     def exec_cond(self, frame: _Frame, instr: IBranch, cond) -> int:
         if type(cond) is bool:  # untainted: nothing can diverge
             return instr.true_pc if cond else instr.false_pc
-        mainline, _, diverge = taints.partition_condition(
+        mainline, diverge = taints.partition_condition(
             cond, restrict=self.active, on_kill=self._kill_exc)
         if not diverge:
             return instr.true_pc if mainline else instr.false_pc
@@ -345,7 +345,7 @@ class TaintEngine:
             base = self.eval(e.base, env)
             idx = self.eval(e.index, env)
             return self._pointwise(values.index_value, [base, idx])
-        return self.eval(_as_expr_class(e), env)
+        raise TypeError(f"cannot evaluate {e!r}")
 
     def _pointwise(self, fn, args: list):
         """Apply a plain n-ary operation per taint entry (builtins, list
@@ -361,16 +361,6 @@ class TaintEngine:
         if ids:
             self.infra.taint_ops += len(ids)
         return taints.make(out)
-
-
-def _as_expr_class(e: Expr) -> Expr:
-    """A copy of `e`, an instance of a subclass of an expression class
-    that `TaintEngine.eval` evaluates, as an instance of that class."""
-    for kind in (Var, Literal, TaintChoice, BinOp, Compare, BoolOp, Call,
-                 UnaryOp, ListLit, Index):
-        if isinstance(e, kind):
-            return kind(**{f.name: getattr(e, f.name) for f in fields(kind)})
-    raise TypeError(f"cannot evaluate {e!r}")
 
 
 HARD_BUDGET = 2_000_000  # statement cap for an unbudgeted original run

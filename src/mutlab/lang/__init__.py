@@ -2,7 +2,7 @@ from .errors import (
     MiniAssertionError, MiniRuntimeError, MiniSyntaxError, StepBudgetExceeded,
 )
 from .interp import (
-    CompiledProgram, Outcome, PlainRun, compile_program, eval_plain, run_entry,
+    CompiledProgram, Outcome, PlainRun, compile_program, run_entry,
 )
 from .nodes import (
     Assert, Assign, Ast, BinOp, BoolOp, Call, Compare, Expr, ExprStmt,
@@ -17,5 +17,5 @@ __all__ = [
     "ListLit", "Literal", "Loc", "MiniAssertionError", "MiniRuntimeError",
     "MiniSyntaxError", "Outcome", "PlainRun", "Return", "StepBudgetExceeded",
     "Stmt", "TaintChoice", "UnaryOp", "Var", "While", "compile_program",
-    "eval_plain", "parse_program", "run_entry",
+    "parse_program", "run_entry",
 ]

@@ -27,9 +27,11 @@ or `if a and b:` makes two Python calls, the step and the operator. A
 top-level bare `Var`, `Literal` or call bound to a program function is
 evaluated inside its step (`_value_step`); any other expression is a
 closure `ev(run, env)` (`compile_expr`). Call sites bind their callee when
-the program is compiled (`bind_call`), build the callee's environment in
-place and call `run.run_fn`, the one hook subclasses override, so a `.ml0`
-call level costs two Python frames (`run_fn` and the statement's step).
+the program is compiled (`bind_call`). A site bound to a program function
+builds the callee's environment in place and calls `run.run_fn`, the one
+hook subclasses override, so a `.ml0` call level costs two Python frames
+(`run_fn` and the statement's step); one bound to a builtin of one
+argument calls it with no list; any other evaluates a list of arguments.
 `CompiledProgram.reach` maps each function to the mutants whose choice
 sites a call of it may run, for the memo.
 
@@ -295,38 +297,25 @@ def bind_call(functions: dict, name: str, nargs: int):
 
 
 def _compile_call(e: Call, args: list, program: CompiledProgram) -> Callable:
-    """A call site bound to its callee when the program is compiled. It
-    evaluates the arguments, then calls `run.run_fn` on the callee's new
-    environment for a program function (the hook of a memo run) or the
-    builtin's function, or raises the illegal call's error, with `e.loc` on
-    errors that have no location yet. Most calls pass one argument, or two
-    to a program function: those sites read them without a list
-    comprehension."""
+    """A call site bound to its callee when the program is compiled, with
+    `e.loc` on errors that have no location yet. Three kinds of site: a
+    program function's builds the callee's environment from (parameter,
+    argument closure) pairs, as `_value_step` does, and calls `run.run_fn`
+    on it (the hook of a memo run); a one-argument builtin's calls it on
+    its one argument with no list; any other evaluates its arguments into
+    a list, then calls the builtin or raises the illegal call's error."""
     loc, callee = e.loc, bind_call(program.functions, e.name, len(args))
     kind = type(callee)
     if kind is CompiledFn:
         program.found[1].add(callee.name)
-    if kind is CompiledFn and len(args) == 1:
-        arg, = args
-        param, = callee.params
+        pairs = list(zip(callee.params, args))
 
         def ev(run, env):
-            v = arg(run, env)
+            new = {}
+            for p, a in pairs:
+                new[p] = a(run, env)
             try:
-                return run.run_fn(callee, {param: v})
-            except MiniRuntimeError as err:
-                err.loc = err.loc or loc
-                raise
-        return ev
-    if kind is CompiledFn and len(args) == 2:
-        arg1, arg2 = args
-        param1, param2 = callee.params
-
-        def ev(run, env):
-            v1 = arg1(run, env)
-            v2 = arg2(run, env)
-            try:
-                return run.run_fn(callee, {param1: v1, param2: v2})
+                return run.run_fn(callee, new)
             except MiniRuntimeError as err:
                 err.loc = err.loc or loc
                 raise
@@ -346,8 +335,6 @@ def _compile_call(e: Call, args: list, program: CompiledProgram) -> Callable:
     def ev(run, env):
         vals = [a(run, env) for a in args]
         try:
-            if kind is CompiledFn:
-                return run.run_fn(callee, dict(zip(callee.params, vals)))
             if kind is tuple:
                 raise MiniRuntimeError(*callee)
             return callee(*vals)
@@ -671,17 +658,3 @@ def run_entry(program: CompiledProgram, entry: str, args: list,
         status = "timeout"
     return Outcome(status, kind, loc, run.stmts,
                    run.events if record_events else [], value)
-
-
-def eval_plain(ast: Ast, entry: str, env: dict | None = None,
-               budget: int | None = None) -> Outcome:
-    """Reference evaluator over a plain AST: binds `env` to the entry
-    function's parameters and reports the outcome and statement count."""
-    program = compile_program(ast)
-    fn = program.functions[entry]
-    env = env or {}
-    missing = [p for p in fn.params if p not in env]
-    if missing:
-        raise MiniRuntimeError("arity", f"missing bindings for {missing}")
-    args = [env[p] for p in fn.params]
-    return run_entry(program, entry, args, budget=budget)

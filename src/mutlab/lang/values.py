@@ -92,9 +92,8 @@ def plain_eq(a, b) -> bool:
 
 
 def canon_key(v):
-    """Hashable canonical form used for memo call keys (bit-exact floats).
-    Dispatches on the exact type; None and a subclass of a value type take
-    `type_name`, so they get the key of the type they extend."""
+    """Hashable canonical form used for memo call keys (bit-exact floats),
+    dispatched on the exact type."""
     t = type(v)
     if t is int:
         return ("i", v)
@@ -106,12 +105,9 @@ def canon_key(v):
         return ("b", v)
     if t is str:
         return ("s", v)
-    t = type_name(v)
-    if t == "float":
-        return ("f", struct.pack("<d", v))
-    if t == "list":
-        return ("l", tuple(canon_key(x) for x in v))
-    return (t[0], v)
+    if v is None:
+        return ("n", None)
+    raise TypeError(f"not a mini-language value: {v!r}")
 
 
 def binary_op(op: str, a, b):

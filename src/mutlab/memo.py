@@ -19,13 +19,8 @@ That is exact for the mutants it lets share: `.ml0` is deterministic, and
 a mutant outside reach(f) runs the original's code in every call of f, so
 it computes the original's f(K), the value every entry for f(K) holds.
 So a hit returns what running the call would, and a memo run's loop state
-(pc, env) alone decides its future, as in a plain run. This departs from
-the paper's mutation cache, which is filled while the program runs with
-the mutants whose mutation did run inside a call. It is more
-conservative: a mutant whose site could run in f is refused every key of
-f, also keys whose call never reaches that site. On 150 generated
-mutually recursive programs that refused 2.5% of the hits the dynamic
-cache took.
+(pc, env) alone decides its future, as in a plain run. README compares
+this cache with the paper's.
 
 A mutant in reach(f) builds no key of f, since `lookup` and `store`
 would refuse it every key: a memo run asks the mutation cache before it

@@ -74,21 +74,10 @@ def make(taints: dict):
     return Tainted(pruned)
 
 
-def with_taint(v, m: int, mval):
-    """Install mval as mutant m's entry on v (merge-back channel). The
-    other entries are already pruned, so only the new one is compared
-    with the original."""
-    t = entries(v)
-    if plain_eq(mval, t[ORIGINAL]):
-        t.pop(m, None)
-    else:
-        t[m] = mval
-    return Tainted(t) if len(t) > 1 else t[ORIGINAL]
-
-
 def with_taints(v, merged: list):
-    """`with_taint` folded over the (m, mval) pairs of `merged`, in order,
-    on one copy of v's taint map; v itself when `merged` is empty."""
+    """Install each (m, mval) pair of `merged` as mutant m's entry (the
+    merge-back channel), in order, on one copy of v's taint map, pruning
+    an entry equal to the original; v itself when `merged` is empty."""
     if not merged:
         return v
     t = entries(v)
@@ -184,28 +173,25 @@ def apply_unary(op: str, a, *, restrict: set | None = None,
 
 
 def partition_condition(c, *, restrict: set | None = None, on_kill=None):
-    """Split a boolean condition's taints into mutants that follow the
-    mainline decision and mutants that diverge from it.
-
-    Returns (mainline_decision, follow_ids, diverge_ids). Entries that are
-    not bools are reported through on_kill and excluded.
+    """The mainline decision of a boolean condition and the mutants whose
+    decision diverges from it: (mainline_decision, diverge_ids). An entry
+    equal to the original is pruned (`make`, `apply_binary`), so every bool
+    entry left diverges. Entries that are not bools are reported through
+    on_kill and excluded.
     """
     mainline = value_of(c)
     if not isinstance(mainline, bool):
         raise MiniRuntimeError("type", "condition must be a bool")
-    follow: set = set()
     diverge: set = set()
     ids = taint_keys(c)
     if restrict is not None:
         ids &= restrict
     for m in sorted(ids):
-        mv = taint_get(c, m)
-        if not isinstance(mv, bool):
-            if on_kill is not None:
-                on_kill(m, "type")
-            continue
-        (diverge if mv != mainline else follow).add(m)
-    return mainline, follow, diverge
+        if isinstance(taint_get(c, m), bool):
+            diverge.add(m)
+        elif on_kill is not None:
+            on_kill(m, "type")
+    return mainline, diverge
 
 
 def concretize_env(env: dict, mutants: list) -> list[dict]:

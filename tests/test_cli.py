@@ -421,7 +421,7 @@ def test_deep_recursion_reproducer_exits_4_without_traceback(tmp_path, command):
     """Pins a known defect, not the wanted behaviour: this valid program
     recurses deeper than Python's recursion limit allows, so mutlab stops
     with an internal error. When the language gets its own depth
-    limit (ROADMAP item 3), this test changes to expect that limit."""
+    limit (ROADMAP item 2), this test changes to expect that limit."""
     program = tmp_path / "down.ml0"
     program.write_text(DEEP_RECURSION)
     root = Path(__file__).resolve().parents[1]

@@ -2,10 +2,11 @@
 src/mutlab, so code that nothing calls does not stay behind.
 
 Only the standard library `ast` module is used: a definition counts as used
-when its name appears in any module as a `Name`, as an attribute or in an
-`__all__` export list. Dunder methods are called by Python itself and are
-not checked. `USED_OUTSIDE` lists the definitions that only the tests or
-the benchmark use.
+when its name appears in any module as a `Name` or as an attribute. An
+`__all__` export list is not a use: a definition that only a package
+exports is called by nothing in src/mutlab. Dunder methods are called by
+Python itself and are not checked. `USED_OUTSIDE` lists the definitions
+that only the tests or the benchmark use.
 """
 
 import ast
@@ -14,9 +15,7 @@ from pathlib import Path
 import mutlab
 
 SRC = Path(mutlab.__file__).parent
-# the one-entry merge-back rule: the reference that `taints.with_taints`,
-# the engine's one-map merge-back, is checked against
-USED_OUTSIDE: set[str] = {"with_taint"}
+USED_OUTSIDE: set[str] = set()
 
 
 def definitions(tree: ast.Module, prefix: str = ""):
@@ -38,10 +37,6 @@ def unused_definitions(sources: list[str]) -> list[str]:
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
-            elif (isinstance(node, ast.Assign)
-                  and any(isinstance(t, ast.Name) and t.id == "__all__"
-                          for t in node.targets)):
-                named.update(ast.literal_eval(node.value))
     return sorted(qual for tree in trees for qual, name in definitions(tree)
                   if name not in named and qual not in USED_OUTSIDE
                   and not (name.startswith("__") and name.endswith("__")))
@@ -52,7 +47,7 @@ def test_unused_definition_is_flagged():
            "    def __repr__(self): pass\n"
            "def f():\n    def inner(): pass\n    return A().used\n"
            "def g(): pass\n__all__ = ['g']\n")
-    assert unused_definitions([src]) == ["A.idle", "f", "f.inner"]
+    assert unused_definitions([src]) == ["A.idle", "f", "f.inner", "g"]
 
 
 def test_no_unused_definitions():

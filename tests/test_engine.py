@@ -12,8 +12,6 @@ from mutlab.engine import (
     EngineConfig, InfraStats, TaintEngine, _MemoRun, run_test,
 )
 from mutlab.lang import PlainRun, compile_program, parse_program
-from mutlab.lang.errors import MiniRuntimeError
-from mutlab.lang.nodes import BinOp, Call, Literal, Loc, Var
 from mutlab.memo import MemoStats, make_call_key
 from mutlab.mutate import (
     discover_mutation_points, enumerate_mutants, generate_meta_mutant,
@@ -21,7 +19,7 @@ from mutlab.mutate import (
 from mutlab.strategies import (
     STRATEGY_NAMES, AnalysisConfig, analyze_program, check_consistency,
 )
-from mutlab.taints import apply_binary, entries, make
+from mutlab.taints import apply_binary, entries
 
 ALL_CONFIGS = [EngineConfig(fork=f, memo=m)
                for f, m in itertools.product([False, True], repeat=2)]
@@ -599,35 +597,3 @@ def test_a_vetoed_memo_call_builds_no_key(monkeypatch):
                                           memo_stores=infra[1])
         assert engine.memo.stats == MemoStats(*memo)
 
-
-class SubVar(Var):
-    pass
-
-
-class SubLiteral(Literal):
-    pass
-
-
-class SubBinOp(BinOp):
-    pass
-
-
-class SubCall(Call):
-    pass
-
-
-def test_root_evaluates_subclasses_of_expression_classes():
-    program, mids, _, _ = prepare(VETO)
-    engine = TaintEngine(program, mids, EngineConfig(), child_budget=1000,
-                         budget=1000)
-    loc = Loc(1, 1)
-    env = {"a": make({0: 3, 7: 4})}
-    for sub, plain in ((SubVar(loc, "a"), Var(loc, "a")),
-                       (SubLiteral(loc, 2.5), Literal(loc, 2.5)),
-                       (SubBinOp(loc, "*", SubVar(loc, "a"), Literal(loc, 2)),
-                        BinOp(loc, "*", Var(loc, "a"), Literal(loc, 2))),
-                       (SubCall(loc, "f", [SubLiteral(loc, 1)]),
-                        Call(loc, "f", [Literal(loc, 1)]))):
-        assert entries(engine.eval(sub, env)) == entries(engine.eval(plain, env))
-    with pytest.raises(MiniRuntimeError, match="undefined variable 'b'"):
-        engine.eval(SubVar(loc, "b"), env)

@@ -7,7 +7,7 @@ import hashlib
 import pytest
 
 from mutlab.fuzz import fuzz_program
-from mutlab.lang import eval_plain, parse_program
+from mutlab.lang import compile_program, parse_program, run_entry
 from mutlab.strategies import analyze_program, check_consistency
 
 
@@ -35,8 +35,9 @@ def test_generated_program_parses_and_passes():
     ast = parse_program(src)
     tests = [f.name for f in ast.functions if f.is_test]
     assert tests
+    program = compile_program(ast)
     for t in tests:
-        assert eval_plain(ast, t, {}).status == "pass"
+        assert run_entry(program, t, []).status == "pass"
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -18,7 +18,7 @@ from mutlab.fuzz import fuzz_program
 from mutlab.lang import (
     Ast, BoolOp, Call, Index, ListLit, Literal, Loc, MiniRuntimeError,
     MiniSyntaxError, PlainRun, TaintChoice, UnaryOp, Var, compile_program,
-    eval_plain, interp, parse_program, run_entry,
+    interp, parse_program, run_entry,
 )
 from mutlab.lang.lexer import KEYWORDS, OPERATORS as LEX_OPERATORS, _lex_line
 from mutlab.lang import values
@@ -33,8 +33,8 @@ from mutlab.mutate import (
 from mutlab.strategies import analyze_program, budget_for, check_consistency
 
 
-def run_src(src, entry="main", env=None):
-    return eval_plain(parse_program(src), entry, env or {})
+def run_src(src, entry="main", args=()):
+    return run_entry(compile_program(parse_program(src)), entry, list(args))
 
 
 class TestParser:
@@ -55,12 +55,12 @@ class TestParser:
                "        return 1\n"
                "    else:\n"
                "        return 2\n")
-        assert run_src(src, "f", {"x": 5}).value == 1
-        assert run_src(src, "f", {"x": 50}).value == 2
+        assert run_src(src, "f", [5]).value == 1
+        assert run_src(src, "f", [50]).value == 2
 
     def test_aug_assign_desugars(self):
         src = "def f(x):\n    x += 3\n    x *= 2\n    return x\n"
-        assert run_src(src, "f", {"x": 4}).value == 14
+        assert run_src(src, "f", [4]).value == 14
 
     def test_top_level_statement_rejected(self):
         with pytest.raises(MiniSyntaxError):
@@ -488,7 +488,7 @@ class TestInterp:
         # no short-circuit: the right operand's error always surfaces
         src = ("def f(x):\n"
                "    return x == 0 or 1 // x == 1\n")
-        out = run_src(src, "f", {"x": 0})
+        out = run_src(src, "f", [0])
         assert out.status == "error" and out.kind == "zero-division"
 
     def test_condition_must_be_bool(self):
@@ -509,7 +509,8 @@ class TestInterp:
 
     def test_step_budget(self):
         src = "def f():\n    x = 0\n    while x == 0:\n        x = x * 1\n    return x\n"
-        out = eval_plain(parse_program(src), "f", {}, budget=50)
+        out = run_entry(compile_program(parse_program(src)), "f", [],
+                        budget=50)
         assert out.status == "timeout"
 
     def test_assert_statuses(self):
@@ -521,13 +522,13 @@ class TestInterp:
         src = ("def f(s):\n"
                "    return [len(s), ord(\"A\"), chr(66), abs(0 - 3),"
                " min(4, 2), max(4, 2), int(2.9), float(2)]\n")
-        out = run_src(src, "f", {"s": "hey"})
+        out = run_src(src, "f", ["hey"])
         assert out.value == (3, 65, "B", 3, 2, 4, 2, 2.0)
 
     def test_negative_index_and_bounds(self):
         src = "def f(s, i):\n    return s[i]\n"
-        assert run_src(src, "f", {"s": "abc", "i": -1}).value == "c"
-        out = run_src(src, "f", {"s": "abc", "i": 3})
+        assert run_src(src, "f", ["abc", -1]).value == "c"
+        out = run_src(src, "f", ["abc", 3])
         assert out.status == "error" and out.kind == "index"
 
     def test_math_domain_errors(self):
@@ -1027,8 +1028,14 @@ def python_calls(step, run, env):
     ("if a and b:\n        x = 0", {"a": True, "b": False}, ["ev", "bool_op"]),
     # the step, its argument, then g's frame and g's return step
     ("x = g(a)", {"a": 3}, ["step", "ev", "run_fn", "step"]),
+    # nested: the site, the call site, its argument, g's frame and return
+    # step, then the operator
+    ("x = g(a) + 1", {"a": 3}, ["ev", "ev", "ev", "run_fn", "step", "kernel"]),
+    # a one-argument builtin's call site evaluates no `<listcomp>`
+    ("x = len(s) + 1", {"s": (4, 5)}, ["ev", "ev", "ev", "_bi_len", "kernel"]),
 ], ids=["assign-site", "assign-site-vars", "branch-site", "assign-literal",
-        "assign-index", "branch-and", "assign-call"])
+        "assign-index", "branch-and", "assign-call", "nested-call",
+        "nested-builtin"])
 def test_python_calls_per_statement(stmt, env, calls):
     """A statement whose top-level expression is a binary node with leaf
     operands, or a literal, runs inside its step: losing that fusion adds
@@ -1228,7 +1235,7 @@ def test_unbudgeted_run_does_not_compare_deeply_nested_states():
     # normally (a budgeted one still does, until values have a depth bound)
     src = ("def test_t():\n    l = [0]\n    i = 0\n    while i < 1500:\n"
            "        l = [l]\n        i = i + 1\n    assert len(l) == 1\n")
-    outcome = eval_plain(parse_program(src), "test_t")
+    outcome = run_entry(compile_program(parse_program(src)), "test_t", [])
     assert (outcome.status, outcome.stmts) == ("pass", 4 + 3 * 1500)
 
 

@@ -10,7 +10,6 @@ from mutlab.fuzz import fuzz_program
 from mutlab.lang import (
     Expr, If, TaintChoice, compile_program, parse_program, run_entry,
 )
-from mutlab.lang.interp import eval_plain
 from mutlab.mutate import (
     ARITH_CATALOG, COMPARE_CATALOG, discover_mutation_points,
     enumerate_mutants, generate_meta_mutant, mutant_catalog_lines,
@@ -113,7 +112,7 @@ def test_meta_round_trip_matches_original():
     # running the meta-mutant with only M0 selected matches the plain AST
     # in outcome and statement count
     ast = parse_program(SRC)
-    plain = eval_plain(ast, "test_f", {})
+    plain = run_entry(compile_program(ast), "test_f", [])
     meta = generate_meta_mutant(ast, discover_mutation_points(ast))
     out = run_entry(compile_program(meta), "test_f", [], select=0)
     assert (out.status, out.stmts) == (plain.status, plain.stmts)

@@ -2,15 +2,16 @@
 examples and property-based checks of the composition laws."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mutlab.lang.errors import MiniRuntimeError
-from mutlab.lang.values import ARITH_OPS, COMPARE_OPS, OPERATORS, canon_key
+from mutlab.lang.values import (
+    ARITH_OPS, COMPARE_OPS, OPERATORS, canon_key, plain_eq,
+)
 from mutlab.taints import (
     Tainted, apply_binary, apply_unary, concretize_env, entries, make,
-    partition_condition, taint_get, taint_keys, value_of, with_taint,
-    with_taints,
+    partition_condition, taint_get, taint_keys, value_of, with_taints,
 )
 
 
@@ -101,13 +102,13 @@ class TestMechanics:
 
     def test_partition_condition(self):
         killed = []
-        # entries equal to M0 are pruned at construction, so explicit
-        # agreeing entries don't exist and `follow` stays empty here
-        c = make({0: True, 1: False, 3: 7})
-        mainline, follow, diverge = partition_condition(
+        # entries equal to M0 are pruned at construction, so M2 agrees by
+        # fallback and is not reported
+        c = make({0: True, 1: False, 2: True, 3: 7})
+        mainline, diverge = partition_condition(
             c, on_kill=lambda m, k: killed.append(m))
         assert mainline is True
-        assert follow == set() and diverge == {1}
+        assert diverge == {1}
         assert killed == [3]
 
     def test_partition_requires_bool_mainline(self):
@@ -216,6 +217,57 @@ def test_apply_binary_matches_reference_composition(case, as_variants):
     # a choice site passes its whole variant map, ORIGINAL included
     passed = {0: op, **muts} if as_variants else muts
     assert _run(apply_binary, a, op, passed, b, restrict) == want
+
+
+BOOL_MAPS = st.builds(lambda a0, d: make({0: a0, **d}), st.booleans(),
+                      st.dictionaries(st.integers(1, 8), OPERANDS, max_size=5))
+
+
+@st.composite
+def conditions(draw):
+    """A condition as the engine builds one: by `make`, or by
+    `apply_binary` applying a comparison or `and`/`or`."""
+    if draw(st.booleans()):
+        return draw(BOOL_MAPS)
+    ops, operands = draw(st.sampled_from([(COMPARE_OPS, TAINT_MAPS),
+                                          (("and", "or"), BOOL_MAPS)]))
+    op = draw(st.sampled_from(ops))
+    muts = draw(st.dictionaries(st.integers(1, 8), st.sampled_from(ops),
+                                max_size=5))
+    try:
+        return apply_binary(draw(operands), op, muts, draw(operands))
+    except MiniRuntimeError:
+        assume(False)
+
+
+@given(conditions(), st.none() | st.sets(st.integers(1, 8)))
+@settings(max_examples=300)
+def test_every_bool_entry_of_a_condition_diverges(c, restrict):
+    # entries equal to the original are pruned as a value is built, so no
+    # mutant a condition carries follows its mainline decision: each bool
+    # entry diverges, and each other entry is a type error
+    mainline = value_of(c)
+    assert type(mainline) is bool
+    ids = taint_keys(c) if restrict is None else taint_keys(c) & restrict
+    bools = {m for m in ids if type(taint_get(c, m)) is bool}
+    assert all(taint_get(c, m) is not mainline for m in bools)
+    killed = []
+    assert partition_condition(c, restrict=restrict,
+                               on_kill=lambda m, k: killed.append(m)) == (
+        mainline, bools)
+    assert killed == sorted(ids - bools)
+
+
+def with_taint(v, m: int, mval):
+    """Install mval as mutant m's entry on v: the one-entry merge-back rule,
+    the reference that `with_taints` is checked against. The other entries
+    are already pruned, so only the new one is compared with the original."""
+    t = entries(v)
+    if plain_eq(mval, t[0]):
+        t.pop(m, None)
+    else:
+        t[m] = mval
+    return Tainted(t) if len(t) > 1 else t[0]
 
 
 @given(TAINT_MAPS, st.integers(1, 8), OPERANDS)
