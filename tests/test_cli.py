@@ -1,5 +1,8 @@
 """CLI: exit codes, output formats, determinism, environment config."""
 
+import csv
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -194,6 +197,50 @@ class TestOutputs:
         lines = capsys.readouterr().out.splitlines()
         assert lines and lines[0].startswith("M1 ")
         assert len(lines) == 15  # one arith point (10) + one compare (5)
+
+
+# sha256 of `mutlab compare --program corpus/<name>.ml0 --all --format csv`
+# and of `summary.csv` from `mutlab corpus run --out DIR` (default budget
+# multiplier), taken while CSV rows were still written from a report class
+# apart from the JSON dict. Rows written from the `mutlab/1` dicts must match.
+CSV_PINS = {
+    "caesar_cypher": "c19f12e84b076f943d299ae1f697c78330b50819f8449c85589563084e98f8f2",
+    "entropy": "a23854093b2339f88774c999a57b854d7d66b1249ad3c543aa70a7fad7df9fb2",
+    "euler": "87c7eb93eb092743b9df466e2b28d0a22c4227581c48572d86f80fe667bb7e69",
+    "newton": "2793381ee5e71ec3f86d50c5cb4f9ebc16e9b9cc81cf2e5017704535f0386c7f",
+    "prime": "4c43864ec3f537a3c96499923de5d9418f8c11399c042f91c2819f886be59b8c",
+}
+SUMMARY_CSV_PIN = \
+    "3a1a02bf7dc37883dce1bcf1536175447dbd5e8bc5ce686cfef8db00655fb1fe"
+
+
+@pytest.mark.parametrize("name", sorted(CSV_PINS))
+def test_compare_csv_pinned_on_corpus(name, tmp_path, monkeypatch):
+    monkeypatch.delenv("MUTLAB_BUDGET_MULT", raising=False)
+    out = tmp_path / "report.csv"
+    assert main(["compare", "--program", str(cli.CORPUS_DIR / f"{name}.ml0"),
+                 "--all", "--format", "csv", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CSV_PINS[name]
+
+
+def test_corpus_summary_csv_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("MUTLAB_BUDGET_MULT", raising=False)
+    assert main(["corpus", "run", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    summary = (tmp_path / "summary.csv").read_bytes()
+    assert hashlib.sha256(summary).hexdigest() == SUMMARY_CSV_PIN
+
+
+def test_csv_rows_are_the_json_reports_fields(tmp_path):
+    program = str(cli.CORPUS_DIR / "euler.ml0")
+    csv_out, json_out = tmp_path / "r.csv", tmp_path / "r.json"
+    for fmt, out in (("csv", csv_out), ("json", json_out)):
+        assert main(["compare", "--program", program, "--all",
+                     "--format", fmt, "--out", str(out)]) == 0
+    header, *rows = list(csv.reader(io.StringIO(csv_out.read_text())))
+    reports = json.loads(json_out.read_text())["reports"]
+    assert header == CSV_HEADER
+    assert rows == [[str(r[k]) for k in CSV_HEADER] for r in reports]
 
 
 class TestEnvironment:
