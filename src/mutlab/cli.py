@@ -147,6 +147,22 @@ def _analyze_one(path: str, strategies: list[str], budget_mult: int):
     return analysis
 
 
+def _write_reports(args, analysis):
+    reports = reports_from_analysis(Path(args.program).stem, analysis,
+                                    args.budget_mult)
+    text = emit_csv(reports) if args.format == "csv" else emit_json(reports)
+    _write_out(text, args.out)
+
+
+def _disagreements(analysis, prefix: str) -> bool:
+    """Print each verdict disagreement between strategies on stderr after
+    `prefix`; whether there was one."""
+    problems = check_consistency(analysis)
+    for p in problems:
+        print(f"{prefix}: {p}", file=sys.stderr)
+    return bool(problems)
+
+
 def cmd_analyze(args) -> int:
     name = args.strategy
     if name == "exec-taints":
@@ -161,11 +177,7 @@ def cmd_analyze(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     _check_out(args.out)
-    analysis = _analyze_one(args.program, [name], args.budget_mult)
-    reports = reports_from_analysis(Path(args.program).stem, analysis,
-                                    args.budget_mult)
-    text = emit_csv(reports) if args.format == "csv" else emit_json(reports)
-    _write_out(text, args.out)
+    _write_reports(args, _analyze_one(args.program, [name], args.budget_mult))
     return EXIT_OK
 
 
@@ -173,14 +185,8 @@ def cmd_compare(args) -> int:
     _check_out(args.out)
     analysis = _analyze_one(args.program, list(STRATEGY_NAMES),
                             args.budget_mult)
-    problems = check_consistency(analysis)
-    reports = reports_from_analysis(Path(args.program).stem, analysis,
-                                    args.budget_mult)
-    text = emit_csv(reports) if args.format == "csv" else emit_json(reports)
-    _write_out(text, args.out)
-    if problems:
-        for p in problems:
-            print(f"consistency: {p}", file=sys.stderr)
+    _write_reports(args, analysis)
+    if _disagreements(analysis, "consistency"):
         return EXIT_INCONSISTENT
     return EXIT_OK
 
@@ -206,10 +212,7 @@ def cmd_corpus(args) -> int:
         path = CORPUS_DIR / f"{prog}.ml0"
         analysis = _analyze_one(str(path), list(STRATEGY_NAMES),
                                 args.budget_mult)
-        problems = check_consistency(analysis)
-        if problems:
-            for p in problems:
-                print(f"consistency[{prog}]: {p}", file=sys.stderr)
+        if _disagreements(analysis, f"consistency[{prog}]"):
             worst = EXIT_INCONSISTENT
         reports = reports_from_analysis(prog, analysis, args.budget_mult)
         if out_dir:
@@ -241,10 +244,7 @@ def cmd_fuzz(args) -> int:
             print(f"seed {seed}: invalid test: {_invalid_failure(analysis)}",
                   file=sys.stderr)
             return EXIT_INVALID_TEST
-        problems = check_consistency(analysis)
-        if problems:
-            for p in problems:
-                print(f"seed {seed}: {p}", file=sys.stderr)
+        if _disagreements(analysis, f"seed {seed}"):
             worst = EXIT_INCONSISTENT
         else:
             _emit(f"seed {seed}: ok ({len(analysis.mutants)} mutants)\n")

@@ -288,11 +288,8 @@ class TaintEngine:
 
     def exec_assert(self, instr: IAssert, env: dict):
         v = self.eval(instr.expr, env)
-        mainline = value_of(v)
-        if not isinstance(mainline, bool):
-            raise MiniRuntimeError("type", "assert expression must be a bool",
-                                   instr.loc)
-        if not mainline:
+        if not values.require_bool(value_of(v), "assert expression",
+                                   instr.loc):
             raise MiniAssertionError(instr.loc)
         for mid in sorted(taint_keys(v) & self.active):
             mv = taint_get(v, mid)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .lang.errors import MiniSyntaxError
 from .lang.interp import compile_program, run_entry
 from .lang.parser import parse_program
 
@@ -123,7 +124,7 @@ def fuzz_program(seed: int) -> str:
             ast = parse_program(probe)
             outcome = run_entry(compile_program(ast), "test_fuzz", [],
                                 budget=GEN_BUDGET)
-        except Exception:
+        except MiniSyntaxError:
             continue
         if outcome.status != "pass":
             continue

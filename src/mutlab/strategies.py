@@ -67,12 +67,11 @@ class AnalysisConfig:
 
 @dataclass
 class StrategyRun:
-    strategy: str
     verdicts: dict            # mid -> ('killed', cause) | ('survived',) | ('not_covered',)
     per_test: dict            # test -> {mid -> verdict}
     program_stmts: int
     infra_ops: int
-    details: dict = field(default_factory=dict)  # test -> {"memo": stats}, engine only
+    memo_stats: dict = field(default_factory=dict)  # test -> stats, engine only
 
 
 @dataclass
@@ -242,7 +241,7 @@ def analyze_program(ast: Ast, cfg: AnalysisConfig | None = None) -> ProgramAnaly
                "modulo-state": run_modulo_state}
 
     analysis = ProgramAnalysis(mutants, {})
-    runs = {name: StrategyRun(name, {}, {}, 0, 0) for name in cfg.strategies}
+    runs = {name: StrategyRun({}, {}, 0, 0) for name in cfg.strategies}
     analysis.runs = runs
 
     for test in ast.tests:
@@ -275,7 +274,7 @@ def analyze_program(ast: Ast, cfg: AnalysisConfig | None = None) -> ProgramAnaly
                     return analysis
                 verdicts, stmts = report.verdicts, report.program_stmts
                 infra = report.infra.total()
-                runs[name].details[test] = {"memo": report.memo_stats}
+                runs[name].memo_stats[test] = report.memo_stats
             else:
                 raise ValueError(f"unknown strategy {name!r}")
 

@@ -17,7 +17,7 @@ eagerly; fallback makes this lossless.
 from __future__ import annotations
 
 from .lang.errors import MiniRuntimeError
-from .lang.values import OPERATORS, plain_eq, unary_op
+from .lang.values import OPERATORS, plain_eq, require_bool, unary_op
 
 ORIGINAL = 0
 
@@ -179,9 +179,7 @@ def partition_condition(c, *, restrict: set | None = None, on_kill=None):
     entry left diverges. Entries that are not bools are reported through
     on_kill and excluded.
     """
-    mainline = value_of(c)
-    if not isinstance(mainline, bool):
-        raise MiniRuntimeError("type", "condition must be a bool")
+    mainline = require_bool(value_of(c), "condition")
     diverge: set = set()
     ids = taint_keys(c)
     if restrict is not None:

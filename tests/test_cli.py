@@ -345,6 +345,33 @@ def test_fuzz_invalid_test_names_the_failure(capsys, monkeypatch):
     assert capsys.readouterr().err == "seed 7: invalid test: assert at 2:5\n"
 
 
+def test_fuzz_generator_defect_is_exit_4(capsys, monkeypatch):
+    # only a syntax error makes the generator try its next salt; a defect
+    # of mutlab while probing a candidate ends the run at once
+    calls = []
+
+    def broken(ast):
+        calls.append(ast)
+        raise KeyError("compile")
+
+    monkeypatch.setattr("mutlab.fuzz.compile_program", broken)
+    assert main(["fuzz", "--count", "1"]) == 4
+    assert capsys.readouterr().err == "error: internal: KeyError('compile')\n"
+    assert len(calls) == 1
+
+
+def test_disagreements_are_exit_3_one_line_each(good, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "check_consistency",
+                        lambda analysis: ["M1: a=x vs b=y", "M2: a=x vs b=z"])
+    monkeypatch.setattr(cli, "CORPUS_PROGRAMS", ["euler"])
+    for argv, prefix in ((["compare", "--program", good], "consistency"),
+                         (["corpus", "run"], "consistency[euler]"),
+                         (["fuzz", "--seed", "3"], "seed 3")):
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (f"{prefix}: M1: a=x vs b=y\n"
+                                           f"{prefix}: M2: a=x vs b=z\n")
+
+
 def test_python_dash_m_runs_the_cli():
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))

@@ -375,7 +375,7 @@ def test_diverged_only_paths_agree_across_strategies():
         for name, run in analysis.runs.items():
             assert run.verdicts[mid] == verdict, (fn_name, name)
     for name in ("exec-taints", "exec-taints-nf"):
-        memo = analysis.runs[name].details["test_memo_served"]["memo"]
+        memo = analysis.runs[name].memo_stats["test_memo_served"]
         assert memo["hits"] > 0, name
 
 
@@ -550,7 +550,7 @@ def test_memo_semantics_pinned_on_corpus(name):
     assert infra == INFRA_PINS[name]
     for strategy, (stmts, memo) in MEMO_PINS[name].items():
         run = analysis.runs[strategy]
-        sums = tuple(sum(det["memo"][k] for det in run.details.values())
+        sums = tuple(sum(stats[k] for stats in run.memo_stats.values())
                      for k in ("hits", "misses", "stores", "clears"))
         assert (run.program_stmts, sums) == (stmts, memo), strategy
 

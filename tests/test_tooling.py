@@ -1,17 +1,23 @@
 """The benchmark's tracer (`bench/tracing.py`) wraps library functions at
 the module attributes its `BOUNDARIES` name, and calls `run_test` with five
-positional arguments. A refactor that drops or reshapes one of them fails
-here, in-process and by name, rather than only inside
-`bench/run.py --trace 1`."""
+positional arguments. `bench/run.py` builds each pass's JSON report with
+`emit_json(reports_from_analysis(name, analysis, mult))` and reads the
+engine's `TestReport` fields in `layer_metrics`. A refactor that drops or
+reshapes one of them fails here, in-process and by name, rather than only
+inside `bench/run.py`."""
 
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 import pytest
 
 import mutlab.engine as engine
+import mutlab.report as report
 import mutlab.strategies as strategies
+from mutlab.cli import CORPUS_DIR
+from mutlab.lang.parser import parse_program
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -46,3 +52,33 @@ def test_tracer_installs_and_uninstalls(tracing):
     finally:
         tracer.uninstall()
     tracing.assert_clean()
+
+
+def test_bench_report_build_and_engine_fields(monkeypatch):
+    reports = []
+
+    def recording(*args):
+        reports.append(engine.run_test(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(strategies, "run_test", recording)
+    ast = parse_program((CORPUS_DIR / "euler.ml0").read_text())
+    analysis = strategies.analyze_program(
+        ast, strategies.AnalysisConfig(["traditional", "exec-taints"], 10))
+    # the positional call `bench/run.py`'s `run_op` makes
+    text = report.emit_json(report.reports_from_analysis("euler", analysis, 10))
+    doc = json.loads(text)
+    assert doc["schema"] == report.SCHEMA
+    assert [r["strategy"] for r in doc["reports"]] == ["traditional",
+                                                      "exec-taints"]
+    # what `bench/run.py`'s `layer_metrics` reads of each engine report
+    assert len(reports) == len(ast.tests)
+    for rep in reports:
+        read = (len(rep.context_stmts), len(rep.divergences),
+                rep.context_stmts[0], sum(rep.context_stmts[1:]),
+                rep.infra.total(), rep.infra.mcache_writes, rep.pending_end,
+                rep.infra.taint_ops, rep.memo_stats.get("hits", 0),
+                rep.memo_stats.get("misses", 0),
+                rep.memo_stats.get("clears", 0))
+        assert all(type(n) is int and n >= 0 for n in read)
+        assert rep.context_stmts[0] > 0 and rep.infra.taint_ops > 0
