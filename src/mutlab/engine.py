@@ -13,36 +13,31 @@ mainline return value. Only the root ever holds taints, so only the root
 needs the taint-aware evaluator.
 
 The root binds each call with `interp.bind_call`, the plain interpreter's
-rules, so a `.ml0` call level costs it three Python frames (`run_code`,
-`eval`, `call_wrapped`). Its errors get no location added: an error on the
-mainline only means the root left the original's passing run, and
-`run_test` reads no more of it than that it was raised.
+rules. Its errors get no location added: an error on the mainline only
+means the root left the original's passing run, and `run_test` reads no
+more of it than that it was raised.
 
 With memo on (`EngineConfig.memo`), diverged runs consult the memo before
 executing a program call and every call fills it, guarded by the mutation
-cache. The engine hands the program's static reach sets
-(`CompiledProgram.reach`) to the cache once, when it is built, so running
-a choice site or a call does no memo bookkeeping (see `memo`).
+cache: the program's static reach sets (`CompiledProgram.reach`), handed
+to it once. `memo` says which calls build keys and how.
 
-The engine pays for no bookkeeping it would throw away:
-  - memo: a memo run's call of f for a mutant in reach(f) builds no key,
-    and a root call's stores key only the live mutants outside reach(f);
-    both still count the lookups, misses and stores they skip;
-  - root: `eval` dispatches on the node's exact type (`Var` and `Literal`
-    first), an untainted condition decides at once, and a divergent
-    condition's forked envs are one plain copy of the frame's env each,
-    with the mutant's own entries written over it (`taints.concretize_env`,
-    once per condition);
-  - merge-back: a frame's survivors fold into one copy of the return
-    value's taint map (`taints.with_taints`);
-  - one original run: `run_test` reads the test's original `Outcome` from
-    `CompiledProgram.originals`, where `strategies.analyze_program`
-    records it, and runs it only when no caller has.
+The root stays a tree walk and pays per live mutant, not per node or fork:
+  - `eval` reads a `Var` or `Literal` operand of a binary node inline, and
+    `run_code` follows a jump before it counts a statement;
+  - an untainted condition decides at once; a tainted one is one id-ordered
+    pass over its taint map, then in fork mode one plain copy of the
+    frame's env per diverging mutant (`taints.concretize_env`), and one
+    tuple per divergence, which `TestReport.divergences` turns into records;
+  - diverged mutants run on the engine's one child runner, reset to each,
+    and a frame's survivors fold into one copy of its return value's map;
+  - `run_test` reads the test's original `Outcome` from
+    `CompiledProgram.originals` and runs it only when no caller has.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .lang.errors import MiniAssertionError, MiniRuntimeError, StepBudgetExceeded
 from .lang.interp import (
@@ -54,7 +49,8 @@ from .lang.nodes import (
     TaintChoice, UnaryOp, Var,
 )
 from .lang import values
-from .memo import MemoState, make_call_key, mutant_call_keys
+from .lang.values import canon_key
+from .memo import MemoState, make_call_key
 from . import taints
 from .taints import ORIGINAL, Tainted, taint_get, taint_keys, value_of
 
@@ -104,15 +100,18 @@ class TestReport:
     context_stmts: list
     infra: InfraStats
     memo_stats: dict
-    divergences: list
+    divergence_log: list   # (loc, mutant, its decision, mainline's) each
     pending_end: int = 0
+
+    @property
+    def divergences(self) -> list[DivergenceEvent]:
+        return [DivergenceEvent(*d) for d in self.divergence_log]
 
 
 class _MemoRun(PlainRun):
-    """A diverged mutant's run that shares wrapped calls through the memo:
-    `run_fn`, which every call enters, serves a call from it when the
-    mutation cache allows, and otherwise runs the call and stores it, so a
-    call level costs three Python frames. A hit returns what running the
+    """A diverged mutant's run that shares calls through the memo: `run_fn`,
+    which every call enters, serves a call from it when the mutation cache
+    allows and otherwise runs and stores it. A hit returns what running the
     call would, so a loop back at an earlier state is cut short as in a
     plain run."""
 
@@ -162,17 +161,19 @@ class TaintEngine:
             for name, mutants in program.reach.items():
                 self.memo.record_mutation_encounter(name, mutants)
         self.infra = InfraStats()
-        self.divergences: list[DivergenceEvent] = []
+        # children never nest: one runner, reset per diverged mutant
+        self.child = (_MemoRun(self, ORIGINAL) if cfg.memo else
+                      PlainRun(program, budget=child_budget))
+        self.divergences: list[tuple] = []
         self.covered_points: set[int] = set()
         self.context_stmts: list[int] = []
 
     # --- kill ledger ---
 
     def kill(self, m: int, cause: str, detail: str | None = None):
-        if m in self.kills:
-            return
-        self.kills[m] = (cause, detail)
-        self.active.discard(m)
+        if m not in self.kills:
+            self.kills[m] = (cause, detail)
+            self.active.discard(m)
 
     def _kill_exc(self, m: int, kind: str):
         self.kill(m, "exception", kind)
@@ -188,15 +189,21 @@ class TaintEngine:
         return rv
 
     def _merge_back(self, frame: _Frame, rv):
-        """Run this frame's diverged mutants alone, in mutant order, and
-        merge the survivors' return values onto the mainline return value's
-        taint map, all into one copy of it. Each starts in
-        `PlainRun.run_fn`, so a memo run's hook serves the calls it makes,
-        never the frame it diverged in."""
-        merged = []
-        for mid, env, pc in sorted(frame.diverged, key=lambda d: d[0]):
-            run = (_MemoRun(self, mid) if self.cfg.memo else
-                   PlainRun(self.program, select=mid, budget=self.child_budget))
+        """Run this frame's diverged mutants alone, in mutant order, on the
+        engine's one child runner, and fold the survivors' return values
+        into one copy of the mainline return value's taint map. Each starts
+        in `PlainRun.run_fn`, so a memo run's hook serves the calls it
+        makes, never the frame it diverged in."""
+        diverged = frame.diverged
+        if not diverged:
+            return rv
+        if len(diverged) > 1:
+            diverged.sort(key=lambda d: d[0])
+        run, mutants, merged = self.child, self.program.mutants, []
+        for mid, env, pc in diverged:
+            run.select = mid
+            run.point, run.kernel = mutants[mid]
+            run.stmts = 0
             try:
                 value = PlainRun.run_fn(run, frame.fn, env, pc)
             except MiniAssertionError:
@@ -210,12 +217,14 @@ class TaintEngine:
                 merged.append((mid, value))
             finally:
                 self.context_stmts.append(run.stmts)
-                self.pending -= 1
+        self.pending -= len(diverged)
         return taints.with_taints(rv, merged)
 
     def _memo_store(self, name: str, args: list, rv):
-        """Store the call's value for every live mutant; only those the
-        memo does not refuse (outside reach(name)) get a key."""
+        """Store the call's value for every live mutant, in the order of the
+        return value's taint map; only those the memo does not refuse
+        (outside reach(name)) get a key, built from each argument entry
+        canonicalised once."""
         if not self.cfg.memo or self.pending == 0:
             return
         rv_map = rv.taints if type(rv) is Tainted else {ORIGINAL: rv}
@@ -223,8 +232,18 @@ class TaintEngine:
         self.infra.memo_stores += len(live)
         vetoed = self.memo.mutation_cache[name]
         kept = [mid for mid in live if mid not in vetoed]
-        for mid, key in mutant_call_keys(name, args, kept).items():
-            self.memo.store(key, mid, rv_map[mid])
+        if not kept:
+            return
+        base = [canon_key(value_of(a)) for a in args]
+        tainted = [(i, a.taints) for i, a in enumerate(args)
+                   if type(a) is Tainted]
+        for mid in kept:
+            own = (() if mid == ORIGINAL else
+                   [(i, t[mid]) for i, t in tainted if mid in t])
+            canon = base[:] if own else base
+            for i, v in own:
+                canon[i] = canon_key(v)
+            self.memo.store((name, tuple(canon)), mid, rv_map[mid])
 
     # --- execution ---
 
@@ -234,19 +253,20 @@ class TaintEngine:
         env = frame.env
         while True:
             instr = code[pc]
+            kind = type(instr)
+            if kind is ILoop or kind is IJump:  # never counted
+                pc = instr.target
+                continue
             if instr.counted:
                 self.stmts += 1
                 if self.stmts > self.budget:
                     raise StepBudgetExceeded()
-            kind = type(instr)
             if kind is IAssign:
                 env[instr.name] = self.eval(instr.expr, env)
                 pc += 1
             elif kind is IBranch:
                 cond = self.eval(instr.cond, env)
                 pc = self.exec_cond(frame, instr, cond)
-            elif kind is ILoop or kind is IJump:
-                pc = instr.target
             elif kind is IReturn:
                 if instr.expr is None:
                     return None
@@ -265,25 +285,22 @@ class TaintEngine:
             return instr.true_pc if cond else instr.false_pc
         mainline, diverge = taints.partition_condition(
             cond, restrict=self.active, on_kill=self._kill_exc)
-        if not diverge:
-            return instr.true_pc if mainline else instr.false_pc
-        diverge = sorted(diverge)
-        if self.cfg.fork:
-            envs = taints.concretize_env(frame.env, diverge)
-        for i, mid in enumerate(diverge):
-            decision = taint_get(cond, mid)
-            self.divergences.append(
-                DivergenceEvent(instr.loc, mid, decision, mainline))
-            self.active.discard(mid)
-            self.pending += 1
-            if self.cfg.fork:
+        if diverge:  # in id order
+            self.active.difference_update(diverge)
+            self.pending += len(diverge)
+            fork, t = self.cfg.fork, cond.taints
+            if fork:
+                envs = taints.concretize_env(frame.env, diverge)
+                self.infra.snapshots += len(diverge)
+            else:  # each re-executes the whole call on its own arguments
+                envs = [dict(zip(frame.fn.params,
+                                 [taint_get(a, mid) for a in frame.args]))
+                        for mid in diverge]
+            for mid, env in zip(diverge, envs):
+                decision = t[mid]
+                self.divergences.append((instr.loc, mid, decision, mainline))
                 target = instr.true_pc if decision else instr.false_pc
-                frame.diverged.append((mid, envs[i], target))
-                self.infra.snapshots += 1
-            else:
-                args_m = [taint_get(a, mid) for a in frame.args]
-                frame.diverged.append(
-                    (mid, dict(zip(frame.fn.params, args_m)), 0))
+                frame.diverged.append((mid, env, target if fork else 0))
         return instr.true_pc if mainline else instr.false_pc
 
     def exec_assert(self, instr: IAssert, env: dict):
@@ -310,17 +327,21 @@ class TaintEngine:
                                        e.loc) from None
         if kind is Literal:
             return e.value
-        if kind is TaintChoice:
-            a = self.eval(e.left, env)
-            b = self.eval(e.right, env)
-            self.covered_points.add(e.point_id)
-            return taints.apply_binary(a, e.variants[ORIGINAL], e.variants, b,
-                                       restrict=self.active,
-                                       on_kill=self._kill_exc, stats=self.infra)
-        if kind is BinOp or kind is Compare or kind is BoolOp:
-            a = self.eval(e.left, env)
-            b = self.eval(e.right, env)
-            return taints.apply_binary(a, e.op, {}, b, restrict=self.active,
+        if (kind is TaintChoice or kind is BinOp or kind is Compare
+                or kind is BoolOp):
+            # a defined `Var` or a `Literal` operand is read inline; an
+            # undefined one raises in `eval`, at its own location
+            x, y = e.left, e.right
+            a = (env[x.name] if type(x) is Var and x.name in env
+                 else x.value if type(x) is Literal else self.eval(x, env))
+            b = (env[y.name] if type(y) is Var and y.name in env
+                 else y.value if type(y) is Literal else self.eval(y, env))
+            if kind is TaintChoice:
+                self.covered_points.add(e.point_id)
+                op, variants = e.variants[ORIGINAL], e.variants
+            else:
+                op, variants = e.op, {}
+            return taints.apply_binary(a, op, variants, b, restrict=self.active,
                                        on_kill=self._kill_exc, stats=self.infra)
         if kind is Call:
             args = [self.eval(a, env) for a in e.args]
@@ -349,14 +370,14 @@ class TaintEngine:
         construction, indexing). Taints on list elements are lifted to the
         list value itself."""
         out = {ORIGINAL: fn(*[value_of(a) for a in args])}
-        ids = taints.active_taints(args) & self.active
+        ids = {m for a in args if type(a) is Tainted for m in a.taints}
+        ids &= self.active  # ORIGINAL is never active
         for m in sorted(ids):
             try:
                 out[m] = fn(*[taint_get(a, m) for a in args])
             except MiniRuntimeError as err:
                 self._kill_exc(m, err.kind)
-        if ids:
-            self.infra.taint_ops += len(ids)
+        self.infra.taint_ops += len(ids)
         return taints.make(out)
 
 
@@ -393,8 +414,7 @@ def run_test(program: CompiledProgram, test: str, mutant_ids: list[int],
     verdicts = {}
     for mid in mutant_ids:
         if mid in eng.kills:
-            cause, detail = eng.kills[mid]
-            verdicts[mid] = ("killed", cause)
+            verdicts[mid] = ("killed", eng.kills[mid][0])
         elif point_of_mutant[mid] in eng.covered_points:
             verdicts[mid] = ("survived",)
         else:
@@ -408,7 +428,7 @@ def run_test(program: CompiledProgram, test: str, mutant_ids: list[int],
         program_stmts=sum(context_stmts),
         context_stmts=context_stmts,
         infra=eng.infra,
-        memo_stats=eng.memo.stats.as_dict(),
-        divergences=eng.divergences,
+        memo_stats=asdict(eng.memo.stats),
+        divergence_log=eng.divergences,
         pending_end=eng.pending,
     )

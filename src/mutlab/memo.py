@@ -24,10 +24,11 @@ this cache with the paper's.
 
 A mutant in reach(f) builds no key of f, since `lookup` and `store`
 would refuse it every key: a memo run asks the mutation cache before it
-keys a call and counts a vetoed call's lookup as a miss, and the root's
-stores key only the live mutants outside reach(f). The counts do not
-change: `MemoStats` and the engine's `InfraStats` read what they would
-if every key were built.
+keys a call (`make_call_key`) and counts a vetoed call's lookup as a miss.
+The root's stores key each live mutant outside reach(f), in the order of
+the return value's taint map, from the call's argument entries, each
+canonicalised once. `MemoStats` and the engine's `InfraStats` read what
+they would if every key were built.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .lang.values import canon_key
-from .taints import ORIGINAL, Tainted, taint_get
 
 CallKey = tuple
 
@@ -44,30 +44,12 @@ def make_call_key(fn_name: str, args: list) -> CallKey:
     return (fn_name, tuple(map(canon_key, args)))
 
 
-def mutant_call_keys(fn_name: str, args: list, mutants) -> dict:
-    """{m: the key of the call as mutant m sees its (possibly tainted)
-    args} in the order of `mutants`; mutants no argument is tainted for
-    share the original key, built once."""
-    tainted = set()
-    for a in args:
-        if type(a) is Tainted:
-            tainted.update(a.taints)
-    tainted.discard(ORIGINAL)
-    base = make_call_key(fn_name, [taint_get(a, ORIGINAL) for a in args])
-    return {m: make_call_key(fn_name, [taint_get(a, m) for a in args])
-            if m in tainted else base for m in mutants}
-
-
 @dataclass
 class MemoStats:
     hits: int = 0
     misses: int = 0
     stores: int = 0
     clears: int = 0
-
-    def as_dict(self) -> dict:
-        return {"hits": self.hits, "misses": self.misses,
-                "stores": self.stores, "clears": self.clears}
 
 
 @dataclass

@@ -56,13 +56,6 @@ def taint_keys(v) -> set:
     return set()
 
 
-def active_taints(vs) -> set:
-    out: set = set()
-    for v in vs:
-        out |= taint_keys(v)
-    return out
-
-
 def make(taints: dict):
     """Build a value from a taint map, pruning entries equal to the
     original and collapsing to a plain value when nothing remains."""
@@ -109,9 +102,10 @@ def apply_binary(a, op: str, op_mutations: dict, b, *,
     `on_kill(mid, kind)` reports per-mutant errors, in id order.
 
     Each operand's taint map is read once; an untainted operation with no
-    operator mutation left returns the plain result at once. Entries equal
-    to the original are pruned as they are computed (as `make` would), and
-    the charge is one taint op per computed id, at least one.
+    operator mutation left returns the plain result at once. An entry equal
+    to the original is pruned as it is computed, as `make` would, with
+    `plain_eq` only for same-type lists, ±0.0 and nan. The charge is one
+    taint op per computed id, at least one.
     """
     ta = a.taints if type(a) is Tainted else None
     tb = b.taints if type(b) is Tainted else None
@@ -146,7 +140,10 @@ def apply_binary(a, op: str, op_mutations: dict, b, *,
             if on_kill is not None:
                 on_kill(m, err.kind)
             continue
-        if type(v) is tbase and (tbase is int or tbase is bool or tbase is str):
+        if type(v) is not tbase:  # plain_eq is type-sensitive
+            out[m] = v
+        elif (tbase is int or tbase is bool or tbase is str
+              or tbase is float and v and v == v):  # not ±0.0, not nan
             if v != base:
                 out[m] = v
         elif not plain_eq(v, base):
@@ -174,21 +171,22 @@ def apply_unary(op: str, a, *, restrict: set | None = None,
 
 def partition_condition(c, *, restrict: set | None = None, on_kill=None):
     """The mainline decision of a boolean condition and the mutants whose
-    decision diverges from it: (mainline_decision, diverge_ids). An entry
-    equal to the original is pruned (`make`, `apply_binary`), so every bool
-    entry left diverges. Entries that are not bools are reported through
-    on_kill and excluded.
+    decision diverges from it, in id order: (mainline_decision,
+    diverge_ids). An entry equal to the original is pruned (`make`,
+    `apply_binary`), so every bool entry left diverges. Entries that are
+    not bools are reported through on_kill, in id order, and excluded.
     """
     mainline = require_bool(value_of(c), "condition")
-    diverge: set = set()
-    ids = taint_keys(c)
-    if restrict is not None:
-        ids &= restrict
-    for m in sorted(ids):
-        if isinstance(taint_get(c, m), bool):
-            diverge.add(m)
-        elif on_kill is not None:
-            on_kill(m, "type")
+    diverge = []
+    if type(c) is Tainted:
+        t = c.taints
+        for m in sorted(t):
+            if m == ORIGINAL or restrict is not None and m not in restrict:
+                continue
+            if type(t[m]) is bool:
+                diverge.append(m)
+            elif on_kill is not None:
+                on_kill(m, "type")
     return mainline, diverge
 
 

@@ -2,7 +2,9 @@
 no-fork re-execution, memo behaviour, and verdict agreement across the
 four engine variants."""
 
+import copy
 import itertools
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,6 +14,9 @@ from mutlab.engine import (
     EngineConfig, InfraStats, TaintEngine, _MemoRun, run_test,
 )
 from mutlab.lang import PlainRun, compile_program, parse_program
+from mutlab.lang.errors import (
+    MiniAssertionError, MiniRuntimeError, StepBudgetExceeded,
+)
 from mutlab.memo import MemoStats, make_call_key
 from mutlab.mutate import (
     discover_mutation_points, enumerate_mutants, generate_meta_mutant,
@@ -450,6 +455,112 @@ def test_cycling_loop_with_a_call_runs_to_budget_under_memo(monkeypatch):
         assert ("_MemoRun" in fired) == (name in ("exec-taints",
                                                   "exec-taints-nf")), name
     assert check_consistency(analyze_program(ast)) == []
+
+
+# Memo hits, infra_ops and statements of the memo variants on
+# CYCLE_WITH_CALL, pinned as they read before diverged mutants shared one
+# child runner: no corpus or fuzz pin has a memo child that cycles through a
+# call. A cut-short cycle does not count the lookups it skips (the `FOUND:`
+# line of CHANGES.md on `CYCLE_WITH_CALL`); counting them per period would
+# move these pins on purpose.
+CYCLE_PINS = {"exec-taints": (199, 314, 1633),
+              "exec-taints-nf": (201, 302, 1654)}
+
+
+def test_cycling_loop_with_a_call_counts_are_pinned():
+    analysis = analyze_program(parse_program(CYCLE_WITH_CALL),
+                               AnalysisConfig(strategies=sorted(CYCLE_PINS)))
+    for name, pin in CYCLE_PINS.items():
+        run = analysis.runs[name]
+        hits = sum(stats["hits"] for stats in run.memo_stats.values())
+        assert (hits, run.infra_ops, run.program_stmts) == pin, name
+
+
+# One frame, g's, queues in mutant order M1 (`n - 6`: k = 0, the loop never
+# moves, timeout), M3 (`n / 6`: k = 1.0, `5 // 0.0` raises), M7 (`n | 6`:
+# k = 6, returns) and f's own mutants, which diverge at `y == 36` and call
+# f(12), an entry the root stored: reach(f) vetoes them.
+CHILD_SEQUENCE = """\
+def g(n):
+    k = n + 6
+    if k < 10:
+        i = 0
+        while i < 6:
+            i = i + k
+        return 5 // (k - 1)
+    y = f(k)
+    if y == 36:
+        return y
+    return f(k)
+
+def f(x):
+    return x * 3
+
+def test_t():
+    assert g(6) > 0
+"""
+
+
+def _child_verdict(run, fn, env, pc) -> str:
+    try:
+        PlainRun.run_fn(run, fn, env, pc)
+    except MiniAssertionError:
+        return "assertion"
+    except MiniRuntimeError:
+        return "exception"
+    except StepBudgetExceeded:
+        return "timeout"
+    return "survived"
+
+
+@pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=CONFIG_IDS)
+def test_children_share_no_state(monkeypatch, cfg):
+    """Every diverged mutant runs on the engine's one child runner exactly
+    as on a fresh runner given the same (fn, env, pc) and memo state: same
+    statements, same verdict, and no memo hit for a vetoed mutant. A stale
+    `select`, `point`, `kernel` or `stmts` on the shared runner breaks it."""
+    program, mids, point_of, mutants = prepare(CHILD_SEQUENCE)
+    assert [(m.mid, m.replacement_op) for m in mutants
+            if m.mid in (1, 3, 7)] == [(1, "-"), (3, "/"), (7, "|")]
+    vetoed = program.reach["f"]
+    frames, verdicts = [], []
+    merge_back = TaintEngine._merge_back
+
+    def recording(self, frame, rv):
+        queued = [(mid, dict(env), pc) for mid, env, pc in
+                  sorted(frame.diverged, key=lambda d: d[0])]
+        frames.append((frame.fn, queued, self.child_budget,
+                       copy.deepcopy(self.memo)))
+        out = merge_back(self, frame, rv)
+        verdicts.extend(self.kills.get(mid, ("survived",))[0]
+                        for mid, _, _ in queued)
+        return out
+
+    monkeypatch.setattr(TaintEngine, "_merge_back", recording)
+    report = run_test(program, "test_t", mids, point_of, cfg)
+    [g_queue] = [[mid for mid, _, _ in q] for fn, q, _, _ in frames
+                 if fn.name == "g"]
+    # in mutant order: timeout, raise, return, then the vetoed mutants
+    assert {1, 3, 7} | vetoed <= set(g_queue) and 7 < min(vetoed)
+    fresh_stmts, fresh_verdicts, hits = [], [], 0
+    for fn, queued, budget, memo in frames:
+        twin = SimpleNamespace(program=program, child_budget=budget,
+                               memo=memo, infra=InfraStats())
+        for mid, env, pc in queued:
+            run = (_MemoRun(twin, mid) if cfg.memo else
+                   PlainRun(program, select=mid, budget=budget))
+            before = memo.stats.hits
+            fresh_verdicts.append(_child_verdict(run, fn, env, pc))
+            fresh_stmts.append(run.stmts)
+            assert mid not in vetoed or memo.stats.hits == before, mid
+            hits += memo.stats.hits - before
+    assert report.context_stmts[1:] == fresh_stmts
+    assert verdicts == fresh_verdicts
+    assert [verdicts[g_queue.index(m)] for m in (1, 3, 7)] == [
+        "timeout", "exception", "survived"]
+    # the root looks nothing up: every hit is a child's
+    assert report.memo_stats["hits"] == hits
+    assert hits > 0 if cfg.memo else hits == 0
 
 
 # The mutants of `n > 1` (M26, M28, M29) diverge in outer and stay pending,

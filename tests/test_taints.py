@@ -1,8 +1,10 @@
 """Taint maps and the transmission rules, including the documented worked
 examples and property-based checks of the composition laws."""
 
+import struct
+
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mutlab.lang.errors import MiniRuntimeError
@@ -108,7 +110,7 @@ class TestMechanics:
         mainline, diverge = partition_condition(
             c, on_kill=lambda m, k: killed.append(m))
         assert mainline is True
-        assert diverge == {1}
+        assert diverge == [1]
         assert killed == [3]
 
     def test_partition_requires_bool_mainline(self):
@@ -219,6 +221,36 @@ def test_apply_binary_matches_reference_composition(case, as_variants):
     assert _run(apply_binary, a, op, passed, b, restrict) == want
 
 
+NAN_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
+# values whose entries differ from the original only in type, sign of zero,
+# nan payload bits, or as strings and tuples
+PRUNE_OPERANDS = st.one_of(st.integers(-2, 2), st.sampled_from(
+    [0.0, -0.0, 1.0, 2.5, float("nan"), -float("nan"), NAN_PAYLOAD, True,
+     False, "", "a", "ab", (), (1,), (1.0,), (True,), (0.0,), (-0.0,)]))
+PRUNE_MAPS = st.builds(lambda a0, d: make({0: a0, **d}), PRUNE_OPERANDS,
+                       st.dictionaries(st.integers(1, 8), PRUNE_OPERANDS,
+                                       max_size=5))
+ANY_OP = st.sampled_from(ARITH_OPS + COMPARE_OPS + ("and", "or"))
+
+
+@given(PRUNE_MAPS, ANY_OP, st.dictionaries(st.integers(1, 8), ANY_OP,
+                                           max_size=5),
+       PRUNE_MAPS, st.none() | st.sets(st.integers(1, 8)))
+@example(4, "/", {1: "//"}, 2, None)                  # 2.0 against 2
+@example(1, "==", {1: "*"}, 1, None)                  # True against 1
+@example(make({0: 0.0, 1: -0.0}), "*", {}, 1.0, None)  # 0.0 against -0.0
+@example(make({0: float("nan"), 1: NAN_PAYLOAD}), "*", {}, 1.0, None)
+@example(make({0: "a", 1: "b"}), "+", {2: "*"}, "", None)
+@example(make({0: (1,), 1: (1.0,), 2: (True,)}), "+", {}, (), None)
+@settings(max_examples=500)
+def test_apply_binary_prunes_as_make_does(a, op, muts, b, restrict):
+    # the pruned result is `make` over the full map: an entry of another
+    # exact type is kept unchecked, and a float is compared inline except
+    # for ±0.0 and nan; kills and the charge do not change either
+    assert _run(apply_binary, a, op, muts, b, restrict) == \
+        _run(reference_apply_binary, a, op, muts, b, restrict)
+
+
 BOOL_MAPS = st.builds(lambda a0, d: make({0: a0, **d}), st.booleans(),
                       st.dictionaries(st.integers(1, 8), OPERANDS, max_size=5))
 
@@ -254,7 +286,7 @@ def test_every_bool_entry_of_a_condition_diverges(c, restrict):
     killed = []
     assert partition_condition(c, restrict=restrict,
                                on_kill=lambda m, k: killed.append(m)) == (
-        mainline, bools)
+        mainline, sorted(bools))
     assert killed == sorted(ids - bools)
 
 

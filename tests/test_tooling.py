@@ -82,3 +82,29 @@ def test_bench_report_build_and_engine_fields(monkeypatch):
                 rep.memo_stats.get("clears", 0))
         assert all(type(n) is int and n >= 0 for n in read)
         assert rep.context_stmts[0] > 0 and rep.infra.taint_ops > 0
+
+
+# The boundaries whose calls the per-layer metrics count, memo ones per
+# memo variant
+LIVE_BOUNDARIES = [
+    "taints.apply_binary", "taints.partition", "taints.concretize_env",
+    *(f"memo.{name}.{variant}" for name in ("key", "lookup", "store", "record")
+      for variant in ("exec-taints", "exec-taints-nf")),
+]
+
+
+def test_traced_boundaries_stay_live(tracing):
+    """A traced corpus `compare` crosses every boundary in LIVE_BOUNDARIES,
+    so a refactor that inlines a traced function fails here by name instead
+    of reading 0 in the per-layer metrics."""
+    asts = [parse_program(p.read_text())
+            for p in sorted(CORPUS_DIR.glob("*.ml0"))]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for ast in asts:
+            strategies.check_consistency(strategies.analyze_program(ast))
+    finally:
+        tracer.uninstall()
+    assert [label for label in LIVE_BOUNDARIES
+            if tracer.calls(label) == 0] == []
