@@ -22,7 +22,9 @@ executing a program call and every call fills it, guarded by the mutation
 cache: the program's static reach sets (`CompiledProgram.reach`), handed
 to it once. `memo` says which calls build keys and how.
 
-The root stays a tree walk and pays per live mutant, not per node or fork:
+The root runs a function's code (`CompiledFn.code`) up to pc len(code),
+walks each expression as a tree, and pays per live mutant, not per node
+or fork:
   - `eval` reads a `Var` or `Literal` operand of a binary node inline, and
     `run_code` follows a jump before it counts a statement;
   - an untainted condition decides at once; a tainted one is one id-ordered
@@ -41,18 +43,18 @@ from dataclasses import asdict, dataclass, field
 
 from .lang.errors import MiniAssertionError, MiniRuntimeError, StepBudgetExceeded
 from .lang.interp import (
-    CompiledFn, CompiledProgram, IAssert, IAssign, IBranch, IExpr, IJump,
-    ILoop, IReturn, PlainRun, bind_call, run_entry,
+    CompiledFn, CompiledProgram, IBranch, IJump, PlainRun, bind_call,
+    run_entry,
 )
 from .lang.nodes import (
-    BinOp, BoolOp, Call, Compare, Expr, Index, ListLit, Literal, Loc,
-    TaintChoice, UnaryOp, Var,
+    Assert, Assign, BinOp, BoolOp, Call, Compare, Expr, Index, ListLit,
+    Literal, Loc, Return, TaintChoice, UnaryOp, Var,
 )
 from .lang import values
 from .lang.values import canon_key
 from .memo import MemoState, make_call_key
 from . import taints
-from .taints import ORIGINAL, Tainted, taint_get, taint_keys, value_of
+from .taints import ORIGINAL, Tainted, taint_get, value_of
 
 
 @dataclass
@@ -154,7 +156,7 @@ class TaintEngine:
         self.budget = budget       # the root's step budget
         self.stmts = 0             # statements the root executed
         self.active: set[int] = set(mutant_ids)
-        self.kills: dict[int, tuple] = {}
+        self.kills: dict[int, str] = {}  # mid -> cause
         self.pending = 0           # diverged mutants not yet merged back
         self.memo = MemoState()
         if cfg.memo:
@@ -170,13 +172,13 @@ class TaintEngine:
 
     # --- kill ledger ---
 
-    def kill(self, m: int, cause: str, detail: str | None = None):
+    def kill(self, m: int, cause: str):
         if m not in self.kills:
-            self.kills[m] = (cause, detail)
+            self.kills[m] = cause
             self.active.discard(m)
 
     def _kill_exc(self, m: int, kind: str):
-        self.kill(m, "exception", kind)
+        self.kill(m, "exception")
 
     # --- calls ---
 
@@ -208,8 +210,8 @@ class TaintEngine:
                 value = PlainRun.run_fn(run, frame.fn, env, pc)
             except MiniAssertionError:
                 self.kill(mid, "assertion")
-            except MiniRuntimeError as err:
-                self.kill(mid, "exception", err.kind)
+            except MiniRuntimeError:
+                self.kill(mid, "exception")
             except StepBudgetExceeded:
                 self.kill(mid, "timeout")
             else:
@@ -250,39 +252,35 @@ class TaintEngine:
     def run_code(self, frame: _Frame):
         pc = 0
         code = frame.fn.code
+        end = len(code)
         env = frame.env
-        while True:
-            instr = code[pc]
-            kind = type(instr)
-            if kind is ILoop or kind is IJump:  # never counted
-                pc = instr.target
+        while pc < end:
+            s = code[pc]
+            kind = type(s)
+            if kind is IJump:  # never counted
+                pc = s.target
                 continue
-            if instr.counted:
-                self.stmts += 1
-                if self.stmts > self.budget:
-                    raise StepBudgetExceeded()
-            if kind is IAssign:
-                env[instr.name] = self.eval(instr.expr, env)
+            self.stmts += 1
+            if self.stmts > self.budget:
+                raise StepBudgetExceeded()
+            if kind is Assign:
+                env[s.name] = self.eval(s.value, env)
                 pc += 1
             elif kind is IBranch:
-                cond = self.eval(instr.cond, env)
-                pc = self.exec_cond(frame, instr, cond)
-            elif kind is IReturn:
-                if instr.expr is None:
-                    return None
-                return self.eval(instr.expr, env)
-            elif kind is IAssert:
-                self.exec_assert(instr, env)
+                pc = self.exec_cond(frame, s, pc, self.eval(s.cond, env))
+            elif kind is Return:
+                return None if s.value is None else self.eval(s.value, env)
+            elif kind is Assert:
+                self.exec_assert(s, env)
                 pc += 1
-            elif kind is IExpr:
-                self.eval(instr.expr, env)
+            else:  # ExprStmt
+                self.eval(s.value, env)
                 pc += 1
-            else:
-                raise TypeError(f"bad instruction {instr!r}")
+        return None  # the implicit return, not counted
 
-    def exec_cond(self, frame: _Frame, instr: IBranch, cond) -> int:
+    def exec_cond(self, frame: _Frame, br: IBranch, pc: int, cond) -> int:
         if type(cond) is bool:  # untainted: nothing can diverge
-            return instr.true_pc if cond else instr.false_pc
+            return pc + 1 if cond else br.false_pc
         mainline, diverge = taints.partition_condition(
             cond, restrict=self.active, on_kill=self._kill_exc)
         if diverge:  # in id order
@@ -298,22 +296,20 @@ class TaintEngine:
                         for mid in diverge]
             for mid, env in zip(diverge, envs):
                 decision = t[mid]
-                self.divergences.append((instr.loc, mid, decision, mainline))
-                target = instr.true_pc if decision else instr.false_pc
+                self.divergences.append((br.loc, mid, decision, mainline))
+                target = pc + 1 if decision else br.false_pc
                 frame.diverged.append((mid, env, target if fork else 0))
-        return instr.true_pc if mainline else instr.false_pc
+        return pc + 1 if mainline else br.false_pc
 
-    def exec_assert(self, instr: IAssert, env: dict):
-        v = self.eval(instr.expr, env)
-        if not values.require_bool(value_of(v), "assert expression",
-                                   instr.loc):
-            raise MiniAssertionError(instr.loc)
-        for mid in sorted(taint_keys(v) & self.active):
-            mv = taint_get(v, mid)
-            if not isinstance(mv, bool):
-                self.kill(mid, "exception", "type")
-            elif not mv:
-                self.kill(mid, "assertion")
+    def exec_assert(self, s: Assert, env: dict):
+        # every bool entry left differs from the mainline (see `taints.make`)
+        mainline, failed = taints.partition_condition(
+            self.eval(s.test, env), restrict=self.active,
+            on_kill=self._kill_exc)
+        if not mainline:
+            raise MiniAssertionError(s.loc)
+        for mid in failed:
+            self.kill(mid, "assertion")
 
     # --- expression evaluation ---
 
@@ -375,8 +371,8 @@ class TaintEngine:
         for m in sorted(ids):
             try:
                 out[m] = fn(*[taint_get(a, m) for a in args])
-            except MiniRuntimeError as err:
-                self._kill_exc(m, err.kind)
+            except MiniRuntimeError:
+                self.kill(m, "exception")
         self.infra.taint_ops += len(ids)
         return taints.make(out)
 
@@ -414,7 +410,7 @@ def run_test(program: CompiledProgram, test: str, mutant_ids: list[int],
     verdicts = {}
     for mid in mutant_ids:
         if mid in eng.kills:
-            verdicts[mid] = ("killed", eng.kills[mid][0])
+            verdicts[mid] = ("killed", eng.kills[mid])
         elif point_of_mutant[mid] in eng.covered_points:
             verdicts[mid] = ("survived",)
         else:

@@ -1,15 +1,19 @@
-"""Flat-instruction compiler and the plain (untainted) evaluator.
+"""The compiler and the plain (untainted) evaluator.
 
-Function bodies compile to instruction lists with explicit branch targets,
-so an execution position is just (function, pc); the taint engine's root
-walks these lists itself. The plain evaluator runs one variant of the
-program (the original, or a single mutant selected by id when executing a
-meta-mutant) and counts one statement per executed statement node; each
-branch/loop condition evaluation counts once.
+A function's code is its body's own simple statements (`Assign`,
+`ExprStmt`, `Assert`, `Return`) in order, with two control records:
+`IBranch`, whose true condition falls through to pc + 1, and `IJump`,
+whose `back` marks a while loop's back edge. An execution position is
+(function, pc), and reaching pc len(code) is the implicit return, which
+counts no statement; the taint engine's root walks this code itself. The
+plain evaluator runs one variant of the program (the original, or a single
+mutant selected by id when executing a meta-mutant) and counts one
+statement per executed statement node; each branch/loop condition
+evaluation counts once.
 
-Dispatch is threaded code: every instruction is compiled once per program
-into a step `step(run, env) -> next` (`compile_steps`), and `run_fn` is the
-loop `pc = steps[pc](run, env)`. A step counts its statement, checks the
+Dispatch is threaded code: every pc is compiled once per program into a
+step `step(run, env) -> next` (`compile_steps`), and `run_fn` is the loop
+`pc = steps[pc](run, env)`. A step counts its statement, checks the
 budget, evaluates its expression and stores, branches, asserts or returns.
 `next` is a pc, `RETURN` or `BACK - t` for a loop's back edge to pc `t`,
 so the checkpoint countdown stays in the frame; a step never lands on a
@@ -63,61 +67,33 @@ from . import values
 from .values import BUILTINS, OPERATORS, plain_eq
 
 
-# --- instructions ---
+# --- control records ---
 
 @dataclass
-class Instr:
+class IBranch:
+    """An `if` or `while` condition: true falls through to pc + 1, false
+    goes to `false_pc`."""
     loc: Loc
-    counted: bool = field(default=True, init=False)
-
-
-@dataclass
-class IAssign(Instr):
-    name: str
-    expr: Expr
-
-
-@dataclass
-class IExpr(Instr):
-    expr: Expr
-
-
-@dataclass
-class IAssert(Instr):
-    expr: Expr
-
-
-@dataclass
-class IReturn(Instr):
-    expr: Expr | None
-
-
-@dataclass
-class IBranch(Instr):
     cond: Expr
-    true_pc: int = -1
     false_pc: int = -1
 
 
 @dataclass
-class IJump(Instr):
+class IJump:
+    """An uncounted jump; `back` marks a while loop's back edge."""
+    loc: Loc
     target: int = -1
-
-    def __post_init__(self):
-        self.counted = False
-
-
-@dataclass
-class ILoop(IJump):
-    """A while loop's back edge: a jump to the loop's condition."""
+    back: bool = False
 
 
 @dataclass
 class CompiledFn:
     name: str
     params: list[str]
-    code: list[Instr]
-    # one step per instruction of `code` (see `compile_steps`)
+    # the body's own `Assign`, `ExprStmt`, `Assert` and `Return` nodes and
+    # its control records; reaching pc len(code) is the implicit return
+    code: list[Stmt | IBranch | IJump]
+    # one step per pc of `code`, and `_return_none` at len(code)
     steps: list[Callable] = field(default_factory=list, repr=False,
                                   compare=False)
 
@@ -142,25 +118,16 @@ class CompiledProgram:
                                    repr=False, compare=False)
 
 
-def compile_fn(fn: FunctionDef) -> list[Instr]:
-    """The instruction list of `fn`'s body."""
-    code: list[Instr] = []
+def compile_fn(fn: FunctionDef) -> list[Stmt | IBranch | IJump]:
+    """The code of `fn`'s body."""
+    code: list[Stmt | IBranch | IJump] = []
     emit = code.append
 
     def compile_block(body: list[Stmt]) -> None:
         for s in body:
-            if isinstance(s, Assign):
-                emit(IAssign(s.loc, s.name, s.value))
-            elif isinstance(s, Return):
-                emit(IReturn(s.loc, s.value))
-            elif isinstance(s, Assert):
-                emit(IAssert(s.loc, s.test))
-            elif isinstance(s, ExprStmt):
-                emit(IExpr(s.loc, s.value))
-            elif isinstance(s, If):
+            if isinstance(s, If):
                 br = IBranch(s.loc, s.cond)
                 emit(br)
-                br.true_pc = len(code)
                 compile_block(s.then_body)
                 jend = IJump(s.loc)
                 emit(jend)
@@ -171,16 +138,15 @@ def compile_fn(fn: FunctionDef) -> list[Instr]:
                 top = len(code)
                 br = IBranch(s.loc, s.cond)
                 emit(br)
-                br.true_pc = len(code)
                 compile_block(s.body)
-                emit(ILoop(s.loc, target=top))
+                emit(IJump(s.loc, top, back=True))
                 br.false_pc = len(code)
+            elif isinstance(s, (Assign, ExprStmt, Assert, Return)):
+                emit(s)
             else:
                 raise TypeError(f"cannot compile {s!r}")
 
     compile_block(fn.body)
-    emit(IReturn(fn.loc, None))
-    code[-1].counted = False  # implicit return is not a statement
     return code
 
 
@@ -355,38 +321,37 @@ def _return_none(run, env):
     return RETURN
 
 
-def compile_steps(code: list[Instr], program: CompiledProgram) -> list[Callable]:
-    """One step per instruction of `code`: `step(run, env)` counts the
-    statement, checks the budget, evaluates the expression, then stores,
-    branches, returns or asserts, and returns the next pc, `RETURN` or a
-    back edge's `BACK - t`. A top-level binary node is the step itself
-    (`_binary`); a `Var`, `Literal` or call bound to a program function is
-    evaluated in the step, any other expression through its closure
-    (`_value_step`). A jump's step only goes to its target, and no other
-    step returns a jump's pc."""
+def compile_steps(code: list[Stmt | IBranch | IJump],
+                  program: CompiledProgram) -> list[Callable]:
+    """One step per pc of `code`, then `_return_none` at len(code):
+    `step(run, env)` counts the statement, checks the budget, evaluates the
+    expression, then stores, branches, returns or asserts, and returns the
+    next pc, `RETURN` or a back edge's `BACK - t`. A top-level binary node
+    is the step itself (`_binary`); a `Var`, `Literal` or call bound to a
+    program function is evaluated in the step, any other expression
+    through its closure (`_value_step`). A jump's step only goes to its
+    target, and no other step returns a jump's pc."""
     # dest[pc]: the result that moves control to pc (a jump's target lies
     # ahead, a back edge's behind)
-    dest = list(range(len(code)))
+    dest = list(range(len(code) + 1))
     for pc in range(len(code) - 1, -1, -1):
-        instr = code[pc]
-        if isinstance(instr, IJump):
-            dest[pc] = (BACK - instr.target if type(instr) is ILoop
-                        else dest[instr.target])
+        s = code[pc]
+        if type(s) is IJump:
+            dest[pc] = BACK - s.target if s.back else dest[s.target]
     steps = []
-    for pc, instr in enumerate(code):
-        kind = type(instr)
-        if isinstance(instr, IJump):
+    for pc, s in enumerate(code):
+        kind = type(s)
+        if kind is IJump:
             steps.append(_constant(dest[pc]))
-        elif not instr.counted:
-            steps.append(_return_none)
+            continue
+        if kind is IBranch:
+            e, alt = s.cond, dest[s.false_pc]
         else:
-            if kind is IBranch:
-                e, nxt, alt = instr.cond, dest[instr.true_pc], dest[instr.false_pc]
-            else:
-                e, nxt, alt = instr.expr, dest[pc + 1], None
-            make = _binary if isinstance(e, BINARY) else _value_step
-            steps.append(make(e, program, kind, getattr(instr, "name", None),
-                              nxt, alt, instr.loc))
+            e, alt = (s.test if kind is Assert else s.value), None
+        make = _binary if isinstance(e, BINARY) else _value_step
+        steps.append(make(e, program, kind, getattr(s, "name", None),
+                          dest[pc + 1], alt, s.loc))
+    steps.append(_return_none)
     return steps
 
 
@@ -462,10 +427,10 @@ def _binary(e: Expr, program: CompiledProgram, kind: type | None = None,
             if v is False:
                 return alt
             values.require_bool(v, "condition", at[3])
-        if kind is IReturn:
+        if kind is Return:
             run.rv = v
             return RETURN
-        if kind is IAssert and v is not True:
+        if kind is Assert and v is not True:
             values.require_bool(v, "assert expression", at[3])
             raise MiniAssertionError(at[3])
         return nxt
@@ -523,10 +488,10 @@ def _value_step(e: Expr | None, program: CompiledProgram, kind: type,
             if v is False:
                 return alt
             values.require_bool(v, "condition", loc)
-        if kind is IReturn:
+        if kind is Return:
             run.rv = v
             return RETURN
-        if kind is IAssert and v is not True:
+        if kind is Assert and v is not True:
             values.require_bool(v, "assert expression", loc)
             raise MiniAssertionError(loc)
         return nxt

@@ -14,6 +14,7 @@ from mutlab.engine import (
     EngineConfig, InfraStats, TaintEngine, _MemoRun, run_test,
 )
 from mutlab.lang import PlainRun, compile_program, parse_program
+from mutlab.lang.interp import IBranch, IJump
 from mutlab.lang.errors import (
     MiniAssertionError, MiniRuntimeError, StepBudgetExceeded,
 )
@@ -532,7 +533,7 @@ def test_children_share_no_state(monkeypatch, cfg):
         frames.append((frame.fn, queued, self.child_budget,
                        copy.deepcopy(self.memo)))
         out = merge_back(self, frame, rv)
-        verdicts.extend(self.kills.get(mid, ("survived",))[0]
+        verdicts.extend(self.kills.get(mid, "survived")
                         for mid, _, _ in queued)
         return out
 
@@ -561,6 +562,67 @@ def test_children_share_no_state(monkeypatch, cfg):
     # the root looks nothing up: every hit is a child's
     assert report.memo_stats["hits"] == hits
     assert hits > 0 if cfg.memo else hits == 0
+
+
+# g's `if` has no `else` and ends the function: a false mutant goes to the
+# implicit return at pc len(code). h's `if` has no `else` and ends the
+# `while` body: a false mutant goes to the loop's back edge.
+TAIL_BRANCHES = """\
+def g(x):
+    if x > 3:
+        return 1
+
+def h(n):
+    i = 0
+    s = 0
+    while i < n:
+        i = i + 1
+        if i > 2:
+            s = s + i
+    return s
+
+def test_g():
+    assert g(5) == 1
+
+def test_h():
+    assert h(4) == 7
+"""
+
+# Every strategy's verdicts in mutant order (a: killed:assertion,
+# t: killed:timeout, s: survived) and program_stmts, taken while a
+# function's code still ended in an uncounted return instruction.
+TAIL_VERDICTS = "asaasasaaattttttttttaaaaaaaaaaassaaaasasaasas"
+TAIL_STMTS = {"traditional": 2396, "split-stream": 2091, "modulo-state": 1032,
+              "exec-taints-nf-nm": 2059, "exec-taints-nf": 2059,
+              "exec-taints-nm": 1999, "exec-taints": 1999}
+
+
+def test_forks_resume_at_the_implicit_return_and_the_back_edge(monkeypatch):
+    program, mids, point_of, _ = prepare(TAIL_BRANCHES)
+    g, h = program.functions["g"].code, program.functions["h"].code
+    assert type(g[0]) is IBranch and g[0].false_pc == len(g)
+    [back] = [pc for pc, s in enumerate(h) if type(s) is IJump and s.back]
+    [inner] = [s for s in h if type(s) is IBranch and s.loc.line == 10]
+    assert inner.false_pc == back
+    starts = set()
+    merge_back = TaintEngine._merge_back
+
+    def recording(self, frame, rv):
+        starts.update((frame.fn.name, pc) for _, _, pc in frame.diverged)
+        return merge_back(self, frame, rv)
+
+    monkeypatch.setattr(TaintEngine, "_merge_back", recording)
+    for test in ("test_g", "test_h"):
+        run_test(program, test, mids, point_of, EngineConfig(memo=False))
+    assert {("g", len(g)), ("h", back)} <= starts
+    analysis = analyze_program(parse_program(TAIL_BRANCHES))
+    letter = {("killed", "assertion"): "a", ("killed", "timeout"): "t",
+              ("survived",): "s"}
+    for name, run in analysis.runs.items():
+        assert "".join(letter[run.verdicts[m]] for m in mids) == \
+            TAIL_VERDICTS, name
+        assert run.program_stmts == TAIL_STMTS[name], name
+    assert check_consistency(analysis) == []
 
 
 # The mutants of `n > 1` (M26, M28, M29) diverge in outer and stay pending,

@@ -16,9 +16,9 @@ from mutlab.engine import (
 )
 from mutlab.fuzz import fuzz_program
 from mutlab.lang import (
-    Ast, BoolOp, Call, Index, ListLit, Literal, Loc, MiniRuntimeError,
-    MiniSyntaxError, PlainRun, TaintChoice, UnaryOp, Var, compile_program,
-    interp, parse_program, run_entry,
+    Assert, Assign, Ast, BoolOp, Call, ExprStmt, Index, ListLit, Literal, Loc,
+    MiniRuntimeError, MiniSyntaxError, PlainRun, Return, TaintChoice,
+    UnaryOp, Var, compile_program, interp, parse_program, run_entry,
 )
 from mutlab.lang.lexer import KEYWORDS, OPERATORS as LEX_OPERATORS, _lex_line
 from mutlab.lang import values
@@ -899,27 +899,30 @@ def reference_eval(e, program, run, env):
     return v
 
 
-def reference_step(instr, program):
-    """The reference for a compiled step: count, check the budget,
-    evaluate the expression, then store, branch, return or assert, with
-    the statement's location on a condition's or an assert's type error."""
-    e = instr.cond if type(instr) is interp.IBranch else instr.expr
+def reference_step(s, program):
+    """The reference for the compiled step at pc 0: count, check the
+    budget, evaluate the expression, then store, branch, return or assert,
+    with the statement's location on a condition's or an assert's type
+    error."""
+    kind = type(s)
+    e = (s.cond if kind is interp.IBranch else s.test if kind is Assert
+         else s.value)
 
     def step(run, env):
         run.stmts += 1
         if run.stmts > run.budget:
             raise interp.StepBudgetExceeded()
         v = None if e is None else reference_eval(e, program, run, env)
-        if type(instr) is interp.IAssign:
-            env[instr.name] = v
-        elif type(instr) is interp.IBranch:
-            return instr.true_pc if values.require_bool(
-                v, "condition", instr.loc) else instr.false_pc
-        elif type(instr) is interp.IReturn:
+        if kind is Assign:
+            env[s.name] = v
+        elif kind is interp.IBranch:
+            return 1 if values.require_bool(
+                v, "condition", s.loc) else s.false_pc
+        elif kind is Return:
             return "return", v
-        elif type(instr) is interp.IAssert and not values.require_bool(
-                v, "assert expression", instr.loc):
-            raise interp.MiniAssertionError(instr.loc)
+        elif kind is Assert and not values.require_bool(
+                v, "assert expression", s.loc):
+            raise interp.MiniAssertionError(s.loc)
         return 1
     return step
 
@@ -984,20 +987,48 @@ def test_steps_match_reference(kind, e, select, a, budget):
     program = meta_program(CALLEES + F4)
     if e is None and kind != "return":
         e = Literal(Loc(3, 9), True)
-    filler = interp.IExpr(STEP_LOC, Literal(STEP_LOC, 0))
-    end = interp.IReturn(STEP_LOC, None)
-    end.counted = False  # as a function's implicit return
-    instr = {"assign": lambda: interp.IAssign(STEP_LOC, "x", e),
-             "branch": lambda: interp.IBranch(STEP_LOC, e, 1, 2),
-             "return": lambda: interp.IReturn(STEP_LOC, e),
-             "expr": lambda: interp.IExpr(STEP_LOC, e),
-             "assert": lambda: interp.IAssert(STEP_LOC, e)}[kind]()
-    code = [instr, filler, end]
+    filler = ExprStmt(STEP_LOC, Literal(STEP_LOC, 0))
+    # the function ends at pc 2, where a false branch goes
+    s = {"assign": lambda: Assign(STEP_LOC, "x", e),
+         "branch": lambda: interp.IBranch(STEP_LOC, e, 2),
+         "return": lambda: Return(STEP_LOC, e),
+         "expr": lambda: ExprStmt(STEP_LOC, e),
+         "assert": lambda: Assert(STEP_LOC, e)}[kind]()
+    code = [s, filler]
     env = {k: v for k, v in (("a", a), ("b", 2)) if v is not UNBOUND}
     assert (run_step(interp.compile_steps(code, program)[0], program, select,
                      budget, dict(env))
-            == run_step(reference_step(instr, program), program, select,
+            == run_step(reference_step(s, program), program, select,
                         budget, dict(env), ReferenceRun))
+
+
+IF_ELSE_IN_WHILE = """\
+def f(n):
+    while n > 0:
+        if n > 5:
+            n = n - 2
+        else:
+            n = n - 1
+    return n
+"""
+
+
+def test_code_layout_of_if_else_in_while():
+    """A function's code holds its own AST statements. A condition falls
+    through to pc + 1 when true; the `if` jumps over its `else`, the loop's
+    back edge goes to its condition, the loop's false target is the
+    statement after it, and the code ends there, at the implicit return."""
+    [fn] = parse_program(IF_ELSE_IN_WHILE).functions
+    code = interp.compile_fn(fn)
+    loop, ret = fn.body
+    [branch] = loop.body
+    assert len(code) == 7
+    assert code[2] is branch.then_body[0] and code[4] is branch.else_body[0]
+    assert code[6] is ret
+    assert code[0] == interp.IBranch(loop.loc, loop.cond, 6)
+    assert code[1] == interp.IBranch(branch.loc, branch.cond, 4)
+    assert code[3] == interp.IJump(branch.loc, 5, back=False)
+    assert code[5] == interp.IJump(loop.loc, 0, back=True)
 
 
 def python_calls(step, run, env):

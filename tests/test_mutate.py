@@ -76,7 +76,7 @@ def test_points_follow_the_meta_mutants_choices():
     points = discover_mutation_points(ast)
     assert [p.original_op for p in points] == [
         "<", "*", "==", "+", ">", "==", "%", "//", ">>", "-", "|"]
-    meta = generate_meta_mutant(ast, points)
+    meta = generate_meta_mutant(ast, points, enumerate_mutants(points))
     choices = {e.point_id: e for e in _all_exprs(meta)
                if isinstance(e, TaintChoice)}
     assert [(choices[p.point_id].loc, choices[p.point_id].variants[0])
@@ -97,7 +97,7 @@ def test_enumeration_is_stable():
 def test_meta_mutant_invariants():
     ast = parse_program(SRC)
     points = discover_mutation_points(ast)
-    meta = generate_meta_mutant(ast, points)
+    meta = generate_meta_mutant(ast, points, enumerate_mutants(points))
     choices = [e for e in _all_exprs(meta) if isinstance(e, TaintChoice)]
     assert len(choices) == len(points)
     assert all(0 in c.variants for c in choices)
@@ -113,7 +113,8 @@ def test_meta_round_trip_matches_original():
     # in outcome and statement count
     ast = parse_program(SRC)
     plain = run_entry(compile_program(ast), "test_f", [])
-    meta = generate_meta_mutant(ast, discover_mutation_points(ast))
+    points = discover_mutation_points(ast)
+    meta = generate_meta_mutant(ast, points, enumerate_mutants(points))
     out = run_entry(compile_program(meta), "test_f", [], select=0)
     assert (out.status, out.stmts) == (plain.status, plain.stmts)
 
