@@ -30,7 +30,7 @@ or fork:
   - an untainted condition decides at once; a tainted one is one id-ordered
     pass over its taint map, then in fork mode one plain copy of the
     frame's env per diverging mutant (`taints.concretize_env`), and one
-    tuple per divergence, which `TestReport.divergences` turns into records;
+    (loc, mutant, its decision, mainline's) tuple per divergence;
   - diverged mutants run on the engine's one child runner, reset to each,
     and a frame's survivors fold into one copy of its return value's map;
   - `run_test` reads the test's original `Outcome` from
@@ -48,13 +48,13 @@ from .lang.interp import (
 )
 from .lang.nodes import (
     Assert, Assign, BinOp, BoolOp, Call, Compare, Expr, Index, ListLit,
-    Literal, Loc, Return, TaintChoice, UnaryOp, Var,
+    Literal, ORIGINAL, Return, TaintChoice, UnaryOp, Var,
 )
 from .lang import values
 from .lang.values import canon_key
 from .memo import MemoState, make_call_key
 from . import taints
-from .taints import ORIGINAL, Tainted, taint_get, value_of
+from .taints import Tainted, taint_get, value_of
 
 
 @dataclass
@@ -78,14 +78,6 @@ class InfraStats:
 
 
 @dataclass
-class DivergenceEvent:
-    loc: Loc
-    mutant: int
-    mutant_decision: bool
-    mainline_decision: bool
-
-
-@dataclass
 class _Frame:
     fn: CompiledFn
     env: dict
@@ -102,12 +94,8 @@ class TestReport:
     context_stmts: list
     infra: InfraStats
     memo_stats: dict
-    divergence_log: list   # (loc, mutant, its decision, mainline's) each
+    divergences: list   # (loc, mutant, its decision, mainline's) each
     pending_end: int = 0
-
-    @property
-    def divergences(self) -> list[DivergenceEvent]:
-        return [DivergenceEvent(*d) for d in self.divergence_log]
 
 
 class _MemoRun(PlainRun):
@@ -425,6 +413,6 @@ def run_test(program: CompiledProgram, test: str, mutant_ids: list[int],
         context_stmts=context_stmts,
         infra=eng.infra,
         memo_stats=asdict(eng.memo.stats),
-        divergence_log=eng.divergences,
+        divergences=eng.divergences,
         pending_end=eng.pending,
     )

@@ -21,21 +21,23 @@ jump, it goes to the jump's target. Every pc has a step, so a forked
 mutant resumes at its branch target on its concretized environment.
 
 Every binary node (a choice site, `and`/`or`, `Index`, `BinOp` or
-`Compare`) is one closure body, `_binary`, which reads `Var` and `Literal`
-operands inline; a choice site also picks its operator and records its
-event. A run resolves its mutant once: `CompiledProgram.mutants` gives
-the selected mutant's (point id, kernel), so a site compares `run.point`
-with its own point and makes no lookup. A statement whose top-level
-expression is binary runs as that body itself, so `x = a + 1`, `x = s[i]`
-or `if a and b:` makes two Python calls, the step and the operator. A
-top-level bare `Var`, `Literal` or call bound to a program function is
-evaluated inside its step (`_value_step`); any other expression is a
-closure `ev(run, env)` (`compile_expr`). Call sites bind their callee when
-the program is compiled (`bind_call`). A site bound to a program function
-builds the callee's environment in place and calls `run.run_fn`, the one
-hook subclasses override, so a `.ml0` call level costs two Python frames
-(`run_fn` and the statement's step); one bound to a builtin of one
-argument calls it with no list; any other evaluates a list of arguments.
+`Compare`) is one closure body, `_binary`; a choice site also picks its
+operator and records its event. A run resolves its mutant once:
+`CompiledProgram.mutants` gives the selected mutant's (point id, kernel),
+so a site compares `run.point` with its own point and makes no lookup.
+The other nodes are one closure body too, `_nonbinary`: a call bound to a
+program function, a unary operator, a call bound to a builtin of one
+argument, and a bare `Var` or `Literal`. Both read `Var` and `Literal`
+operands inline. A statement runs as the body of its top-level
+expression, so `x = a + 1`, `x = s[i]`, `x = -a` or `x = len(s)` makes two
+Python calls, the step and the operator or builtin. Call sites bind their
+callee when the program is compiled (`bind_call`); a call bound to a
+program function builds the callee's environment in place and calls
+`run.run_fn`, the one hook subclasses override, so a `.ml0` call level
+costs two Python frames (`run_fn` and the statement's step). Nested, a
+body is its node's closure `ev(run, env)` (`compile_expr`); a list, a
+call that evaluates a list of arguments (`_compile_call`) and a leaf that
+no body reads inline have closures of their own.
 `CompiledProgram.reach` maps each function to the mutants whose choice
 sites a call of it may run, for the memo.
 
@@ -55,13 +57,13 @@ import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 from .errors import MiniAssertionError, MiniRuntimeError, StepBudgetExceeded
 from .nodes import (
     Assert, Assign, Ast, BinOp, BoolOp, Call, Compare, Expr, ExprStmt,
-    FunctionDef, If, Index, ListLit, Literal, Loc, Return, Stmt, TaintChoice,
-    UnaryOp, Var, While,
+    FunctionDef, If, Index, ListLit, Literal, Loc, ORIGINAL, Return, Stmt,
+    TaintChoice, UnaryOp, Var, While,
 )
 from . import values
 from .values import BUILTINS, OPERATORS, plain_eq
@@ -169,7 +171,7 @@ def compile_program(ast: Ast) -> CompiledProgram:
             mutants |= own
             todo += callees - seen
             seen |= callees
-        mutants.discard(0)  # the original
+        mutants.discard(ORIGINAL)
         program.reach[name] = frozenset(mutants)
     return program
 
@@ -190,13 +192,13 @@ def _kernels(e: TaintChoice, program: CompiledProgram) -> Callable:
     operator function)."""
     program.found[0].update(e.variants)
     for mid, token in e.variants.items():
-        if mid:
+        if mid != ORIGINAL:
             program.mutants[mid] = e.point_id, OPERATORS[token]
-    return OPERATORS[e.variants[0]]
+    return OPERATORS[e.variants[ORIGINAL]]
 
 
 def _operand(e: Expr, program: CompiledProgram) -> tuple:
-    """How a binary node reads an operand: (name, None, None) for a `Var`,
+    """How a node reads an operand inline: (name, None, None) for a `Var`,
     (None, value, None) for a `Literal`, otherwise (None, None, its
     closure). A subclass of `Var` or `Literal` takes a closure."""
     if type(e) is Var:
@@ -224,20 +226,8 @@ def compile_expr(e: Expr, program: CompiledProgram) -> Callable:
         return ev
     if isinstance(e, BINARY):
         return _binary(e, program)
-    if isinstance(e, UnaryOp):
-        op, operand = e.op, compile_expr(e.operand, program)
-
-        def ev(run, env):
-            a = operand(run, env)
-            try:
-                return values.unary_op(op, a)
-            except MiniRuntimeError as err:
-                err.loc = err.loc or loc
-                raise
-        return ev
-    if isinstance(e, Call):
-        return _compile_call(e, [compile_expr(a, program) for a in e.args],
-                             program)
+    if isinstance(e, (UnaryOp, Call)):
+        return _nonbinary(e, program)
     if isinstance(e, ListLit):
         items = [compile_expr(a, program) for a in e.items]
         return lambda run, env: tuple([a(run, env) for a in items])
@@ -262,46 +252,20 @@ def bind_call(functions: dict, name: str, nargs: int):
     return builtin
 
 
-def _compile_call(e: Call, args: list, program: CompiledProgram) -> Callable:
-    """A call site bound to its callee when the program is compiled, with
-    `e.loc` on errors that have no location yet. Three kinds of site: a
-    program function's builds the callee's environment from (parameter,
-    argument closure) pairs, as `_value_step` does, and calls `run.run_fn`
-    on it (the hook of a memo run); a one-argument builtin's calls it on
-    its one argument with no list; any other evaluates its arguments into
-    a list, then calls the builtin or raises the illegal call's error."""
-    loc, callee = e.loc, bind_call(program.functions, e.name, len(args))
-    kind = type(callee)
-    if kind is CompiledFn:
-        program.found[1].add(callee.name)
-        pairs = list(zip(callee.params, args))
-
-        def ev(run, env):
-            new = {}
-            for p, a in pairs:
-                new[p] = a(run, env)
-            try:
-                return run.run_fn(callee, new)
-            except MiniRuntimeError as err:
-                err.loc = err.loc or loc
-                raise
-        return ev
-    if kind is not tuple and len(args) == 1:
-        arg, = args
-
-        def ev(run, env):
-            v = arg(run, env)
-            try:
-                return callee(v)
-            except MiniRuntimeError as err:
-                err.loc = err.loc or loc
-                raise
-        return ev
+def _compile_call(e: Call, callee: Callable | tuple,
+                  program: CompiledProgram) -> Callable:
+    """The closure of a call site that `_nonbinary` does not take: one
+    bound to a builtin of any number of arguments but one, or an illegal
+    call (`callee` is `bind_call`'s error). It evaluates its arguments into
+    a list, then calls the builtin or raises the illegal call's error, with
+    `e.loc` on errors that have no location yet."""
+    loc, args = e.loc, [compile_expr(a, program) for a in e.args]
+    illegal = type(callee) is tuple
 
     def ev(run, env):
         vals = [a(run, env) for a in args]
         try:
-            if kind is tuple:
+            if illegal:
                 raise MiniRuntimeError(*callee)
             return callee(*vals)
         except MiniRuntimeError as err:
@@ -326,11 +290,10 @@ def compile_steps(code: list[Stmt | IBranch | IJump],
     """One step per pc of `code`, then `_return_none` at len(code):
     `step(run, env)` counts the statement, checks the budget, evaluates the
     expression, then stores, branches, returns or asserts, and returns the
-    next pc, `RETURN` or a back edge's `BACK - t`. A top-level binary node
-    is the step itself (`_binary`); a `Var`, `Literal` or call bound to a
-    program function is evaluated in the step, any other expression
-    through its closure (`_value_step`). A jump's step only goes to its
-    target, and no other step returns a jump's pc."""
+    next pc, `RETURN` or a back edge's `BACK - t`. The closure body of the
+    top-level expression is the step itself (`_binary` or `_nonbinary`). A
+    jump's step only goes to its target, and no other step returns a jump's
+    pc."""
     # dest[pc]: the result that moves control to pc (a jump's target lies
     # ahead, a back edge's behind)
     dest = list(range(len(code) + 1))
@@ -348,7 +311,7 @@ def compile_steps(code: list[Stmt | IBranch | IJump],
             e, alt = s.cond, dest[s.false_pc]
         else:
             e, alt = (s.test if kind is Assert else s.value), None
-        make = _binary if isinstance(e, BINARY) else _value_step
+        make = _binary if isinstance(e, BINARY) else _nonbinary
         steps.append(make(e, program, kind, getattr(s, "name", None),
                           dest[pc + 1], alt, s.loc))
     steps.append(_return_none)
@@ -437,63 +400,90 @@ def _binary(e: Expr, program: CompiledProgram, kind: type | None = None,
     return ev
 
 
-def _value_step(e: Expr | None, program: CompiledProgram, kind: type,
-                name: str | None, nxt: int, alt: int | None,
-                loc: Loc) -> Callable:
-    """A step whose top-level expression is not a binary node: a `Var`, a
-    `Literal` (or none), a call bound to a program function, or any other
-    expression through its closure."""
-    vname = callee = ev = value = None
-    if type(e) is Var:
-        vname = e.name
-    elif type(e) is Literal:
-        value = e.value
-    elif type(e) is Call and type(callee := bind_call(
-            program.functions, e.name, len(e.args))) is CompiledFn:
-        program.found[1].add(callee.name)
-        args = [(p, compile_expr(a, program))
-                for p, a in zip(callee.params, e.args)]
-    elif e is not None:
-        callee, ev = None, compile_expr(e, program)
+def _nonbinary(e: Expr | None, program: CompiledProgram,
+               kind: type | None = None, name: str | None = None,
+               nxt: int | None = None, alt: int | None = None,
+               loc: Loc | None = None) -> Callable:
+    """The closure of `e`, a node that is not binary, or of no expression
+    (a bare `return`). A call bound to a program function builds the
+    callee's environment in place and enters `run.run_fn`. A unary
+    operator or a call bound to a builtin of one argument reads its
+    operand inline (`_operand`) and applies its function, with `e.loc` on
+    the function's errors. A `Var` or `Literal` is read as such an operand
+    is. With no `kind` it is the closure `ev(run, env)` of a `UnaryOp` or a
+    `Call`, and any other call is `_compile_call`'s closure; with a `kind`
+    it is the step of a statement of that kind whose top-level expression
+    is `e`, and reads a list or any other call through its closure."""
+    # `fn` is the callee of a program call, whose (parameter, argument
+    # closure) pairs are `args`, or the function applied to `operand`
+    fn = args = vname = value = ev = None
+    operand = e
+    if isinstance(e, UnaryOp):
+        fn, operand = partial(values.unary_op, e.op), e.operand
+    elif isinstance(e, Call):
+        fn = bind_call(program.functions, e.name, len(e.args))
+        if type(fn) is CompiledFn:
+            program.found[1].add(fn.name)
+            args = [(p, compile_expr(a, program))
+                    for p, a in zip(fn.params, e.args)]
+            operand = None
+        elif type(fn) is tuple or len(e.args) != 1:
+            ev, fn, operand = _compile_call(e, fn, program), None, None
+            if kind is None:
+                return ev
+        else:
+            operand, = e.args
+    if operand is not None:
+        vname, value, ev = _operand(operand, program)
+    # read on errors only: one cell, not three
+    at = getattr(e, "loc", None), getattr(operand, "loc", None), loc
 
     def step(run, env):
-        n = run.stmts + 1
-        run.stmts = n
-        if n > run.limit:
-            raise StepBudgetExceeded()
-        if vname is not None:
-            try:
-                v = env[vname]
-            except KeyError:
-                raise _undefined(vname, e.loc) from None
-        elif callee is not None:
+        if kind is not None:
+            n = run.stmts + 1
+            run.stmts = n
+            if n > run.limit:
+                raise StepBudgetExceeded()
+        if args is not None:
             new = {}
             for p, a in args:
                 new[p] = a(run, env)
             try:
-                v = run.run_fn(callee, new)
+                v = run.run_fn(fn, new)
             except MiniRuntimeError as err:
-                err.loc = err.loc or e.loc
+                err.loc = err.loc or at[0]
                 raise
-        elif ev is not None:
-            v = ev(run, env)
         else:
-            v = value
+            if vname is not None:
+                try:
+                    v = env[vname]
+                except KeyError:
+                    raise _undefined(vname, at[1]) from None
+            else:
+                v = value if ev is None else ev(run, env)
+            if fn is not None:
+                try:
+                    v = fn(v)
+                except MiniRuntimeError as err:
+                    err.loc = err.loc or at[0]
+                    raise
         if name is not None:
             env[name] = v
             return nxt
+        if kind is None:
+            return v
         if kind is IBranch:
             if v is True:
                 return nxt
             if v is False:
                 return alt
-            values.require_bool(v, "condition", loc)
+            values.require_bool(v, "condition", at[2])
         if kind is Return:
             run.rv = v
             return RETURN
         if kind is Assert and v is not True:
-            values.require_bool(v, "assert expression", loc)
-            raise MiniAssertionError(loc)
+            values.require_bool(v, "assert expression", at[2])
+            raise MiniAssertionError(at[2])
         return nxt
     return step
 
@@ -534,7 +524,7 @@ class PlainRun:
     environment; subclasses override `run_fn` as a call hook, and nothing
     else."""
 
-    def __init__(self, program: CompiledProgram, select: int = 0,
+    def __init__(self, program: CompiledProgram, select: int = ORIGINAL,
                  budget: int | None = None, record_events: bool = False):
         self.program = program
         self.select = select
@@ -607,7 +597,7 @@ class PlainRun:
 
 
 def run_entry(program: CompiledProgram, entry: str, args: list,
-              select: int = 0, budget: int | None = None,
+              select: int = ORIGINAL, budget: int | None = None,
               record_events: bool = False) -> Outcome:
     """Run one entry function to an Outcome, catching mini-language errors."""
     run = PlainRun(program, select=select, budget=budget, record_events=record_events)

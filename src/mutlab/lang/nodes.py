@@ -82,12 +82,15 @@ class Index(Expr):
 
 # --- meta-mutant expression node ---
 
+ORIGINAL = 0  # mutant id of the unmutated program
+
+
 @dataclass
 class TaintChoice(Expr):
     """A mutated operator occurrence: the original op plus per-mutant variants.
 
-    `variants` maps mutant id -> operator token and always contains 0 (the
-    original operator).
+    `variants` maps mutant id -> operator token and always contains
+    ORIGINAL (the original operator).
     """
     point_id: int
     variants: dict[int, str]

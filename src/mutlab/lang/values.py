@@ -38,6 +38,7 @@ from .errors import MiniRuntimeError
 INT_MIN = -(2**63)
 INT_MAX = 2**63 - 1
 
+# the mutation catalogs: their order numbers the mutants (see `mutate`)
 ARITH_OPS = ("+", "-", "*", "/", "%", "<<", ">>", "|", "^", "&", "//")
 COMPARE_OPS = ("==", "!=", "<", "<=", ">", ">=")
 

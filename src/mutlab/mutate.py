@@ -13,7 +13,7 @@ each pass it a `site(node) -> (point id, variants)` callback, so both see
 the points in the same pre-order, each operator before its operands and
 each statement's expression before its blocks. Mutant id 0 is the
 original; ids 1..n number (point, replacement) pairs in (point order,
-catalog order).
+the order of `values.ARITH_OPS` or `COMPARE_OPS`).
 """
 
 from __future__ import annotations
@@ -23,14 +23,10 @@ from typing import NamedTuple
 
 from .lang.nodes import (
     Assert, Assign, Ast, BinOp, BoolOp, Call, Compare, Expr, ExprStmt,
-    FunctionDef, If, Index, ListLit, Loc, Return, Stmt, TaintChoice, UnaryOp,
-    While,
+    FunctionDef, If, Index, ListLit, Loc, ORIGINAL, Return, Stmt, TaintChoice,
+    UnaryOp, While,
 )
-
-ARITH_CATALOG = ["+", "-", "*", "/", "%", "<<", ">>", "|", "^", "&", "//"]
-COMPARE_CATALOG = ["==", "!=", "<", "<=", ">", ">="]
-
-ORIGINAL = 0  # mutant id of the unmutated program
+from .lang.values import ARITH_OPS, COMPARE_OPS
 
 
 class MutationPoint(NamedTuple):
@@ -56,9 +52,9 @@ def discover_mutation_points(ast: Ast) -> list[MutationPoint]:
 
     def site(node: BinOp | Compare) -> tuple[int, dict]:
         if isinstance(node, Compare):
-            op_class, catalog = "comparison", COMPARE_CATALOG
+            op_class, catalog = "comparison", COMPARE_OPS
         else:
-            op_class, catalog = "arithmetic", ARITH_CATALOG
+            op_class, catalog = "arithmetic", ARITH_OPS
         repls = tuple(op for op in catalog if op != node.op)
         points.append(MutationPoint(len(points), node.loc, op_class, node.op, repls))
         return len(points) - 1, {}

@@ -17,9 +17,8 @@ eagerly; fallback makes this lossless.
 from __future__ import annotations
 
 from .lang.errors import MiniRuntimeError
+from .lang.nodes import ORIGINAL
 from .lang.values import OPERATORS, plain_eq, require_bool, unary_op
-
-ORIGINAL = 0
 
 
 class Tainted:

@@ -656,7 +656,7 @@ def test_memo_never_serves_a_diverged_frame():
     assert not program.reach["f"] & {31, 33, 34, *range(36, 41)}
     report = run_test(program, "test_boundary", mids, point_of,
                       EngineConfig(fork=False, memo=True))
-    assert {d.mutant for d in report.divergences if d.loc.line == 2} >= {
+    assert {mid for loc, mid, _, _ in report.divergences if loc.line == 2} >= {
         31, 33, 34, *range(36, 41)}
     survived = {2, 5, *range(16, 26), 27, 30, 32, 47, 48, 53, 55}
     assert report.verdicts == {

@@ -822,15 +822,16 @@ def site_exprs(op, left, right):
 
 
 def step_operands():
-    """Leaf operands and nested ones: a choice site, a negation, a call
-    bound to a program function."""
+    """Leaf operands and nested ones: a choice site, a negation, a `not`, a
+    call bound to a program function, a call of a one-argument builtin."""
     leaf = leaf_operands(Loc(3, 9))
     return st.one_of(
         leaf,
         site_exprs(st.sampled_from(SITE_OPS), leaf, leaf),
-        st.builds(lambda a: UnaryOp(Loc(3, 9), "-", a), leaf),
+        st.builds(lambda op, a: UnaryOp(Loc(3, 9), op, a),
+                  st.sampled_from(["-", "not"]), leaf),
         st.builds(lambda name, a: Call(Loc(3, 9), name, [a]),
-                  st.sampled_from(["f1", "f4"]), leaf))
+                  st.sampled_from(["f1", "f4", "abs", "len"]), leaf))
 
 
 # a condition error carries the `if`'s own location, not the call site's
@@ -865,10 +866,11 @@ class ReferenceRun(PlainRun):
 
 
 def reference_eval(e, program, run, env):
-    """A choice site, `Index` or `and`/`or` evaluated here: its operands,
-    then the operator (a site's for the run's variant) with the node's
-    location on its error; a site also covers its point and records its
-    event. Any other expression runs its compiled closure."""
+    """A choice site, `Index`, `and`/`or`, a unary operator or a call
+    evaluated here: its operands, then the operator (a site's for the run's
+    variant) or the callee called by name, with the node's location on its
+    error; a site also covers its point and records its event. A leaf runs
+    its compiled closure."""
     if type(e) in (Index, BoolOp):
         a = reference_eval(e.base if type(e) is Index else e.left,
                            program, run, env)
@@ -880,12 +882,25 @@ def reference_eval(e, program, run, env):
         except MiniRuntimeError as err:
             err.loc = err.loc or e.loc
             raise
-    if type(e) is not TaintChoice:
+    if type(e) is UnaryOp:
+        a = reference_eval(e.operand, program, run, env)
+        try:
+            return values.unary_op(e.op, a)
+        except MiniRuntimeError as err:
+            err.loc = err.loc or e.loc
+            raise
+    if type(e) is Call:
+        args = [reference_eval(a, program, run, env) for a in e.args]
         mark = len(run.events)
         try:
-            return interp.compile_expr(e, program)(run, env)
+            return run.call(e.name, args)
+        except MiniRuntimeError as err:
+            err.loc = err.loc or e.loc
+            raise
         finally:  # a compiled callee covers the points of its events
             run.covered.update(run.events[mark::4])
+    if type(e) is not TaintChoice:
+        return interp.compile_expr(e, program)(run, env)
     a = reference_eval(e.left, program, run, env)
     b = reference_eval(e.right, program, run, env)
     run.covered.add(e.point_id)
@@ -976,14 +991,21 @@ def run_step(step, program, select, budget, env, run_class=PlainRun):
                          Literal(Loc(3, 9), 0)), 0, "ab", 500)
 @example("assign", Index(Loc(3, 8), Var(Loc(3, 9), "a"), Var(Loc(3, 9), "b")),
          0, "abc", 500)
+@example("branch", UnaryOp(Loc(3, 8), "not", Var(Loc(3, 9), "u")), 0, 1, 500)
+@example("assert", UnaryOp(Loc(3, 8), "not", Var(Loc(3, 9), "a")), 0, 1, 500)
+@example("return", Call(Loc(3, 7), "len", [Var(Loc(3, 9), "a")]), 0, 1, 500)
+@example("assign", TaintChoice(Loc(3, 11), 5, SITE_VARIANTS,
+                               Call(Loc(3, 7), "abs", [Var(Loc(3, 9), "a")]),
+                               UnaryOp(Loc(3, 8), "-", Literal(Loc(3, 9), 1))),
+         0, "ab", 500)
 @settings(max_examples=300, deadline=None)
 def test_steps_match_reference(kind, e, select, a, budget):
     """The compiled step of each statement kind against a reference step
-    that evaluates choice sites, `Index` and `and`/`or` itself
-    (`reference_eval`) and keeps its own coverage set, which must be the
-    points of the compiled run's events. `b` is bound to 2, `u` never; a
-    budget of 7 ends before the statement, 8 exactly on it, so a call in
-    it runs out of budget."""
+    that evaluates choice sites, `Index`, `and`/`or`, unary operators and
+    calls itself (`reference_eval`) and keeps its own coverage set, which
+    must be the points of the compiled run's events. `b` is bound to 2,
+    `u` never; a budget of 7 ends before the statement, 8 exactly on it,
+    so a call in it runs out of budget."""
     program = meta_program(CALLEES + F4)
     if e is None and kind != "return":
         e = Literal(Loc(3, 9), True)
@@ -1061,18 +1083,25 @@ def python_calls(step, run, env):
     ("x = g(a)", {"a": 3}, ["step", "ev", "run_fn", "step"]),
     # nested: the site, the call site, its argument, g's frame and return
     # step, then the operator
-    ("x = g(a) + 1", {"a": 3}, ["ev", "ev", "ev", "run_fn", "step", "kernel"]),
-    # a one-argument builtin's call site evaluates no `<listcomp>`
-    ("x = len(s) + 1", {"s": (4, 5)}, ["ev", "ev", "ev", "_bi_len", "kernel"]),
+    ("x = g(a) + 1", {"a": 3},
+     ["ev", "step", "ev", "run_fn", "step", "kernel"]),
+    # a one-argument builtin's call site reads a leaf argument inline and
+    # evaluates no `<listcomp>`
+    ("x = len(s) + 1", {"s": (4, 5)}, ["ev", "step", "_bi_len", "kernel"]),
+    # a unary operator or one-argument builtin at top level runs in its step
+    ("x = -a", {"a": 3}, ["step", "unary_op", "is_num", "_check_int_range"]),
+    ("x = len(s)", {"s": (4, 5)}, ["step", "_bi_len"]),
+    ("if not b:\n        x = 0", {"b": False}, ["step", "unary_op"]),
 ], ids=["assign-site", "assign-site-vars", "branch-site", "assign-literal",
         "assign-index", "branch-and", "assign-call", "nested-call",
-        "nested-builtin"])
+        "nested-builtin", "assign-neg", "assign-builtin", "branch-not"])
 def test_python_calls_per_statement(stmt, env, calls):
-    """A statement whose top-level expression is a binary node with leaf
-    operands, or a literal, runs inside its step: losing that fusion adds
-    a call. A call enters its callee through `run_fn` alone. No step calls
-    a C function itself: a choice site neither adds coverage to a set nor
-    looks its kernel up in a dict, and a call builds no argument list."""
+    """A statement whose top-level expression is a binary node, a unary
+    operator or a one-argument builtin with leaf operands, or a literal,
+    runs inside its step: losing that fusion adds a call. A call enters
+    its callee through `run_fn` alone. No step calls a C function itself:
+    a choice site neither adds coverage to a set nor looks its kernel up
+    in a dict, and a call builds no argument list."""
     program = meta_program(f"def g(b):\n    return b\n\n"
                            f"def f(a):\n    {stmt}\n    return a\n")
     step = program.functions["f"].steps[0]

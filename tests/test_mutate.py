@@ -10,9 +10,10 @@ from mutlab.fuzz import fuzz_program
 from mutlab.lang import (
     Expr, If, TaintChoice, compile_program, parse_program, run_entry,
 )
+from mutlab.lang.values import ARITH_OPS, COMPARE_OPS
 from mutlab.mutate import (
-    ARITH_CATALOG, COMPARE_CATALOG, discover_mutation_points,
-    enumerate_mutants, generate_meta_mutant, mutant_catalog_lines,
+    discover_mutation_points, enumerate_mutants, generate_meta_mutant,
+    mutant_catalog_lines,
 )
 
 
@@ -44,8 +45,8 @@ SRC = ("def f(a, b):\n"
 
 
 def test_catalog_sizes():
-    assert len(ARITH_CATALOG) == 11
-    assert len(COMPARE_CATALOG) == 6
+    assert len(ARITH_OPS) == 11
+    assert len(COMPARE_OPS) == 6
 
 
 def test_discovery_order_and_classes():
