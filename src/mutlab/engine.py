@@ -17,6 +17,11 @@ rules. Its errors get no location added: an error on the mainline only
 means the root left the original's passing run, and `run_test` reads no
 more of it than that it was raised.
 
+A mutant dies once, by its first cause, always a run ending's `cause`
+(`lang.errors`): `exception` for a root error per mutant (a rule's
+`on_kill`, `_kill_exc`), `assertion` for an assert it fails, and its own
+ending's for a child run. Any ending on the mainline invalidates the test.
+
 With memo on (`EngineConfig.memo`), diverged runs consult the memo before
 executing a program call and every call fills it, guarded by the mutation
 cache: the program's static reach sets (`CompiledProgram.reach`), handed
@@ -40,8 +45,11 @@ or fork:
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
-from .lang.errors import MiniAssertionError, MiniRuntimeError, StepBudgetExceeded
+from .lang.errors import (
+    MiniAssertionError, MiniRuntimeError, RunEnded, StepBudgetExceeded,
+)
 from .lang.interp import (
     CompiledFn, CompiledProgram, IBranch, IJump, PlainRun, bind_call,
     run_entry,
@@ -166,7 +174,7 @@ class TaintEngine:
             self.active.discard(m)
 
     def _kill_exc(self, m: int, kind: str):
-        self.kill(m, "exception")
+        self.kill(m, MiniRuntimeError.cause)
 
     # --- calls ---
 
@@ -196,12 +204,8 @@ class TaintEngine:
             run.stmts = 0
             try:
                 value = PlainRun.run_fn(run, frame.fn, env, pc)
-            except MiniAssertionError:
-                self.kill(mid, "assertion")
-            except MiniRuntimeError:
-                self.kill(mid, "exception")
-            except StepBudgetExceeded:
-                self.kill(mid, "timeout")
+            except RunEnded as err:
+                self.kill(mid, err.cause)
             else:
                 self.active.add(mid)
                 merged.append((mid, value))
@@ -297,7 +301,7 @@ class TaintEngine:
         if not mainline:
             raise MiniAssertionError(s.loc)
         for mid in failed:
-            self.kill(mid, "assertion")
+            self.kill(mid, MiniAssertionError.cause)
 
     # --- expression evaluation ---
 
@@ -327,6 +331,7 @@ class TaintEngine:
                 op, variants = e.op, {}
             return taints.apply_binary(a, op, variants, b, restrict=self.active,
                                        on_kill=self._kill_exc, stats=self.infra)
+        floor = 0  # every other node is pointwise; a unary one costs >= 1
         if kind is Call:
             args = [self.eval(a, env) for a in e.args]
             callee = bind_call(self.program.functions, e.name, len(args))
@@ -335,34 +340,19 @@ class TaintEngine:
                 return self.call_wrapped(callee, args)
             if kind is tuple:
                 raise MiniRuntimeError(*callee)
-            return self._pointwise(callee, args)
-        if kind is UnaryOp:
-            a = self.eval(e.operand, env)
-            return taints.apply_unary(e.op, a, restrict=self.active,
+        elif kind is UnaryOp:
+            callee, floor = partial(values.unary_op, e.op), 1
+            args = [self.eval(e.operand, env)]
+        elif kind is ListLit:
+            callee, args = (lambda *v: v), [self.eval(a, env) for a in e.items]
+        elif kind is Index:
+            callee = values.index_value
+            args = [self.eval(e.base, env), self.eval(e.index, env)]
+        else:
+            raise TypeError(f"cannot evaluate {e!r}")
+        return taints.apply_pointwise(callee, args, floor=floor,
+                                      restrict=self.active,
                                       on_kill=self._kill_exc, stats=self.infra)
-        if kind is ListLit:
-            items = [self.eval(a, env) for a in e.items]
-            return self._pointwise(lambda *vs: tuple(vs), items)
-        if kind is Index:
-            base = self.eval(e.base, env)
-            idx = self.eval(e.index, env)
-            return self._pointwise(values.index_value, [base, idx])
-        raise TypeError(f"cannot evaluate {e!r}")
-
-    def _pointwise(self, fn, args: list):
-        """Apply a plain n-ary operation per taint entry (builtins, list
-        construction, indexing). Taints on list elements are lifted to the
-        list value itself."""
-        out = {ORIGINAL: fn(*[value_of(a) for a in args])}
-        ids = {m for a in args if type(a) is Tainted for m in a.taints}
-        ids &= self.active  # ORIGINAL is never active
-        for m in sorted(ids):
-            try:
-                out[m] = fn(*[taint_get(a, m) for a in args])
-            except MiniRuntimeError:
-                self.kill(m, "exception")
-        self.infra.taint_ops += len(ids)
-        return taints.make(out)
 
 
 HARD_BUDGET = 2_000_000  # statement cap for an unbudgeted original run
@@ -392,7 +382,7 @@ def run_test(program: CompiledProgram, test: str, mutant_ids: list[int],
     try:
         eng.call_wrapped(program.functions[test], [])
         valid = True
-    except (MiniAssertionError, MiniRuntimeError, StepBudgetExceeded):
+    except RunEnded:
         valid = False  # mainline must match the passing original run
 
     verdicts = {}

@@ -13,9 +13,21 @@ class MiniSyntaxError(Exception):
         self.col = col
 
 
-class MiniRuntimeError(Exception):
+class RunEnded(Exception):
+    """A way a run ends other than returning. Each names, once, the
+    `Outcome` status it gives the run and the kill cause it gives a mutant;
+    `kind` and `loc` are None where it has none. A syntax error ends no
+    run."""
+    status: str
+    cause: str
+    kind: str | None = None
+    loc: Loc | None = None
+
+
+class MiniRuntimeError(RunEnded):
     """A runtime failure in the mini-language (division by zero, bad types,
     overflow, index errors, arity mismatch...)."""
+    status, cause = "error", "exception"
 
     def __init__(self, kind: str, message: str, loc: Loc | None = None):
         super().__init__(f"{kind}: {message}" + (f" at {loc}" if loc else ""))
@@ -24,11 +36,14 @@ class MiniRuntimeError(Exception):
         self.loc = loc
 
 
-class MiniAssertionError(Exception):
+class MiniAssertionError(RunEnded):
+    status, cause = "assert", "assertion"
+
     def __init__(self, loc: Loc):
         super().__init__(f"assertion failed at {loc}")
         self.loc = loc
 
 
-class StepBudgetExceeded(Exception):
+class StepBudgetExceeded(RunEnded):
     """Raised when an execution exceeds its statement budget."""
+    status = cause = "timeout"

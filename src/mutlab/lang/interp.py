@@ -59,7 +59,9 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
-from .errors import MiniAssertionError, MiniRuntimeError, StepBudgetExceeded
+from .errors import (
+    MiniAssertionError, MiniRuntimeError, RunEnded, StepBudgetExceeded,
+)
 from .nodes import (
     Assert, Assign, Ast, BinOp, BoolOp, Call, Compare, Expr, ExprStmt,
     FunctionDef, If, Index, ListLit, Literal, Loc, ORIGINAL, Return, Stmt,
@@ -493,12 +495,13 @@ def _nonbinary(e: Expr | None, program: CompiledProgram,
 @dataclass
 class Outcome:
     """Result of one plain run of a test or entry function."""
-    status: str           # 'pass' | 'assert' | 'error' | 'timeout'
+    status: str           # 'pass' or the ending's `RunEnded.status`
     kind: str | None      # runtime-error kind when status == 'error'
     loc: Loc | None
     stmts: int
     events: list          # per site event: point_id, stmts_before, kind, value
     value: object = None
+    cause: str | None = None  # the ending's `RunEnded.cause`; None on pass
 
     @cached_property
     def covered_points(self) -> set[int]:
@@ -599,17 +602,12 @@ class PlainRun:
 def run_entry(program: CompiledProgram, entry: str, args: list,
               select: int = ORIGINAL, budget: int | None = None,
               record_events: bool = False) -> Outcome:
-    """Run one entry function to an Outcome, catching mini-language errors."""
+    """Run one entry function to an Outcome, read off its `RunEnded` if any."""
     run = PlainRun(program, select=select, budget=budget, record_events=record_events)
-    value = kind = loc = None
+    events = run.events if record_events else []
     try:
         value = run.call(entry, args)
-        status = "pass"
-    except MiniAssertionError as err:
-        status, loc = "assert", err.loc
-    except MiniRuntimeError as err:
-        status, kind, loc = "error", err.kind, err.loc
-    except StepBudgetExceeded:
-        status = "timeout"
-    return Outcome(status, kind, loc, run.stmts,
-                   run.events if record_events else [], value)
+    except RunEnded as err:
+        return Outcome(err.status, err.kind, err.loc, run.stmts, events,
+                       cause=err.cause)
+    return Outcome("pass", None, None, run.stmts, events, value)

@@ -13,6 +13,8 @@ operators may be open at once, and no expression tree may be more than
 `MAX_DEPTH` nodes deep (a variable or literal is 1 deep, any other node
 1 more than its deepest operand, so `x + x + x` is 3 deep). The parser
 keeps the depth of every operand it holds, so the check is O(1) per node.
+Statements recurse too: at most `MAX_BLOCK_DEPTH` `if`, `elif` and
+`while` blocks may be open at once, an `elif` being an `if` in an `else`.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ OPERATOR_KINDS = {"OP", "KEYWORD"}  # `and`/`or` are keywords
 LITERALS = {"INT": int, "FLOAT": float, "STRING": str}
 MAX_NESTING = 100  # open brackets, call argument lists and unary operators
 MAX_DEPTH = 200  # nodes from an expression's root to its deepest leaf
+MAX_BLOCK_DEPTH = 100  # open `if`, `elif` and `while` blocks
 
 
 class Parser:
@@ -48,6 +51,7 @@ class Parser:
         self.pos = 0
         self.depth = 0  # open parentheses, brackets and unary operators
         self.height = 0  # tree depth of the last expression parsed
+        self.blocks = 0  # open `if`, `elif` and `while` blocks
 
     # --- token helpers ---
 
@@ -138,13 +142,18 @@ class Parser:
     def parse_stmt(self) -> Stmt:
         tok = self.peek()
         loc = Loc(tok.line, tok.col)
-        if self.at("KEYWORD", "if"):
-            return self.parse_if()
-        if self.at("KEYWORD", "while"):
+        if tok.kind == "KEYWORD" and tok.value in ("if", "while"):
+            self.blocks += 1
+            if self.blocks > MAX_BLOCK_DEPTH:
+                raise self.err(f"blocks nested deeper than {MAX_BLOCK_DEPTH} levels")
             self.next()
             cond = self.parse_expr()
             self.expect("OP", ":")
-            return While(loc, cond, self.parse_block())
+            body = self.parse_block()
+            stmt = (While(loc, cond, body) if tok.value == "while" else
+                    If(loc, cond, body, self.parse_else()))
+            self.blocks -= 1
+            return stmt
         if self.at("KEYWORD", "return"):
             self.next()
             value = None if self.at("NEWLINE") else self.parse_expr()
@@ -176,22 +185,17 @@ class Parser:
         self.expect("NEWLINE")
         return ExprStmt(loc, value)
 
-    def parse_if(self) -> Stmt:
-        tok = self.expect("KEYWORD", "if")
-        loc = Loc(tok.line, tok.col)
-        cond = self.parse_expr()
-        self.expect("OP", ":")
-        then_body = self.parse_block()
-        else_body: list[Stmt] = []
+    def parse_else(self) -> list[Stmt]:
+        """An `if`'s `else` block, an `elif` as an `if` inside it, or none."""
         if self.at("KEYWORD", "elif"):
             elif_tok = self.peek()
             self.tokens[self.pos] = Token("KEYWORD", "if", elif_tok.line, elif_tok.col)
-            else_body = [self.parse_if()]
-        elif self.at("KEYWORD", "else"):
+            return [self.parse_stmt()]
+        if self.at("KEYWORD", "else"):
             self.next()
             self.expect("OP", ":")
-            else_body = self.parse_block()
-        return If(loc, cond, then_body, else_body)
+            return self.parse_block()
+        return []
 
     # --- expressions ---
 

@@ -72,22 +72,16 @@ def is_num(v) -> bool:
 def plain_eq(a, b) -> bool:
     """Deep structural equality; type-sensitive, floats bit-exact."""
     ta = type(a)
-    if ta is type(b):
-        if ta is int or ta is bool or ta is str:
-            return a == b
-        if ta is float:
-            if a == b:
-                if a:
-                    return True  # equal nonzero floats have the same bits
-            elif a == a or b == b:
-                return False     # unequal, and not both nan
-            return struct.pack("<d", a) == struct.pack("<d", b)
-    ta, tb = type_name(a), type_name(b)
-    if ta != tb:
+    if ta is not type(b):
         return False
-    if ta == "float":
+    if ta is float:
+        if a == b:
+            if a:
+                return True  # equal nonzero floats have the same bits
+        elif a == a or b == b:
+            return False     # unequal, and not both nan
         return struct.pack("<d", a) == struct.pack("<d", b)
-    if ta == "list":
+    if ta is tuple:
         return len(a) == len(b) and all(plain_eq(x, y) for x, y in zip(a, b))
     return a == b
 

@@ -101,16 +101,6 @@ def merge_verdict(old, new):
     return ("not_covered",)
 
 
-def _verdict_of(outcome: Outcome):
-    if outcome.status == "pass":
-        return ("survived",)
-    if outcome.status == "assert":
-        return ("killed", "assertion")
-    if outcome.status == "error":
-        return ("killed", "exception")
-    return ("killed", "timeout")
-
-
 # the baselines that read site events (see above for how)
 EVENT_STRATEGIES = ("split-stream", "modulo-state")
 
@@ -128,7 +118,8 @@ def _isolated_runs(program: CompiledProgram, test: str, mutants: list[Mutant],
         outcome = outcomes[m.mid] = run_entry(program, test, [], select=m.mid,
                                               budget=budget,
                                               record_events=record_events)
-        verdicts[m.mid] = _verdict_of(outcome)
+        verdicts[m.mid] = (("survived",) if outcome.cause is None
+                           else ("killed", outcome.cause))
     return verdicts, outcomes
 
 

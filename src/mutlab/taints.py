@@ -12,13 +12,18 @@ raised (it is a mainline failure).
 
 Entries equal (bit-exact, type-sensitive) to the original value are pruned
 eagerly; fallback makes this lossless.
+
+The root's rules: `apply_binary` for a binary node (per-mutant operators),
+`apply_pointwise` for a unary operator, builtin, list literal or index,
+`partition_condition` for a condition, and `concretize_env` and
+`with_taints` for a diverged mutant's env and its merged-back value.
 """
 
 from __future__ import annotations
 
 from .lang.errors import MiniRuntimeError
 from .lang.nodes import ORIGINAL
-from .lang.values import OPERATORS, plain_eq, require_bool, unary_op
+from .lang.values import OPERATORS, plain_eq, require_bool
 
 
 class Tainted:
@@ -46,13 +51,6 @@ def taint_get(v, m: int):
 def entries(v) -> dict:
     """The full taint map (a one-entry map for untainted values)."""
     return dict(v.taints) if isinstance(v, Tainted) else {ORIGINAL: v}
-
-
-def taint_keys(v) -> set:
-    """Non-original mutant ids carried by a value."""
-    if isinstance(v, Tainted):
-        return {m for m in v.taints if m != ORIGINAL}
-    return set()
 
 
 def make(taints: dict):
@@ -150,21 +148,28 @@ def apply_binary(a, op: str, op_mutations: dict, b, *,
     return Tainted(out) if len(out) > 1 else base
 
 
-def apply_unary(op: str, a, *, restrict: set | None = None,
-                on_kill=None, stats=None):
-    """Pointwise extension of the transmission rules to unary operators."""
-    out = {ORIGINAL: unary_op(op, value_of(a))}
-    ids = taint_keys(a)
+def apply_pointwise(fn, args: list, *, floor: int = 0,
+                    restrict: set | None = None, on_kill=None, stats=None):
+    """Pointwise composition of a plain n-ary operation (a unary operator,
+    a builtin, list construction, indexing): the original entry is `fn` on
+    the original values, raising its errors, and each id an argument
+    carries gets `fn` on its own entries (with fallback), so a list of
+    tainted items is tainted as a whole. `restrict` and `on_kill` act as
+    in `apply_binary`; the charge is one taint op per computed id, at least
+    `floor`."""
+    out = {ORIGINAL: fn(*[value_of(a) for a in args])}
+    ids = {m for a in args if type(a) is Tainted for m in a.taints}
+    ids.discard(ORIGINAL)
     if restrict is not None:
         ids &= restrict
     for m in sorted(ids):
         try:
-            out[m] = unary_op(op, taint_get(a, m))
+            out[m] = fn(*[taint_get(a, m) for a in args])
         except MiniRuntimeError as err:
             if on_kill is not None:
                 on_kill(m, err.kind)
     if stats is not None:
-        stats.taint_ops += max(len(ids), 1)
+        stats.taint_ops += max(len(ids), floor)
     return make(out)
 
 

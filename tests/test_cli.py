@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,9 @@ import pytest
 
 import mutlab.cli as cli
 from mutlab.cli import main
-from mutlab.lang.parser import MAX_DEPTH, MAX_NESTING, parse_program
+from mutlab.lang.parser import (
+    MAX_BLOCK_DEPTH, MAX_DEPTH, MAX_NESTING, parse_program,
+)
 from mutlab.mutate import discover_mutation_points, enumerate_mutants
 from mutlab.report import CSV_HEADER, SCHEMA
 
@@ -577,6 +580,72 @@ def test_deep_operator_chain_in_compare(tmp_path):
     assert proc.stderr == (f"error: {program}: 2:{col}: expression deeper "
                            f"than {MAX_DEPTH} levels\n")
     assert proc.stdout == ""
+
+
+def block_program(keywords: list[str], inner: str) -> str:
+    """`f` with one `if` or `while x > 0` block per keyword, each inside
+    the one before, around `y = inner` and `x = 0`, and a test that `f(1)`
+    returns x + 1 + 1 + ... evaluated at x = 1."""
+    lines = ["def f(x):"]
+    for i, kw in enumerate(keywords):
+        lines.append("    " * (i + 1) + f"{kw} x > 0:")
+    pad = "    " * (len(keywords) + 1)
+    lines += [pad + f"y = {inner}", pad + "x = 0", "    return y", "",
+              "def test_f():", f"    assert f(1) == {inner.count('x')}"]
+    return "\n".join(lines) + "\n"
+
+
+def compare_capped(program: Path) -> subprocess.CompletedProcess:
+    """`compare --all` on `program` in a child process whose address space
+    is capped at 2 GiB."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "mutlab", "compare", "--program", str(program),
+         "--all"], env=env, capture_output=True, text=True, timeout=300,
+        preexec_fn=cap)
+
+
+ARMS = ["    if x == 0:", "        return 0"] + [
+    line for i in range(1, 1000)
+    for line in (f"    elif x == {i}:", f"        return {i}")]
+
+
+@pytest.mark.parametrize("text, at", [
+    ("def f(x):\n" + "\n".join(ARMS) + "\n    return -1\n\n"
+     "def test_f():\n    assert f(3) == 3\n",
+     f"{2 * MAX_BLOCK_DEPTH + 2}:5"),
+    (block_program(["if"] * 450, "x"),
+     f"{MAX_BLOCK_DEPTH + 2}:{4 * MAX_BLOCK_DEPTH + 5}"),
+], ids=["elif chain of 1000 arms", "450 nested ifs"])
+def test_block_nesting_limit_in_compare(tmp_path, text, at):
+    """Both used to exhaust Python's recursion limit (exit 4); the block
+    one past `MAX_BLOCK_DEPTH` is a syntax error at its keyword."""
+    program = tmp_path / "blocks.ml0"
+    program.write_text(text)
+    proc = compare_capped(program)
+    assert proc.returncode == 2
+    assert proc.stderr == (f"error: {program}: {at}: blocks nested deeper "
+                           f"than {MAX_BLOCK_DEPTH} levels\n")
+    assert proc.stdout == ""
+
+
+def test_block_nesting_limit_worst_case_in_compare(tmp_path):
+    """`MAX_BLOCK_DEPTH` blocks around a `MAX_DEPTH`-deep expression in
+    `MAX_NESTING - 1` brackets: every pass, the seven strategies included,
+    stays within Python's default recursion limit."""
+    levels = MAX_NESTING - 1
+    inner = ("x + (" * levels + " + ".join(["x"] * (MAX_DEPTH - levels))
+             + ")" * levels)
+    assert parse_program(f"def f(x):\n    return {inner}\n")
+    program = tmp_path / "worst.ml0"
+    program.write_text(block_program(["if", "while"] * (MAX_BLOCK_DEPTH // 2),
+                                     inner))
+    proc = compare_capped(program)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["schema"] == SCHEMA
 
 
 def test_unexpected_exception_is_exit_4(good, capsys, monkeypatch):

@@ -9,6 +9,10 @@ attribute; a constant's own assignment does not read it. An
 exports is called by nothing in src/mutlab. Dunder methods are called by
 Python itself and are not checked. `USED_OUTSIDE` lists the definitions
 that only the tests or the benchmark use.
+
+A module-level import is flagged when nothing in its own module reads the
+name it binds, so a stale import does not stay behind either. A package's
+`__init__.py` imports to re-export and is not checked.
 """
 
 import ast
@@ -66,3 +70,33 @@ def test_unused_definition_is_flagged():
 def test_no_unused_definitions():
     sources = [p.read_text() for p in sorted(SRC.rglob("*.py"))]
     assert unused_definitions(sources) == []
+
+
+def unused_imports(src: str) -> list[str]:
+    """The names that the module-level imports of `src` bind and that
+    nothing in it reads (`from __future__` imports excepted)."""
+    tree = ast.parse(src)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx,
+                                                             ast.Store)}
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0]
+                      for alias in node.names]
+    return [name for name in bound if name not in read]
+
+
+def test_unused_import_is_flagged():
+    src = ("from __future__ import annotations\nimport os.path\n"
+           "import json as js\nfrom a import (b, c as d, e)\n"
+           "def f(x: e):\n    return b(x)\n")
+    assert unused_imports(src) == ["os", "js", "d"]
+
+
+def test_no_unused_imports():
+    flagged = {str(p.relative_to(SRC)): unused_imports(p.read_text())
+               for p in sorted(SRC.rglob("*.py")) if p.name != "__init__.py"}
+    assert {path: names for path, names in flagged.items() if names} == {}

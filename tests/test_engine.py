@@ -14,9 +14,10 @@ from mutlab.engine import (
     EngineConfig, InfraStats, TaintEngine, _MemoRun, run_test,
 )
 from mutlab.lang import PlainRun, compile_program, parse_program
-from mutlab.lang.interp import IBranch, IJump
+from mutlab.lang.interp import IBranch, IJump, run_entry
 from mutlab.lang.errors import (
-    MiniAssertionError, MiniRuntimeError, StepBudgetExceeded,
+    MiniAssertionError, MiniRuntimeError, MiniSyntaxError, RunEnded,
+    StepBudgetExceeded,
 )
 from mutlab.memo import MemoStats, make_call_key
 from mutlab.mutate import (
@@ -770,3 +771,58 @@ def test_a_vetoed_memo_call_builds_no_key(monkeypatch):
                                           memo_stores=infra[1])
         assert engine.memo.stats == MemoStats(*memo)
 
+
+def test_each_run_ending_names_its_status_and_cause():
+    assert [(c.status, c.cause) for c in
+            (MiniRuntimeError, MiniAssertionError, StepBudgetExceeded)] == [
+        ("error", "exception"), ("assert", "assertion"),
+        ("timeout", "timeout")]
+    assert not issubclass(MiniSyntaxError, RunEnded)  # it ends no run
+    timeout = StepBudgetExceeded()
+    assert (timeout.kind, timeout.loc) == (None, None)
+    assert MiniAssertionError(None).kind is None
+
+
+def ending_program(tail: str) -> str:
+    """A program whose `n > 0` mutants that decide False for n = 1 leave
+    the mainline and end in `tail`."""
+    return ("def f(n):\n    if n > 0:\n        return 1\n" + tail
+            + "    return 0\n\ndef test_f():\n    assert f(1) == 1\n")
+
+
+@pytest.mark.parametrize("ending, tail", [
+    (MiniAssertionError, "    assert n > 5\n"),
+    (MiniRuntimeError, "    n = 1 // (n - 1)\n"),
+    (StepBudgetExceeded, "    while n > 0:\n        n = n + 1\n"),
+], ids=["assert", "zero-division", "runaway loop"])
+def test_run_entry_and_the_engine_child_read_the_ending(ending, tail):
+    """A mutant that diverges into `tail` ends the same way in an isolated
+    run (`run_entry`'s Outcome) and in the engine's child (its kill)."""
+    program, mids, point_of, mutants = prepare(ending_program(tail))
+    rep = run_test(program, "test_f", mids, point_of, EngineConfig())
+    diverged = {mid for _, mid, _, _ in rep.divergences}
+    assert diverged
+    budget = engine_mod.budget_for(program.originals["test_f"].stmts, 10)
+    for mid in sorted(diverged):
+        assert rep.verdicts[mid] == ("killed", ending.cause)
+        out = run_entry(program, "test_f", [], select=mid, budget=budget)
+        assert (out.status, out.cause) == (ending.status, ending.cause)
+        assert (out.kind is None) == (ending is not MiniRuntimeError)
+
+
+def root_charge(expr: str) -> int:
+    """The taint ops the root charges to evaluate `expr` once, with every
+    variable untainted."""
+    program, mids, _, _ = prepare(f"def f(x, s):\n    return {expr}\n")
+    engine = TaintEngine(program, mids, EngineConfig(), child_budget=100,
+                         budget=100)
+    tree = program.functions["f"].code[0].value  # the Return's
+    engine.eval(tree, {"x": 2, "s": (1, 2)})
+    return engine.infra.taint_ops
+
+
+def test_pointwise_charge_floor_at_the_root():
+    # a unary operator costs one taint op even untainted; a builtin, a
+    # list or an index costs one per tainted id, none here
+    assert [root_charge(e) for e in ("-x", "not True", "len(s)", "[x, x]",
+                                     "s[0]")] == [1, 1, 0, 0, 0]

@@ -22,7 +22,7 @@ from mutlab.lang import (
 )
 from mutlab.lang.lexer import KEYWORDS, OPERATORS as LEX_OPERATORS, _lex_line
 from mutlab.lang import values
-from mutlab.lang.parser import MAX_DEPTH, MAX_NESTING
+from mutlab.lang.parser import MAX_BLOCK_DEPTH, MAX_DEPTH, MAX_NESTING
 from mutlab.lang.values import (
     ARITH_OPS, COMPARE_OPS, INT_MAX, INT_MIN, OPERATORS, binary_op, bool_op,
     canon_key, compare_op, plain_eq,
@@ -437,6 +437,46 @@ def test_depth_adds_up_across_nesting_levels():
     assert err.message == f"expression deeper than {MAX_DEPTH} levels"
 
 
+def nested_blocks(keywords: list[str]) -> str:
+    """`f` with one block per keyword, each inside the one before."""
+    lines = ["def f(x):"]
+    for i, kw in enumerate(keywords):
+        lines.append("    " * (i + 1) + f"{kw} x > 0:")
+    lines.append("    " * (len(keywords) + 1) + "x = 0")
+    return "\n".join(lines) + "\n    return x\n"
+
+
+def elif_chain(arms: int) -> str:
+    """`f` as one `if` followed by `arms - 1` `elif` arms."""
+    lines = ["def f(x):", "    if x == 0:", "        return 0"]
+    for i in range(1, arms):
+        lines += [f"    elif x == {i}:", f"        return {i}"]
+    return "\n".join(lines) + "\n    return -1\n"
+
+
+@pytest.mark.parametrize("keyword", ["if", "while"])
+def test_block_depth_limit(keyword):
+    parse_program(nested_blocks([keyword] * MAX_BLOCK_DEPTH))
+    err = syntax_error(nested_blocks([keyword] * (MAX_BLOCK_DEPTH + 1)))
+    # at the keyword of the block one past the limit
+    assert (err.line, err.col) == (MAX_BLOCK_DEPTH + 2, 4 * MAX_BLOCK_DEPTH + 5)
+    assert err.message == f"blocks nested deeper than {MAX_BLOCK_DEPTH} levels"
+
+
+def test_block_depth_counts_open_blocks_and_each_elif():
+    # blocks side by side open one level each; `if` and `while` add up
+    flat = "def f(x):\n" + "    if x > 0:\n        x = 0\n" * (2 * MAX_BLOCK_DEPTH)
+    parse_program(flat)
+    mixed = ["if", "while"] * (MAX_BLOCK_DEPTH // 2)
+    parse_program(nested_blocks(mixed))
+    assert syntax_error(nested_blocks(mixed + ["if"])).line == MAX_BLOCK_DEPTH + 2
+    # an `elif` is an `if` in the arm before it: the chain's arms nest
+    parse_program(elif_chain(MAX_BLOCK_DEPTH))
+    err = syntax_error(elif_chain(MAX_BLOCK_DEPTH + 1))
+    assert (err.line, err.col) == (2 * MAX_BLOCK_DEPTH + 2, 5)
+    assert err.message == f"blocks nested deeper than {MAX_BLOCK_DEPTH} levels"
+
+
 class TestValues:
     def test_int_overflow_is_error(self):
         with pytest.raises(MiniRuntimeError) as e:
@@ -475,6 +515,21 @@ class TestValues:
         assert not plain_eq(True, 1)
         # but comparison follows numeric equality
         assert compare_op("==", 1, 1.0) is True
+
+    @pytest.mark.parametrize("a, b, equal", [
+        (True, 1, False), (False, 0, False), (True, True, True),
+        (1, 1.0, False), (0, -0.0, False), (2.5, 2.5, True),
+        (None, None, True), (None, 0, False), (None, (), False),
+        (((0.0,),), ((-0.0,),), False), (((-0.0,),), ((-0.0,),), True),
+        ((1, (float("nan"),)), (1, (float("nan"),)), True),
+        ((1, (float("nan"),)), (1, (-float("nan"),)), False),
+        ((1, (2,)), (1, (2.0,)), False), ((1,), (1, 2), False),
+        (("a", ()), ("a", ()), True),
+    ])
+    def test_plain_eq_cases(self, a, b, equal):
+        # one exact type each, floats by their bits, lists item by item
+        assert plain_eq(a, b) is equal
+        assert plain_eq(b, a) is equal
 
     def test_string_concat_and_ordering(self):
         assert binary_op("+", "ab", "cd") == "abcd"

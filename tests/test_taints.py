@@ -2,6 +2,7 @@
 examples and property-based checks of the composition laws."""
 
 import struct
+from functools import partial
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -9,11 +10,12 @@ from hypothesis import strategies as st
 
 from mutlab.lang.errors import MiniRuntimeError
 from mutlab.lang.values import (
-    ARITH_OPS, COMPARE_OPS, OPERATORS, canon_key, plain_eq,
+    ARITH_OPS, BUILTINS, COMPARE_OPS, OPERATORS, canon_key, index_value,
+    plain_eq, unary_op,
 )
 from mutlab.taints import (
-    Tainted, apply_binary, apply_unary, concretize_env, entries, make,
-    partition_condition, taint_get, taint_keys, value_of, with_taints,
+    Tainted, apply_binary, apply_pointwise, concretize_env, entries, make,
+    partition_condition, taint_get, value_of, with_taints,
 )
 
 
@@ -23,6 +25,11 @@ def tmap(**kw):
 
 def as_map(v):
     return entries(v)
+
+
+def taint_keys(v) -> set:
+    """Non-original mutant ids carried by a value."""
+    return set(v.taints) - {0} if isinstance(v, Tainted) else set()
 
 
 class TestRules:
@@ -94,8 +101,38 @@ class TestMechanics:
         c = apply_binary(a, "+", {}, 1, restrict={2})
         assert as_map(c) == {0: 2, 2: 4}
 
-    def test_apply_unary(self):
-        assert as_map(apply_unary("-", tmap(M0=1, M1=2))) == {0: -1, 1: -2}
+    def test_pointwise_unary(self):
+        v = apply_pointwise(partial(unary_op, "-"), [tmap(M0=1, M1=2)])
+        assert as_map(v) == {0: -1, 1: -2}
+
+    def test_pointwise_charge_floor(self):
+        # one taint op per computed id, at least `floor`: a unary operator
+        # passes 1, a builtin, list or index 0
+        neg, length = partial(unary_op, "-"), BUILTINS["len"][0]
+        cases = [(neg, [3], 1, None, 1), (neg, [tmap(M0=1, M1=2)], 1, set(), 1),
+                 (neg, [tmap(M0=1, M1=2, M2=3)], 1, None, 2),
+                 (length, ["ab"], 0, None, 0),
+                 (length, [tmap(M0="a", M4="ab")], 0, {4}, 1),
+                 (index_value, [(1, 2), 0], 0, None, 0)]
+        for fn, args, floor, restrict, charge in cases:
+            stats = _Stats()
+            apply_pointwise(fn, args, floor=floor, restrict=restrict,
+                            stats=stats)
+            assert stats.taint_ops == charge, (fn, args)
+
+    def test_pointwise_kills_in_id_order(self):
+        # a list built of tainted items is tainted as a whole; a failing id
+        # is reported in id order and dropped, the others kept
+        killed = []
+        items = [tmap(M0=0, M3=5, M1=9, M2=1), 1]
+        v = apply_pointwise(lambda *vs: vs, items)
+        assert as_map(v) == {0: (0, 1), 1: (9, 1), 2: (1, 1), 3: (5, 1)}
+        out = apply_pointwise(index_value, [(7, 8), items[0]],
+                              on_kill=lambda m, kind: killed.append((m, kind)))
+        assert as_map(out) == {0: 7, 2: 8}
+        assert killed == [(1, "index"), (3, "index")]
+        with pytest.raises(MiniRuntimeError):  # a mainline error propagates
+            apply_pointwise(index_value, [(7,), tmap(M0=2, M1=0)])
 
     def test_with_taint_merge_back(self):
         v = with_taint(5, 3, 9)
