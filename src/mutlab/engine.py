@@ -8,9 +8,10 @@ mode with its concretized environment and the divergent branch target, in
 no-fork mode with its view of the call's arguments, to re-execute the whole
 body. At that frame's return each queued mutant runs alone on the plain
 interpreter (`PlainRun` selecting its own variant, with the child step
-budget), and its return value is merged back as its execution taint on the
-mainline return value. Only the root ever holds taints, so only the root
-needs the taint-aware evaluator.
+budget, `budget_for`), and its return value is merged back as its
+execution taint on the mainline return value. Only the root ever holds
+taints, so only the root needs the taint-aware evaluator. The root's own
+budget is the original's statement count (`run_test`).
 
 The root binds each call with `interp.bind_call`, the plain interpreter's
 rules. Its errors get no location added: an error on the mainline only
@@ -33,9 +34,10 @@ or fork:
   - `eval` reads a `Var` or `Literal` operand of a binary node inline, and
     `run_code` follows a jump before it counts a statement;
   - an untainted condition decides at once; a tainted one is one id-ordered
-    pass over its taint map, then in fork mode one plain copy of the
-    frame's env per diverging mutant (`taints.concretize_env`), and one
-    (loc, mutant, its decision, mainline's) tuple per divergence;
+    pass over its taint map, then one plain copy per diverging mutant of
+    the frame's env in fork mode, of the call's arguments without
+    (`taints.concretize_env`), and one (loc, mutant, its decision,
+    mainline's) tuple per divergence;
   - diverged mutants run on the engine's one child runner, reset to each,
     and a frame's survivors fold into one copy of its return value's map;
   - `run_test` reads the test's original `Outcome` from
@@ -52,7 +54,7 @@ from .lang.errors import (
 )
 from .lang.interp import (
     CompiledFn, CompiledProgram, IBranch, IJump, PlainRun, bind_call,
-    run_entry,
+    budget_for, run_entry,
 )
 from .lang.nodes import (
     Assert, Assign, BinOp, BoolOp, Call, Compare, Expr, Index, ListLit,
@@ -62,7 +64,7 @@ from .lang import values
 from .lang.values import canon_key
 from .memo import MemoState, make_call_key
 from . import taints
-from .taints import Tainted, taint_get, value_of
+from .taints import Tainted, value_of
 
 
 @dataclass
@@ -149,7 +151,7 @@ class TaintEngine:
         self.program = program
         self.cfg = cfg
         self.child_budget = child_budget
-        self.budget = budget       # the root's step budget
+        self.budget = budget       # the root's: the original's statements
         self.stmts = 0             # statements the root executed
         self.active: set[int] = set(mutant_ids)
         self.kills: dict[int, str] = {}  # mid -> cause
@@ -280,13 +282,10 @@ class TaintEngine:
             self.pending += len(diverge)
             fork, t = self.cfg.fork, cond.taints
             if fork:
-                envs = taints.concretize_env(frame.env, diverge)
                 self.infra.snapshots += len(diverge)
-            else:  # each re-executes the whole call on its own arguments
-                envs = [dict(zip(frame.fn.params,
-                                 [taint_get(a, mid) for a in frame.args]))
-                        for mid in diverge]
-            for mid, env in zip(diverge, envs):
+            # without fork, each re-executes the whole call on its arguments
+            view = frame.env if fork else dict(zip(frame.fn.params, frame.args))
+            for mid, env in zip(diverge, taints.concretize_env(view, diverge)):
                 decision = t[mid]
                 self.divergences.append((br.loc, mid, decision, mainline))
                 target = pc + 1 if decision else br.false_pc
@@ -335,11 +334,8 @@ class TaintEngine:
         if kind is Call:
             args = [self.eval(a, env) for a in e.args]
             callee = bind_call(self.program.functions, e.name, len(args))
-            kind = type(callee)
-            if kind is CompiledFn:
+            if type(callee) is CompiledFn:
                 return self.call_wrapped(callee, args)
-            if kind is tuple:
-                raise MiniRuntimeError(*callee)
         elif kind is UnaryOp:
             callee, floor = partial(values.unary_op, e.op), 1
             args = [self.eval(e.operand, env)]
@@ -355,30 +351,22 @@ class TaintEngine:
                                       on_kill=self._kill_exc, stats=self.infra)
 
 
-HARD_BUDGET = 2_000_000  # statement cap for an unbudgeted original run
-
-
-def budget_for(original_stmts: int, mult: int) -> int:
-    """Step budget of every mutant execution, from the original's stmts."""
-    return max(mult * original_stmts, 100)
-
-
 def run_test(program: CompiledProgram, test: str, mutant_ids: list[int],
              point_of_mutant: dict[int, int], cfg: EngineConfig) -> TestReport:
     """Execute one test under the taint engine and classify every mutant.
     The test's original run is the one recorded in `program.originals`;
-    the first engine run of a test that has none runs and records it."""
+    the first engine run of a test that has none runs and records it. The
+    root's budget is the original's statements, which the mainline runs
+    exactly: one more is a root defect, an invalid test."""
     pre = program.originals.get(test)
     if pre is None:
-        pre = program.originals[test] = run_entry(
-            program, test, [], select=ORIGINAL, budget=HARD_BUDGET)
+        pre = program.originals[test] = run_entry(program, test, [])
     if pre.status != "pass":
         return TestReport(test, False, {}, pre.stmts, [pre.stmts],
                           InfraStats(), {}, [])
-    child_budget = budget_for(pre.stmts, cfg.budget_mult)
 
-    eng = TaintEngine(program, mutant_ids, cfg, child_budget,
-                      budget=cfg.budget_mult * pre.stmts + HARD_BUDGET)
+    eng = TaintEngine(program, mutant_ids, cfg,
+                      budget_for(pre.stmts, cfg.budget_mult), budget=pre.stmts)
     try:
         eng.call_wrapped(program.functions[test], [])
         valid = True

@@ -26,18 +26,18 @@ operator and records its event. A run resolves its mutant once:
 `CompiledProgram.mutants` gives the selected mutant's (point id, kernel),
 so a site compares `run.point` with its own point and makes no lookup.
 The other nodes are one closure body too, `_nonbinary`: a call bound to a
-program function, a unary operator, a call bound to a builtin of one
-argument, and a bare `Var` or `Literal`. Both read `Var` and `Literal`
-operands inline. A statement runs as the body of its top-level
-expression, so `x = a + 1`, `x = s[i]`, `x = -a` or `x = len(s)` makes two
-Python calls, the step and the operator or builtin. Call sites bind their
-callee when the program is compiled (`bind_call`); a call bound to a
-program function builds the callee's environment in place and calls
-`run.run_fn`, the one hook subclasses override, so a `.ml0` call level
-costs two Python frames (`run_fn` and the statement's step). Nested, a
-body is its node's closure `ev(run, env)` (`compile_expr`); a list, a
-call that evaluates a list of arguments (`_compile_call`) and a leaf that
-no body reads inline have closures of their own.
+program function, a unary operator, any other call of one argument, and a
+bare `Var` or `Literal`. Both read `Var` and `Literal` operands inline. A
+statement runs as the body of its top-level expression, so `x = a + 1`,
+`x = s[i]`, `x = -a` or `x = len(s)` makes two Python calls, the step and
+the operator or builtin. Call sites bind their callee when the program is
+compiled (`bind_call`); a call bound to a program function builds the
+callee's environment in place and calls `run.run_fn`, the one hook
+subclasses override, so a `.ml0` call level costs two Python frames
+(`run_fn` and the statement's step). Nested, a body is its node's closure
+`ev(run, env)` (`compile_expr`); a list, a call that evaluates a list of
+arguments (`_compile_call`) and a leaf that no body reads inline have
+closures of their own.
 `CompiledProgram.reach` maps each function to the mutants whose choice
 sites a call of it may run, for the memo.
 
@@ -48,13 +48,12 @@ exactly one event.
 After 8, then 9, 10, ... back edges a frame checks its state (pc, env)
 against the last checkpoint: runs are deterministic, and a memo hit
 returns what the call would (see `memo`), so a bit-identical state repeats
-forever, and a budgeted run ends there as running to its budget would.
+forever, and the run ends there as running to its budget would.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -236,39 +235,42 @@ def compile_expr(e: Expr, program: CompiledProgram) -> Callable:
     raise TypeError(f"cannot compile {e!r}")
 
 
-def bind_call(functions: dict, name: str, nargs: int):
+def _illegal(kind: str, message: str, *args):
+    """An illegal call's callee: it raises the call's error."""
+    raise MiniRuntimeError(kind, message)
+
+
+def bind_call(functions: dict, name: str, nargs: int) -> CompiledFn | Callable:
     """What a call of `name` with `nargs` arguments runs: the program
-    function's `CompiledFn`, the builtin's Python function, or, when the
-    call is illegal, the (kind, message) of the `MiniRuntimeError` it
-    raises. A program function hides a builtin of the same name."""
+    function's `CompiledFn`, else a Python function of the arguments. That
+    is the builtin's, or, when the call is illegal, `_illegal` bound to the
+    kind and message of the `MiniRuntimeError` it raises once its arguments
+    are evaluated. A program function hides a builtin of the same name."""
     fn = functions.get(name)
     if fn is not None:
         if nargs == len(fn.params):
             return fn
-        return "arity", f"{name}() expected {len(fn.params)} arguments, got {nargs}"
+        return partial(_illegal, "arity", f"{name}() expected "
+                       f"{len(fn.params)} arguments, got {nargs}")
     if name not in BUILTINS:
-        return "name", f"unknown function {name!r}"
+        return partial(_illegal, "name", f"unknown function {name!r}")
     builtin, lo, hi = BUILTINS[name]
     if nargs < lo or (hi is not None and nargs > hi):
-        return "arity", f"{name}() got {nargs} arguments"
+        return partial(_illegal, "arity", f"{name}() got {nargs} arguments")
     return builtin
 
 
-def _compile_call(e: Call, callee: Callable | tuple,
+def _compile_call(e: Call, callee: Callable,
                   program: CompiledProgram) -> Callable:
     """The closure of a call site that `_nonbinary` does not take: one
-    bound to a builtin of any number of arguments but one, or an illegal
-    call (`callee` is `bind_call`'s error). It evaluates its arguments into
-    a list, then calls the builtin or raises the illegal call's error, with
-    `e.loc` on errors that have no location yet."""
+    whose callee is a Python function (`bind_call`) of any number of
+    arguments but one. It evaluates its arguments into a list and calls the
+    callee, with `e.loc` on errors that have no location yet."""
     loc, args = e.loc, [compile_expr(a, program) for a in e.args]
-    illegal = type(callee) is tuple
 
     def ev(run, env):
         vals = [a(run, env) for a in args]
         try:
-            if illegal:
-                raise MiniRuntimeError(*callee)
             return callee(*vals)
         except MiniRuntimeError as err:
             err.loc = err.loc or loc
@@ -351,7 +353,7 @@ def _binary(e: Expr, program: CompiledProgram, kind: type | None = None,
         if kind is not None:
             n = run.stmts + 1
             run.stmts = n
-            if n > run.limit:
+            if n > run.budget:
                 raise StepBudgetExceeded()
         if lname is not None:
             try:
@@ -409,13 +411,14 @@ def _nonbinary(e: Expr | None, program: CompiledProgram,
     """The closure of `e`, a node that is not binary, or of no expression
     (a bare `return`). A call bound to a program function builds the
     callee's environment in place and enters `run.run_fn`. A unary
-    operator or a call bound to a builtin of one argument reads its
-    operand inline (`_operand`) and applies its function, with `e.loc` on
-    the function's errors. A `Var` or `Literal` is read as such an operand
-    is. With no `kind` it is the closure `ev(run, env)` of a `UnaryOp` or a
-    `Call`, and any other call is `_compile_call`'s closure; with a `kind`
-    it is the step of a statement of that kind whose top-level expression
-    is `e`, and reads a list or any other call through its closure."""
+    operator or any other call of one argument (a builtin's, or an illegal
+    call's, `bind_call`) reads its operand inline (`_operand`) and applies
+    its function, with `e.loc` on the function's errors. A `Var` or
+    `Literal` is read as such an operand is. With no `kind` it is the
+    closure `ev(run, env)` of a `UnaryOp` or a `Call`, and any other call
+    is `_compile_call`'s closure; with a `kind` it is the step of a
+    statement of that kind whose top-level expression is `e`, and reads a
+    list or any other call through its closure."""
     # `fn` is the callee of a program call, whose (parameter, argument
     # closure) pairs are `args`, or the function applied to `operand`
     fn = args = vname = value = ev = None
@@ -429,7 +432,7 @@ def _nonbinary(e: Expr | None, program: CompiledProgram,
             args = [(p, compile_expr(a, program))
                     for p, a in zip(fn.params, e.args)]
             operand = None
-        elif type(fn) is tuple or len(e.args) != 1:
+        elif len(e.args) != 1:
             ev, fn, operand = _compile_call(e, fn, program), None, None
             if kind is None:
                 return ev
@@ -444,7 +447,7 @@ def _nonbinary(e: Expr | None, program: CompiledProgram,
         if kind is not None:
             n = run.stmts + 1
             run.stmts = n
-            if n > run.limit:
+            if n > run.budget:
                 raise StepBudgetExceeded()
         if args is not None:
             new = {}
@@ -512,6 +515,14 @@ class Outcome:
 
 FIRST_GAP = 8  # back edges of a frame before its first loop checkpoint
 
+# the step budget of a run whose caller sets none, such as an original's
+HARD_BUDGET = 2_000_000
+
+
+def budget_for(original_stmts: int, mult: int) -> int:
+    """Step budget of every mutant execution, from the original's stmts."""
+    return max(mult * original_stmts, 100)
+
 
 class PlainRun:
     """Executes one variant: the choice site of mutant `select` applies its
@@ -519,21 +530,19 @@ class PlainRun:
     other site the original's.
 
     A frame is `run_fn` running its function's steps from any pc. The steps
-    keep the run's state: they count `stmts` (a statement past `limit`,
-    the budget, raises `StepBudgetExceeded`), append to `events` when it
-    is a list, and leave a returned value in `rv`. `run_fn` itself counts
-    the frame's back edges and calls `at_checkpoint` on schedule. Every
-    call of a program function enters `run_fn` with the callee's new
-    environment; subclasses override `run_fn` as a call hook, and nothing
-    else."""
+    keep the run's state: they count `stmts` (a statement past `budget`
+    raises `StepBudgetExceeded`), append to `events` when it is a list,
+    and leave a returned value in `rv`. `run_fn` itself counts the frame's
+    back edges and calls `at_checkpoint` on schedule. Every call of a
+    program function enters `run_fn` with the callee's new environment;
+    subclasses override `run_fn` as a call hook, and nothing else."""
 
     def __init__(self, program: CompiledProgram, select: int = ORIGINAL,
-                 budget: int | None = None, record_events: bool = False):
+                 budget: int = HARD_BUDGET, record_events: bool = False):
         self.program = program
         self.select = select
         self.point, self.kernel = program.mutants.get(select, (None, None))
         self.budget = budget
-        self.limit = math.inf if budget is None else budget
         self.stmts = 0
         self.events: list | None = [] if record_events else None
         self.rv = None
@@ -542,10 +551,8 @@ class PlainRun:
         """Call a function by name: `run_entry`'s way in. A compiled call
         site binds its callee once instead (`bind_call`)."""
         callee = bind_call(self.program.functions, name, len(args))
-        if isinstance(callee, CompiledFn):
+        if type(callee) is CompiledFn:
             return self.run_fn(callee, dict(zip(callee.params, args)))
-        if isinstance(callee, tuple):
-            raise MiniRuntimeError(*callee)
         return callee(*args)
 
     def run_fn(self, fn: CompiledFn, env: dict, pc: int = 0):
@@ -563,13 +570,10 @@ class PlainRun:
 
     def at_checkpoint(self, pc: int, env: dict, last):
         """A frame is at a loop head, `gap` back edges after its `last`
-        checkpoint (None before the first). A budgeted run whose state
-        (pc, env) is bit-identical to the checkpoint's repeats forever and
-        ends here (`run_to_budget`). Returns the new checkpoint and the back
-        edges to the next, one more than before. A run without a budget
-        never ends early, so it keeps no checkpoint."""
-        if self.budget is None:
-            return None, FIRST_GAP
+        checkpoint (None before the first). A run whose state (pc, env) is
+        bit-identical to the checkpoint's repeats forever and ends here
+        (`run_to_budget`). Returns the new checkpoint and the back edges to
+        the next, one more than before."""
         if last is None:
             gap = FIRST_GAP
         else:
@@ -600,7 +604,7 @@ class PlainRun:
 
 
 def run_entry(program: CompiledProgram, entry: str, args: list,
-              select: int = ORIGINAL, budget: int | None = None,
+              select: int = ORIGINAL, budget: int = HARD_BUDGET,
               record_events: bool = False) -> Outcome:
     """Run one entry function to an Outcome, read off its `RunEnded` if any."""
     run = PlainRun(program, select=select, budget=budget, record_events=record_events)

@@ -6,6 +6,7 @@ Values are represented by host types: int, float, bool, str, and tuple
 
 Semantics pinned here:
   - ints are 64-bit signed; overflow raises a runtime error
+  - `+` building a string or list longer than `MAX_SIZE` overflows too
   - `/` is true division producing a float; `//` floors; `%` is floor-mod
   - bitwise/shift operators reject floats
   - bools are not arithmetic operands
@@ -37,6 +38,7 @@ from .errors import MiniRuntimeError
 
 INT_MIN = -(2**63)
 INT_MAX = 2**63 - 1
+MAX_SIZE = 65_536  # the length of the longest string or list `+` builds
 
 # the mutation catalogs: their order numbers the mutants (see `mutate`)
 ARITH_OPS = ("+", "-", "*", "/", "%", "<<", ">>", "|", "^", "&", "//")
@@ -107,7 +109,8 @@ def canon_key(v):
 
 def binary_op(op: str, a, b):
     """Apply a binary arithmetic operator; raises MiniRuntimeError on
-    type errors, division by zero, and int overflow."""
+    type errors, division by zero, int overflow and a concatenation longer
+    than `MAX_SIZE`."""
     if op in ("<<", ">>", "|", "^", "&"):
         if not (isinstance(a, int) and isinstance(b, int)
                 and not isinstance(a, bool) and not isinstance(b, bool)):
@@ -127,9 +130,10 @@ def binary_op(op: str, a, b):
             return a >> min(b, 127)
         return {"|": a | b, "^": a ^ b, "&": a & b}[op]
 
-    if isinstance(a, str) and isinstance(b, str) and op == "+":
-        return a + b
-    if isinstance(a, tuple) and isinstance(b, tuple) and op == "+":
+    if op == "+" and type(a) is type(b) and type(a) in (str, tuple):
+        if len(a) + len(b) > MAX_SIZE:
+            raise MiniRuntimeError(
+                "overflow", f"{type_name(a)} result longer than {MAX_SIZE}")
         return a + b
     if not (is_num(a) and is_num(b)):
         raise MiniRuntimeError(

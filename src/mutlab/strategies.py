@@ -33,9 +33,11 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 
-from .engine import EngineConfig, HARD_BUDGET, budget_for, run_test
-from .lang.interp import CompiledProgram, Outcome, compile_program, run_entry
-from .lang.nodes import Ast, ORIGINAL
+from .engine import EngineConfig, run_test
+from .lang.interp import (
+    CompiledProgram, Outcome, budget_for, compile_program, run_entry,
+)
+from .lang.nodes import Ast
 from .lang.values import canon_key
 from .mutate import (
     Mutant, discover_mutation_points, enumerate_mutants, generate_meta_mutant,
@@ -239,8 +241,7 @@ def analyze_program(ast: Ast, cfg: AnalysisConfig | None = None) -> ProgramAnaly
         # the original always records events: its coverage is read from
         # them; the engine variants read the run from `program.originals`
         original = program.originals[test] = run_entry(
-            program, test, [], select=ORIGINAL, budget=HARD_BUDGET,
-            record_events=True)
+            program, test, [], record_events=True)
         if original.status != "pass":
             analysis.invalid_test, analysis.invalid_outcome = test, original
             return analysis

@@ -17,6 +17,7 @@ from mutlab.cli import main
 from mutlab.lang.parser import (
     MAX_BLOCK_DEPTH, MAX_DEPTH, MAX_NESTING, parse_program,
 )
+from mutlab.lang.values import MAX_SIZE
 from mutlab.mutate import discover_mutation_points, enumerate_mutants
 from mutlab.report import CSV_HEADER, SCHEMA
 
@@ -308,6 +309,15 @@ INVALID_TESTS = {
         "    assert x == 2\n", "error type at 3:5"),
     "assert of an int": (
         "def test_a():\n    x = 1\n    assert x\n", "error type at 3:5"),
+    # `+` past the length bound is an overflow, as past 64 bits
+    "string past MAX_SIZE": (
+        f'def test_a():\n    s = "ab"\n    while len(s) <= {MAX_SIZE}:\n'
+        "        s = s + s\n    assert len(s) > 0\n",
+        "error overflow at 4:15"),
+    "list past MAX_SIZE": (
+        f"def test_a():\n    s = [1, 2]\n    while len(s) <= {MAX_SIZE}:\n"
+        "        s = s + s\n    assert len(s) > 0\n",
+        "error overflow at 4:15"),
 }
 
 
@@ -630,6 +640,37 @@ def test_block_nesting_limit_in_compare(tmp_path, text, at):
     assert proc.stderr == (f"error: {program}: {at}: blocks nested deeper "
                            f"than {MAX_BLOCK_DEPTH} levels\n")
     assert proc.stdout == ""
+
+
+GROW = """\
+def grow(n):
+    s = "ab"
+    i = 0
+    while i < n:
+        s = s + s
+        i = i + 1
+    return len(s)
+
+def test_g():
+    assert grow(10) == 2048
+"""
+
+
+@pytest.mark.parametrize("start", ['"ab"', "[1, 2]"], ids=["string", "list"])
+def test_concatenation_limit_in_compare(tmp_path, start):
+    """Both used to exhaust memory (exit 4, `MemoryError`): a mutant that
+    keeps the loop running doubles `s` until its budget. Its `+` past
+    `MAX_SIZE` is now an overflow, and all seven strategies agree."""
+    program = tmp_path / "grow.ml0"
+    program.write_text(GROW.replace('"ab"', start))
+    proc = compare_capped(program)
+    assert proc.returncode == 0, proc.stderr
+    reports = json.loads(proc.stdout)["reports"]
+    assert len(reports) == 7
+    assert len({json.dumps(r["verdicts"]) for r in reports}) == 1
+    assert {(r["killed_by_cause"]["exception"],
+             r["killed_by_cause"]["assertion"], r["survived"])
+            for r in reports} == {(20, 7, 3)}
 
 
 def test_block_nesting_limit_worst_case_in_compare(tmp_path):

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from mutlab.cli import CORPUS_DIR
+from mutlab.cli import CORPUS_DIR, CORPUS_PROGRAMS
 import mutlab.engine as engine_mod
 from mutlab.engine import (
     EngineConfig, InfraStats, TaintEngine, _MemoRun, run_test,
@@ -19,6 +19,7 @@ from mutlab.lang.errors import (
     MiniAssertionError, MiniRuntimeError, MiniSyntaxError, RunEnded,
     StepBudgetExceeded,
 )
+from mutlab.fuzz import fuzz_program
 from mutlab.memo import MemoStats, make_call_key
 from mutlab.mutate import (
     discover_mutation_points, enumerate_mutants, generate_meta_mutant,
@@ -727,6 +728,30 @@ def test_memo_semantics_pinned_on_corpus(name):
         sums = tuple(sum(stats[k] for stats in run.memo_stats.values())
                      for k in ("hits", "misses", "stores", "clears"))
         assert (run.program_stmts, sums) == (stmts, memo), strategy
+
+
+ROOT_CHECK_SOURCES = {
+    **{name: (CORPUS_DIR / f"{name}.ml0").read_text()
+       for name in CORPUS_PROGRAMS},
+    **{f"fuzz {seed}": fuzz_program(seed) for seed in range(20)},
+}
+
+
+@pytest.mark.parametrize("name", list(ROOT_CHECK_SOURCES))
+def test_root_runs_exactly_the_originals_statements(name):
+    """The root's mainline is the original's run: under every engine
+    variant it counts the statements a plain run of the original counts.
+    One more would pass the root's budget and end it as an invalid test;
+    one fewer shows here."""
+    src = ROOT_CHECK_SOURCES[name]
+    program, mids, point_of, _ = prepare(src)
+    for test in parse_program(src).tests:
+        original = run_entry(program, test, [])
+        assert original.status == "pass", test
+        for cfg in ALL_CONFIGS:
+            rep = run_test(program, test, mids, point_of, cfg)
+            assert rep.valid, (test, cfg)
+            assert rep.context_stmts[0] == original.stmts, (test, cfg)
 
 
 VETO = """\

@@ -5,15 +5,14 @@ import hashlib
 import itertools
 import math
 import sys
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mutlab.cli import CORPUS_DIR
-from mutlab.engine import (
-    HARD_BUDGET, EngineConfig, TaintEngine, _MemoRun, run_test,
-)
+from mutlab.engine import EngineConfig, TaintEngine, _MemoRun, run_test
 from mutlab.fuzz import fuzz_program
 from mutlab.lang import (
     Assert, Assign, Ast, BoolOp, Call, ExprStmt, Index, ListLit, Literal, Loc,
@@ -22,10 +21,11 @@ from mutlab.lang import (
 )
 from mutlab.lang.lexer import KEYWORDS, OPERATORS as LEX_OPERATORS, _lex_line
 from mutlab.lang import values
+from mutlab.lang.interp import HARD_BUDGET
 from mutlab.lang.parser import MAX_BLOCK_DEPTH, MAX_DEPTH, MAX_NESTING
 from mutlab.lang.values import (
-    ARITH_OPS, COMPARE_OPS, INT_MAX, INT_MIN, OPERATORS, binary_op, bool_op,
-    canon_key, compare_op, plain_eq,
+    ARITH_OPS, COMPARE_OPS, INT_MAX, INT_MIN, MAX_SIZE, OPERATORS, binary_op,
+    bool_op, canon_key, compare_op, plain_eq,
 )
 from mutlab.mutate import (
     discover_mutation_points, enumerate_mutants, generate_meta_mutant,
@@ -482,6 +482,20 @@ class TestValues:
         with pytest.raises(MiniRuntimeError) as e:
             binary_op("*", INT_MAX, 2)
         assert e.value.kind == "overflow"
+
+    @pytest.mark.parametrize("unit", ["a", (1,)], ids=["string", "list"])
+    def test_concatenation_longer_than_max_size_is_overflow(self, unit):
+        # the plain operator and the `+` kernel the sites call agree
+        half = unit * (MAX_SIZE // 2)
+        for add in (partial(binary_op, "+"), OPERATORS["+"]):
+            assert add(half, half) == unit * MAX_SIZE
+            assert add(unit * MAX_SIZE, unit[:0]) == unit * MAX_SIZE
+            for a, b in ((half, half + unit), (unit * MAX_SIZE, unit)):
+                with pytest.raises(MiniRuntimeError) as e:
+                    add(a, b)
+                assert (e.value.kind, e.value.message) == (
+                    "overflow", f"{values.type_name(unit)} result longer "
+                    f"than {MAX_SIZE}")
 
     def test_true_division_yields_float(self):
         assert binary_op("/", 2, 2) == 1.0
@@ -1182,7 +1196,8 @@ def meta_program(src):
                                                 enumerate_mutants(points)))
 
 
-def with_and_without_shortcut(program, entry, select=0, budget=None):
+def with_and_without_shortcut(program, entry, select=0,
+                              budget=HARD_BUDGET):
     """The outcome of one run with events, the same run's outcome without
     the shortcut, and the number of times the shortcut fired."""
     fired = []
@@ -1320,38 +1335,6 @@ def f():
     got, want, fired = with_and_without_shortcut(program, "f", budget=400)
     assert fired == 0 and got.status == "pass"
     assert observed(got) == observed(want)
-
-
-def test_unbudgeted_run_never_takes_the_shortcut(monkeypatch):
-    class Stop(Exception):
-        pass
-
-    checkpoints = []
-    at_checkpoint = PlainRun.at_checkpoint
-
-    def stop_at_the_50th(run, *args):
-        checkpoints.append(run.stmts)
-        if len(checkpoints) == 50:
-            raise Stop
-        return at_checkpoint(run, *args)
-
-    def fail(run, *args):
-        pytest.fail("shortcut taken without a budget")
-
-    monkeypatch.setattr(PlainRun, "at_checkpoint", stop_at_the_50th)
-    monkeypatch.setattr(PlainRun, "run_to_budget", fail)
-    with pytest.raises(Stop):
-        PlainRun(meta_program(CYCLING["period-1"])).call("f", [])
-
-
-def test_unbudgeted_run_does_not_compare_deeply_nested_states():
-    # the loop state holds a list nested 1500 deep, which CPython compares
-    # recursively; a run without a budget never compares states, so it ends
-    # normally (a budgeted one still does, until values have a depth bound)
-    src = ("def test_t():\n    l = [0]\n    i = 0\n    while i < 1500:\n"
-           "        l = [l]\n        i = i + 1\n    assert len(l) == 1\n")
-    outcome = run_entry(compile_program(parse_program(src)), "test_t", [])
-    assert (outcome.status, outcome.stmts) == ("pass", 4 + 3 * 1500)
 
 
 # A loop with period 2 whose sites produce 1 next to 1.0 (`x * 1`), -0.0
@@ -1562,16 +1545,78 @@ def test_bound_call_sites_match_call_by_name(name, args, select):
     ("abs()", "arity", "abs() got 0 arguments", 12),
     ("nope(u)", "name", "undefined variable 'u'", 17),
     ("f(len(1))", "type", "len() takes a string or list, got int", 14),
+    ("nope(1 // 0)", "zero-division", "'//' by zero", 19),
 ])
 def test_illegal_call_errors(source, kind, message, col):
     """Each illegal call's error at its site; an argument's own error,
     raised first, wins."""
+    assert illegal_call_error(f"return {source}") == (kind, message,
+                                                      Loc(5, col))
+
+
+def illegal_call_error(statement):
+    """The kind, message and location of the error that `statement`, the
+    first line of `main`, raises in a program that also defines `f(a, b)`."""
     program = compile_program(parse_program(
-        f"def f(a, b):\n    return a\n\ndef main():\n    return {source}\n"))
+        f"def f(a, b):\n    return a\n\ndef main():\n    {statement}\n"
+        "    return 0\n"))
     with pytest.raises(MiniRuntimeError) as err:
         PlainRun(program).call("main", [])
-    assert (err.value.kind, err.value.message, err.value.loc) == (
-        kind, message, Loc(5, col))
+    return err.value.kind, err.value.message, err.value.loc
+
+
+@pytest.mark.parametrize("statement, kind, message, col", [
+    ("x = nope(1)", "name", "unknown function 'nope'", 9),
+    ("nope(1)", "name", "unknown function 'nope'", 5),
+    ("x = nope(1 // 0)", "zero-division", "'//' by zero", 16),
+    ("nope(1 // 0)", "zero-division", "'//' by zero", 12),
+    ("x = f(1)", "arity", "f() expected 2 arguments, got 1", 9),
+    ("len(1, 2)", "arity", "len() got 2 arguments", 5),
+])
+def test_illegal_call_statement_errors(statement, kind, message, col):
+    """A one-argument illegal call is a statement's own top-level body, as
+    an assignment and as a bare call; its argument's error still wins."""
+    assert illegal_call_error(statement) == (kind, message, Loc(5, col))
+
+
+ONLY_A_MUTANT_CALLS_NOPE = """\
+def f(x):
+    if x > 0:
+        return x
+    y = nope(x)
+    return y
+
+def g(x):
+    if x < 5:
+        return x
+    nope(x)
+    return 0
+
+def h(x):
+    if x != 3:
+        return x
+    return nope(x, x)
+
+def test_t():
+    assert f(1) + g(1) + h(1) == 3
+"""
+
+
+def test_illegal_call_reached_only_by_a_mutant():
+    """Mutants of each guard reach an illegal call (one argument as an
+    assignment and as a bare call, two as a return value) that the
+    original never runs: every strategy kills them by exception."""
+    analysis = analyze_program(parse_program(ONLY_A_MUTANT_CALLS_NOPE))
+    assert analysis.valid and check_consistency(analysis) == []
+    # line of each guard -> the replacements that make it false at x = 1
+    guards = {2: ("==", "<", "<="), 8: ("==", ">", ">="),
+              14: ("==", ">", ">=")}
+    reaching = [m.mid for m in analysis.mutants
+                if m.replacement_op in guards.get(m.loc.line, ())]
+    assert len(reaching) == 9
+    for name, run in analysis.runs.items():
+        for mid in reaching:
+            assert run.verdicts[mid] == ("killed", "exception"), (name, mid)
 
 
 def test_program_function_hides_a_builtin():
