@@ -28,9 +28,12 @@ executing a program call and every call fills it, guarded by the mutation
 cache: the program's static reach sets (`CompiledProgram.reach`), handed
 to it once. `memo` says which calls build keys and how.
 
-The root runs a function's code (`CompiledFn.code`) up to pc len(code),
-walks each expression as a tree, and pays per live mutant, not per node
-or fork:
+A root frame is one call of `run_code(fn, args)`, the only way into it:
+`run_test` enters the test's and `eval` each program call's, so a `.ml0`
+call level costs two Python frames, `run_code` and `eval`, as on
+`PlainRun`. It runs the function's code (`CompiledFn.code`) up to a
+`Return` or pc len(code), walking each expression as a tree, then merges
+its diverged mutants back, and pays per live mutant, not per node or fork:
   - `eval` reads a `Var` or `Literal` operand of a binary node inline, and
     `run_code` follows a jump before it counts a statement;
   - an untainted condition decides at once; a tainted one is one id-ordered
@@ -147,11 +150,11 @@ class TaintEngine:
     """Executes one test of a meta-mutant under one strategy config."""
 
     def __init__(self, program: CompiledProgram, mutant_ids: list[int],
-                 cfg: EngineConfig, child_budget: int, budget: int):
+                 cfg: EngineConfig, budget: int):
         self.program = program
         self.cfg = cfg
-        self.child_budget = child_budget
         self.budget = budget       # the root's: the original's statements
+        self.child_budget = budget_for(budget, cfg.budget_mult)
         self.stmts = 0             # statements the root executed
         self.active: set[int] = set(mutant_ids)
         self.kills: dict[int, str] = {}  # mid -> cause
@@ -163,7 +166,7 @@ class TaintEngine:
         self.infra = InfraStats()
         # children never nest: one runner, reset per diverged mutant
         self.child = (_MemoRun(self, ORIGINAL) if cfg.memo else
-                      PlainRun(program, budget=child_budget))
+                      PlainRun(program, budget=self.child_budget))
         self.divergences: list[tuple] = []
         self.covered_points: set[int] = set()
         self.context_stmts: list[int] = []
@@ -179,14 +182,6 @@ class TaintEngine:
         self.kill(m, MiniRuntimeError.cause)
 
     # --- calls ---
-
-    def call_wrapped(self, fn: CompiledFn, args: list):
-        frame = _Frame(fn, dict(zip(fn.params, args)), args)
-        rv = self._merge_back(frame, self.run_code(frame))
-        self._memo_store(fn.name, args, rv)
-        if self.cfg.memo and self.pending == 0:
-            self.memo.clear_if_all_merged()
-        return rv
 
     def _merge_back(self, frame: _Frame, rv):
         """Run this frame's diverged mutants alone, in mutant order, on the
@@ -243,11 +238,14 @@ class TaintEngine:
 
     # --- execution ---
 
-    def run_code(self, frame: _Frame):
-        pc = 0
-        code = frame.fn.code
-        end = len(code)
-        env = frame.env
+    def run_code(self, fn: CompiledFn, args: list):
+        """The root's frame of a call of `fn` on `args`: run `fn`'s code
+        until a `Return` or pc len(code), merge the frame's diverged
+        mutants back, store the call in the memo and clear the memo once no
+        mutant is pending."""
+        frame = _Frame(fn, dict(zip(fn.params, args)), args)
+        code, env = fn.code, frame.env
+        pc, end, rv = 0, len(code), None  # None: the implicit return
         while pc < end:
             s = code[pc]
             kind = type(s)
@@ -263,14 +261,20 @@ class TaintEngine:
             elif kind is IBranch:
                 pc = self.exec_cond(frame, s, pc, self.eval(s.cond, env))
             elif kind is Return:
-                return None if s.value is None else self.eval(s.value, env)
+                if s.value is not None:
+                    rv = self.eval(s.value, env)
+                break
             elif kind is Assert:
                 self.exec_assert(s, env)
                 pc += 1
             else:  # ExprStmt
                 self.eval(s.value, env)
                 pc += 1
-        return None  # the implicit return, not counted
+        rv = self._merge_back(frame, rv)
+        self._memo_store(fn.name, args, rv)
+        if self.cfg.memo and self.pending == 0:
+            self.memo.clear_if_all_merged()
+        return rv
 
     def exec_cond(self, frame: _Frame, br: IBranch, pc: int, cond) -> int:
         if type(cond) is bool:  # untainted: nothing can diverge
@@ -335,7 +339,7 @@ class TaintEngine:
             args = [self.eval(a, env) for a in e.args]
             callee = bind_call(self.program.functions, e.name, len(args))
             if type(callee) is CompiledFn:
-                return self.call_wrapped(callee, args)
+                return self.run_code(callee, args)
         elif kind is UnaryOp:
             callee, floor = partial(values.unary_op, e.op), 1
             args = [self.eval(e.operand, env)]
@@ -365,10 +369,9 @@ def run_test(program: CompiledProgram, test: str, mutant_ids: list[int],
         return TestReport(test, False, {}, pre.stmts, [pre.stmts],
                           InfraStats(), {}, [])
 
-    eng = TaintEngine(program, mutant_ids, cfg,
-                      budget_for(pre.stmts, cfg.budget_mult), budget=pre.stmts)
+    eng = TaintEngine(program, mutant_ids, cfg, pre.stmts)
     try:
-        eng.call_wrapped(program.functions[test], [])
+        eng.run_code(program.functions[test], [])
         valid = True
     except RunEnded:
         valid = False  # mainline must match the passing original run

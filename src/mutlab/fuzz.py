@@ -27,7 +27,6 @@ COMPARES = ["==", "!=", "<", "<=", ">", ">="]
 
 MAX_FUNCS = 3
 MAX_LOOPS = 2
-GEN_BUDGET = 200_000
 
 
 @dataclass
@@ -122,8 +121,7 @@ def fuzz_program(seed: int) -> str:
         probe = text.replace("assert r == EXPECTED", "return r")
         try:
             ast = parse_program(probe)
-            outcome = run_entry(compile_program(ast), "test_fuzz", [],
-                                budget=GEN_BUDGET)
+            outcome = run_entry(compile_program(ast), "test_fuzz", [])
         except MiniSyntaxError:
             continue
         if outcome.status != "pass":
@@ -143,7 +141,7 @@ def fuzz_program(seed: int) -> str:
             expected = str(v) if v >= 0 else f"(0 - {-v})"
         final = text.replace("EXPECTED", expected)
         check = run_entry(compile_program(parse_program(final)), "test_fuzz",
-                          [], budget=GEN_BUDGET)
+                          [])
         if check.status == "pass":
             return final
     raise RuntimeError(f"could not generate a passing program for seed {seed}")

@@ -26,8 +26,10 @@ operator and records its event. A run resolves its mutant once:
 `CompiledProgram.mutants` gives the selected mutant's (point id, kernel),
 so a site compares `run.point` with its own point and makes no lookup.
 The other nodes are one closure body too, `_nonbinary`: a call bound to a
-program function, a unary operator, any other call of one argument, and a
-bare `Var` or `Literal`. Both read `Var` and `Literal` operands inline. A
+program function, a unary operator, any other call, and a bare `Var` or
+`Literal`. Both read `Var` and `Literal` operands inline. A call of a
+Python function with other than one argument has one operand, the tuple of
+its arguments, and applies `_spread`, which spreads it into the call. A
 statement runs as the body of its top-level expression, so `x = a + 1`,
 `x = s[i]`, `x = -a` or `x = len(s)` makes two Python calls, the step and
 the operator or builtin. Call sites bind their callee when the program is
@@ -35,9 +37,8 @@ compiled (`bind_call`); a call bound to a program function builds the
 callee's environment in place and calls `run.run_fn`, the one hook
 subclasses override, so a `.ml0` call level costs two Python frames
 (`run_fn` and the statement's step). Nested, a body is its node's closure
-`ev(run, env)` (`compile_expr`); a list, a call that evaluates a list of
-arguments (`_compile_call`) and a leaf that no body reads inline have
-closures of their own.
+`ev(run, env)` (`compile_expr`); a list and a leaf that no body reads
+inline have closures of their own.
 `CompiledProgram.reach` maps each function to the mutants whose choice
 sites a call of it may run, for the memo.
 
@@ -260,22 +261,9 @@ def bind_call(functions: dict, name: str, nargs: int) -> CompiledFn | Callable:
     return builtin
 
 
-def _compile_call(e: Call, callee: Callable,
-                  program: CompiledProgram) -> Callable:
-    """The closure of a call site that `_nonbinary` does not take: one
-    whose callee is a Python function (`bind_call`) of any number of
-    arguments but one. It evaluates its arguments into a list and calls the
-    callee, with `e.loc` on errors that have no location yet."""
-    loc, args = e.loc, [compile_expr(a, program) for a in e.args]
-
-    def ev(run, env):
-        vals = [a(run, env) for a in args]
-        try:
-            return callee(*vals)
-        except MiniRuntimeError as err:
-            err.loc = err.loc or loc
-            raise
-    return ev
+def _spread(callee: Callable, args: tuple):
+    """A call of a Python function on the argument tuple of its site."""
+    return callee(*args)
 
 
 # --- statement steps ---
@@ -411,14 +399,15 @@ def _nonbinary(e: Expr | None, program: CompiledProgram,
     """The closure of `e`, a node that is not binary, or of no expression
     (a bare `return`). A call bound to a program function builds the
     callee's environment in place and enters `run.run_fn`. A unary
-    operator or any other call of one argument (a builtin's, or an illegal
-    call's, `bind_call`) reads its operand inline (`_operand`) and applies
-    its function, with `e.loc` on the function's errors. A `Var` or
-    `Literal` is read as such an operand is. With no `kind` it is the
-    closure `ev(run, env)` of a `UnaryOp` or a `Call`, and any other call
-    is `_compile_call`'s closure; with a `kind` it is the step of a
-    statement of that kind whose top-level expression is `e`, and reads a
-    list or any other call through its closure."""
+    operator or any other call (a builtin's, or an illegal call's,
+    `bind_call`) reads its operand inline (`_operand`) and applies its
+    function, with `e.loc` on the function's errors: a call of one argument
+    reads the argument, a call of any other number the tuple of its
+    arguments, built by the closure of their list, which `_spread` spreads
+    into the callee. A `Var` or `Literal` is read as such an operand is.
+    With no `kind` it is the closure `ev(run, env)` of a `UnaryOp` or a
+    `Call`; with a `kind` it is the step of a statement of that kind whose
+    top-level expression is `e`, and reads a list through its closure."""
     # `fn` is the callee of a program call, whose (parameter, argument
     # closure) pairs are `args`, or the function applied to `operand`
     fn = args = vname = value = ev = None
@@ -432,12 +421,10 @@ def _nonbinary(e: Expr | None, program: CompiledProgram,
             args = [(p, compile_expr(a, program))
                     for p, a in zip(fn.params, e.args)]
             operand = None
-        elif len(e.args) != 1:
-            ev, fn, operand = _compile_call(e, fn, program), None, None
-            if kind is None:
-                return ev
-        else:
+        elif len(e.args) == 1:
             operand, = e.args
+        else:
+            fn, operand = partial(_spread, fn), ListLit(e.loc, e.args)
     if operand is not None:
         vname, value, ev = _operand(operand, program)
     # read on errors only: one cell, not three

@@ -110,7 +110,8 @@ def canon_key(v):
 def binary_op(op: str, a, b):
     """Apply a binary arithmetic operator; raises MiniRuntimeError on
     type errors, division by zero, int overflow and a concatenation longer
-    than `MAX_SIZE`."""
+    than `MAX_SIZE`. Every NaN result is `math.nan`: values are keyed by
+    their bits, and CPython picks a NaN operand's bits unpredictably."""
     if op in ("<<", ">>", "|", "^", "&"):
         if not (isinstance(a, int) and isinstance(b, int)
                 and not isinstance(a, bool) and not isinstance(b, bool)):
@@ -142,7 +143,8 @@ def binary_op(op: str, a, b):
     if op == "/":
         if b == 0:
             raise MiniRuntimeError("zero-division", "division by zero")
-        return float(a) / float(b)
+        r = float(a) / float(b)
+        return math.nan if r != r else r
     if op in ("//", "%"):
         if b == 0:
             raise MiniRuntimeError("zero-division", f"{op!r} by zero")
@@ -161,6 +163,8 @@ def binary_op(op: str, a, b):
         if not (isinstance(a, float) and (math.isinf(a) or math.isnan(a))) and \
            not (isinstance(b, float) and (math.isinf(b) or math.isnan(b))):
             raise MiniRuntimeError("overflow", "float result not finite")
+        if r != r:
+            return math.nan
     return r
 
 

@@ -779,8 +779,7 @@ def test_a_vetoed_memo_call_builds_no_key(monkeypatch):
     monkeypatch.setattr(engine_mod, "make_call_key",
                         lambda name, args: keyed.append(name)
                         or make_call_key(name, args))
-    engine = TaintEngine(program, mids, EngineConfig(), child_budget=1000,
-                         budget=1000)
+    engine = TaintEngine(program, mids, EngineConfig(), budget=1000)
     # M1 mutates f's `+`, so g and f refuse it; M31 and M32 mutate k's `-`
     assert 1 in program.reach["f"] and 1 in program.reach["g"]
     assert not {31, 32} & program.reach["g"]
@@ -839,8 +838,7 @@ def root_charge(expr: str) -> int:
     """The taint ops the root charges to evaluate `expr` once, with every
     variable untainted."""
     program, mids, _, _ = prepare(f"def f(x, s):\n    return {expr}\n")
-    engine = TaintEngine(program, mids, EngineConfig(), child_budget=100,
-                         budget=100)
+    engine = TaintEngine(program, mids, EngineConfig(), budget=100)
     tree = program.functions["f"].code[0].value  # the Return's
     engine.eval(tree, {"x": 2, "s": (1, 2)})
     return engine.infra.taint_ops

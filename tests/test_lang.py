@@ -4,8 +4,12 @@ import gc
 import hashlib
 import itertools
 import math
+import os
+import struct
+import subprocess
 import sys
 from functools import partial
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -653,6 +657,59 @@ def test_operator_table_matches_generic_on_grid(op):
         assert_same_result(op, a, b)
 
 
+NAN_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
+
+
+def test_computed_nan_has_one_bit_pattern():
+    """An arithmetic NaN is `math.nan` whatever its operands' signs and
+    payloads, and however often CPython has run the operation."""
+    got = {struct.pack("<d", binary_op("+", -math.nan, NAN_PAYLOAD))
+           for _ in range(20)}
+    got |= {struct.pack("<d", binary_op(op, NAN_PAYLOAD, 2.0))
+            for op in ("-", "*", "/", "//", "%")}
+    assert got == {struct.pack("<d", math.nan)}
+
+
+NAN_PROGRAM = """\
+def f(a, b):
+    return a + b
+
+def g(a, b):
+    return a * b - b
+
+def test_n():
+    x = float("nan")
+    y = -x
+    z = f(x, y)
+    w = g(y, x)
+    assert z != z
+    assert w != w
+"""
+
+
+SIX_NAN_REPORTS = """\
+import sys
+from mutlab.lang import parse_program
+from mutlab.report import emit_json, reports_from_analysis
+from mutlab.strategies import analyze_program
+
+src = sys.stdin.read()
+print(len({emit_json(reports_from_analysis(
+    "nan", analyze_program(parse_program(src)), 10)) for _ in range(6)}))
+"""
+
+
+def test_nan_program_gives_one_report_per_process():
+    """Six analyses of NAN_PROGRAM in one fresh interpreter, where CPython
+    specializes the float add partway through, write one JSON report."""
+    src_dir = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", SIX_NAN_REPORTS], input=NAN_PROGRAM,
+        env=dict(os.environ, PYTHONPATH=str(src_dir)),
+        capture_output=True, text=True, timeout=300)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
+
+
 INTS = st.one_of(st.integers(INT_MIN, INT_MAX),
                  st.sampled_from([INT_MIN, INT_MAX, 0, -1]))
 
@@ -892,7 +949,8 @@ def site_exprs(op, left, right):
 
 def step_operands():
     """Leaf operands and nested ones: a choice site, a negation, a `not`, a
-    call bound to a program function, a call of a one-argument builtin."""
+    call bound to a program function, a call of a one-argument builtin, a
+    two-argument `min` or `max` and a bare `print()`."""
     leaf = leaf_operands(Loc(3, 9))
     return st.one_of(
         leaf,
@@ -900,7 +958,10 @@ def step_operands():
         st.builds(lambda op, a: UnaryOp(Loc(3, 9), op, a),
                   st.sampled_from(["-", "not"]), leaf),
         st.builds(lambda name, a: Call(Loc(3, 9), name, [a]),
-                  st.sampled_from(["f1", "f4", "abs", "len"]), leaf))
+                  st.sampled_from(["f1", "f4", "abs", "len"]), leaf),
+        st.builds(lambda name, a, b: Call(Loc(3, 9), name, [a, b]),
+                  st.sampled_from(["min", "max"]), leaf, leaf),
+        st.just(Call(Loc(3, 9), "print", [])))
 
 
 # a condition error carries the `if`'s own location, not the call site's
@@ -1067,6 +1128,18 @@ def run_step(step, program, select, budget, env, run_class=PlainRun):
                                Call(Loc(3, 7), "abs", [Var(Loc(3, 9), "a")]),
                                UnaryOp(Loc(3, 8), "-", Literal(Loc(3, 9), 1))),
          0, "ab", 500)
+@example("assign", Call(Loc(3, 9), "max", [Var(Loc(3, 9), "a"),
+                                          Literal(Loc(3, 9), 1.5)]), 0, 2, 500)
+@example("branch", Call(Loc(3, 9), "min", [Var(Loc(3, 9), "u"),
+                                          Var(Loc(3, 9), "b")]), 0, 1, 500)
+@example("assert", Call(Loc(3, 9), "max", [Literal(Loc(3, 9), "s"),
+                                          Var(Loc(3, 9), "b")]), 0, 1, 500)
+@example("expr", Call(Loc(3, 9), "print", []), 0, 1, 500)
+@example("return", TaintChoice(Loc(3, 11), 5, SITE_VARIANTS,
+                               Call(Loc(3, 9), "print", []),
+                               Call(Loc(3, 9), "min", [Var(Loc(3, 9), "a"),
+                                                      Var(Loc(3, 9), "b")])),
+         0, 1, 500)
 @settings(max_examples=300, deadline=None)
 def test_steps_match_reference(kind, e, select, a, budget):
     """The compiled step of each statement kind against a reference step
@@ -1566,6 +1639,24 @@ def illegal_call_error(statement):
 
 
 @pytest.mark.parametrize("statement, kind, message, col", [
+    ("x = max(a, 1 // b)", "zero-division", "'//' by zero", 18),
+    ('x = max("s", 1)', "type", "max() takes numbers or a non-empty list", 9),
+    ('return 1 + max("s", 1)', "type",
+     "max() takes numbers or a non-empty list", 16),
+    ("x = nope(1, 2)", "name", "unknown function 'nope'", 9),
+    ("nope(a, 1 // b)", "zero-division", "'//' by zero", 15),
+    ("print(a, nope(b))", "name", "unknown function 'nope'", 14),
+])
+def test_spread_call_errors(statement, kind, message, col):
+    """A call of a Python function with other than one argument, after
+    `a = 2` and `b = 0`: an argument's error keeps its own location, the
+    callee's gets the call's, and every argument is evaluated before an
+    illegal call raises."""
+    assert illegal_call_error(f"a = 2\n    b = 0\n    {statement}") == (
+        kind, message, Loc(7, col))
+
+
+@pytest.mark.parametrize("statement, kind, message, col", [
     ("x = nope(1)", "name", "unknown function 'nope'", 9),
     ("nope(1)", "name", "unknown function 'nope'", 5),
     ("x = nope(1 // 0)", "zero-division", "'//' by zero", 16),
@@ -1628,7 +1719,7 @@ def test_program_function_hides_a_builtin():
 FRAMES_PER_CALL_LEVEL = 2  # run_fn, the statement's step
 # the step, the memo hook `_MemoRun.run_fn` and `PlainRun.run_fn`
 MEMO_FRAMES_PER_CALL_LEVEL = 3
-ROOT_FRAMES_PER_CALL_LEVEL = 3  # run_code, eval, call_wrapped
+ROOT_FRAMES_PER_CALL_LEVEL = 2  # run_code, eval
 # the recursive call as a return value, with two arguments, as an
 # assignment's value and as a bare expression statement
 RECURSING = """\
@@ -1692,8 +1783,7 @@ def test_memo_python_frames_per_call_level(monkeypatch, entry, args):
                         (lambda *a: depths.append(stack_depth()), 0, None))
     program = compile_program(parse_program(RECURSING))
     for n in (10, 30):
-        engine = TaintEngine(program, [], EngineConfig(), child_budget=10_000,
-                             budget=10_000)
+        engine = TaintEngine(program, [], EngineConfig(), budget=10_000)
         _MemoRun(engine, 0).call(entry, [n, *args])
         assert engine.memo.stats.hits == 0
     assert depths[1] - depths[0] == 20 * MEMO_FRAMES_PER_CALL_LEVEL
@@ -1703,8 +1793,8 @@ def test_memo_python_frames_per_call_level(monkeypatch, entry, args):
                                          ("k", [])])
 def test_root_python_frames_per_call_level(monkeypatch, entry, args):
     """The taint engine's root mainline costs ROOT_FRAMES_PER_CALL_LEVEL
-    Python frames per `.ml0` call level (`run_code`, `eval`,
-    `call_wrapped`), read inside a builtin at two recursion depths."""
+    Python frames per `.ml0` call level (`run_code` and `eval`), read
+    inside a builtin at two recursion depths."""
     depths = []
     monkeypatch.setitem(values.BUILTINS, "print",
                         (lambda *a: depths.append(stack_depth()), 0, None))

@@ -4,10 +4,13 @@ compiler and the kernels, so they can all be wrong together; a relation
 needs no second implementation to catch that.
 
 Each relation holds for all seven strategies on the corpus and fuzz seeds
-0-9. Both transformations append to the source, so the original's mutants
-keep their ids and come first in the new catalog.
+0-9. The dead-code and duplicated-test transformations append to the
+source, so the original's mutants keep their ids and come first in the new
+catalog; renaming keeps every mutant's id, and a larger budget changes no
+source at all.
 """
 
+import re
 from functools import cache
 
 import pytest
@@ -15,7 +18,10 @@ import pytest
 from mutlab.cli import CORPUS_DIR, CORPUS_PROGRAMS
 from mutlab.fuzz import fuzz_program
 from mutlab.lang import parse_program
-from mutlab.strategies import analyze_program
+from mutlab.lang.lexer import KEYWORDS
+from mutlab.lang.values import BUILTINS
+from mutlab.report import emit_json, reports_from_analysis
+from mutlab.strategies import AnalysisConfig, analyze_program
 
 SOURCES = {
     **{name: (CORPUS_DIR / f"{name}.ml0").read_text()
@@ -85,3 +91,56 @@ def test_duplicated_tests_change_no_merged_verdict(name):
         got = new.runs[strategy]
         assert [got.verdicts[mid] for mid in mids] == [
             run.verdicts[mid] for mid in mids], strategy
+
+
+# a number, a comment, a string or a name; only a whole name is renamed
+TOKEN = re.compile(r"""[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?|#.*"""
+                   r"""|"(?:[^"\\]|\\.)*"|'(?:[^'\\]|\\.)*'|[^\W\d]\w*""")
+
+
+def with_renamed_names(src: str) -> str:
+    """`src` with every variable and non-test function renamed
+    `renamed_<i>`, in order of first use; keywords, test functions and the
+    builtins that no function hides keep their names, and string literals
+    and comments are left alone."""
+    ast = parse_program(src)
+    kept = (KEYWORDS | set(ast.tests)
+            | (set(BUILTINS) - {f.name for f in ast.functions}))
+    names = {}
+    for token in TOKEN.findall(src):
+        if token.isidentifier() and token not in kept:
+            assert not token.startswith("renamed_")
+            names.setdefault(token, f"renamed_{len(names)}")
+    return TOKEN.sub(lambda m: names.get(m.group(), m.group()), src)
+
+
+@pytest.mark.parametrize("name", list(SOURCES))
+def test_renamed_names_change_no_report_byte(name):
+    src = SOURCES[name]
+    transformed = with_renamed_names(src)
+    assert transformed != src
+    assert parse_program(transformed).tests == parse_program(src).tests
+    old = original_analysis(name)
+    new = analyze_program(parse_program(transformed))
+    assert old.valid and new.valid
+    old_json, new_json = (emit_json(reports_from_analysis(name, a, 10))
+                          for a in (old, new))
+    assert new_json == old_json
+
+
+TIMEOUT = ("killed", "timeout")
+
+
+@pytest.mark.parametrize("name", list(SOURCES))
+def test_larger_budget_moves_only_timeouts(name):
+    """Doubling `budget_mult` from 10 to 20 moves no verdict unless one of
+    the two is a timeout."""
+    old = original_analysis(name)
+    new = analyze_program(parse_program(SOURCES[name]),
+                          AnalysisConfig(budget_mult=20))
+    assert new.valid and new.mutants == old.mutants
+    for strategy, run in old.runs.items():
+        got = new.runs[strategy].verdicts
+        moved = [mid for mid, v in run.verdicts.items()
+                 if got[mid] != v and TIMEOUT not in (got[mid], v)]
+        assert moved == [], strategy
