@@ -24,7 +24,8 @@ Every binary node (a choice site, `and`/`or`, `Index`, `BinOp` or
 `Compare`) is one closure body, `_binary`; a choice site also picks its
 operator and records its event. A run resolves its mutant once:
 `CompiledProgram.mutants` gives the selected mutant's (point id, kernel),
-so a site compares `run.point` with its own point and makes no lookup.
+so a site compares `run.point` with its own point and makes no lookup: the
+run's own site records into `run.events`, any other into `run.every`.
 The other nodes are one closure body too, `_nonbinary`: a call bound to a
 program function, a unary operator, any other call, and a bare `Var` or
 `Literal`. Both read `Var` and `Literal` operands inline. A call of a
@@ -43,8 +44,10 @@ inline have closures of their own.
 sites a call of it may run, for the memo.
 
 A run's coverage is the point slots of its site events, built only where
-it is read (`Outcome.covered_points`): every site execution records
-exactly one event.
+it is read (`Outcome.covered_points`). On the original's run every site
+execution records exactly one event; a mutant's run records one for each
+execution of its own site and none for the others, so its coverage is at
+most its own point.
 
 After 8, then 9, 10, ... back edges a frame checks its state (pc, env)
 against the last checkpoint: runs are deterministic, and a memo hit
@@ -359,9 +362,10 @@ def _binary(e: Expr, program: CompiledProgram, kind: type | None = None,
             b = rvalue if right is None else right(run, env)
         if point is None:
             fn, events = op, None
+        elif run.point == point:
+            fn, events = run.kernel, run.events
         else:
-            fn = run.kernel if run.point == point else op
-            events = run.events
+            fn, events = op, run.every
         try:
             v = fn(a, b)
         except MiniRuntimeError as err:
@@ -489,14 +493,17 @@ class Outcome:
     kind: str | None      # runtime-error kind when status == 'error'
     loc: Loc | None
     stmts: int
-    events: list          # per site event: point_id, stmts_before, kind, value
+    # per site event: point_id, stmts_before, kind, value; a mutant's run
+    # records only the events of its own site
+    events: list
     value: object = None
     cause: str | None = None  # the ending's `RunEnded.cause`; None on pass
 
     @cached_property
     def covered_points(self) -> set[int]:
         """The point slots of `events`, built when first read: a run that
-        records no events reports no coverage."""
+        records no events reports no coverage, and a mutant's run at most
+        its own point."""
         return set(self.events[::4])
 
 
@@ -518,8 +525,10 @@ class PlainRun:
 
     A frame is `run_fn` running its function's steps from any pc. The steps
     keep the run's state: they count `stmts` (a statement past `budget`
-    raises `StepBudgetExceeded`), append to `events` when it is a list,
-    and leave a returned value in `rv`. `run_fn` itself counts the frame's
+    raises `StepBudgetExceeded`), and leave a returned value in `rv`. With
+    `record_events`, the run's own site appends its events to `events` and
+    every other site to `every`, which is `events` on the original's run
+    and None on a mutant's. `run_fn` itself counts the frame's
     back edges and calls `at_checkpoint` on schedule. Every call of a
     program function enters `run_fn` with the callee's new environment;
     subclasses override `run_fn` as a call hook, and nothing else."""
@@ -532,6 +541,9 @@ class PlainRun:
         self.budget = budget
         self.stmts = 0
         self.events: list | None = [] if record_events else None
+        # where the sites that are not the run's own record: only the
+        # original's run records them
+        self.every = self.events if select == ORIGINAL else None
         self.rv = None
 
     def call(self, name: str, args: list):

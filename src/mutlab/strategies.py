@@ -6,22 +6,27 @@ Seven strategies over the same mutant set:
 - split-stream: mutants share the original execution until each first
   reaches its own mutation site, then run to completion alone. Cost is
   derived from isolated traces: child cost = total - shared prefix, read
-  from the first event whose point slot is the mutant's site.
+  from the mutant's first event.
 - modulo-state: diverged streams are additionally shared while their
   observable behavior (the value produced at every executed mutation
   site) stays identical, splitting only at the first differing site
-  value. Cost comes from a trie over per-mutant site-event traces, walked
-  four slots per event and keyed by point, kind and value.
+  value. A mutant branches off the original's stream at its first event
+  that differs from the original's at the same execution of its site;
+  the mutants that leave together go on in a trie over their own events,
+  walked four slots per event and keyed by point, kind and value.
 - exec-taints-{nf-nm, nf, nm, ""}: the taint engine with fork/memo off
   or on (nf = no fork, nm = no memo).
 
 A run's site events (`Outcome.events`) are one flat list of four slots per
-event: point id, statements before it, kind ("val"/"err") and value.
+event: point id, statements before it, kind ("val"/"err") and value. The
+original's run records the events of every site, a mutant's run only
+those of its own: it is the original's run until one of them differs from
+the original's, since equal site values leave equal states.
 
 The three baselines share one pass per test that runs each covered mutant
 once in isolation (as with mutant schemata, every baseline executes the
 same runs). The pass yields the verdicts of all three; each baseline is
-only a cost function `(original, outcomes, point_of) -> stmts` over its
+only a cost function `(original, outcomes) -> stmts` over its
 outcomes. Any verdict disagreement with the taint engine is therefore an
 internal-consistency failure. Every mutant execution (isolated, child,
 re-execution) gets the same step budget derived from the original run
@@ -197,23 +202,41 @@ def _trie_cost(members: list[tuple[list, int]], depth: int, base: int) -> int:
     return cost
 
 
-def run_traditional(original: Outcome, outcomes: dict, point_of: dict) -> int:
+def run_traditional(original: Outcome, outcomes: dict) -> int:
     # the coverage run plus every isolated run
     return original.stmts + sum(o.stmts for o in outcomes.values())
 
 
-def run_split_stream(original: Outcome, outcomes: dict, point_of: dict) -> int:
+def run_split_stream(original: Outcome, outcomes: dict) -> int:
     # the shared main stream, then each mutant's run after its shared prefix:
-    # the statements before its site first executes (as in the original)
-    return original.stmts + sum(
-        o.stmts - o.events[4 * o.events[::4].index(point_of[mid]) + 1]
-        for mid, o in outcomes.items())
+    # the statements before its site first executes, its first own event
+    return original.stmts + sum(o.stmts - o.events[1]
+                                for o in outcomes.values())
 
 
-def run_modulo_state(original: Outcome, outcomes: dict, point_of: dict) -> int:
-    members = [(original.events, original.stmts)]
-    members += [(o.events, o.stmts) for o in outcomes.values()]
-    return _trie_cost(members, 0, 0)
+def run_modulo_state(original: Outcome, outcomes: dict) -> int:
+    """The original's path, then each group of mutants that leave it
+    together, at one execution of one site with one differing value: those
+    run alike until that site's next event, so the trie walks only their
+    own events, from the one after the split, with the statements before
+    the split already charged."""
+    trace = original.events
+    slots: dict[int, list] = {}  # point id -> the original's event slots
+    for i in range(0, len(trace), 4):
+        slots.setdefault(trace[i], []).append(i)
+    groups: dict[tuple, list] = {}
+    for o in outcomes.values():
+        own = o.events
+        at = slots[own[0]]
+        for j in range(0, len(own), 4):
+            key = _group_key(own, j)
+            if key != _group_key(trace, at[j // 4]):
+                groups.setdefault((j, key), []).append((own, o.stmts))
+                break
+    cost = original.stmts
+    for (j, _), members in groups.items():
+        cost += _trie_cost(members, j + 4, members[0][0][j + 1])
+    return cost
 
 
 def analyze_program(ast: Ast, cfg: AnalysisConfig | None = None) -> ProgramAnalysis:
@@ -255,7 +278,7 @@ def analyze_program(ast: Ast, cfg: AnalysisConfig | None = None) -> ProgramAnaly
         for name in cfg.strategies:
             if name in cost_of:
                 verdicts, infra = iso_verdicts, 0
-                stmts = cost_of[name](original, outcomes, point_of)
+                stmts = cost_of[name](original, outcomes)
             elif name in ENGINE_VARIANTS:
                 fork, memo = ENGINE_VARIANTS[name]
                 ecfg = EngineConfig(fork=fork, memo=memo,

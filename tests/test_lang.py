@@ -774,13 +774,15 @@ def test_plain_eq_fast_path_matches_full_comparison(a, b):
 # sha256 over every plain run (original and each mutant of each test) of
 # each corpus program. Pinned: a change to the evaluator must not change any
 # run's status, error kind, location, statements, coverage, site events or
-# value.
+# value. Re-taken when a mutant's run came to record only its own site's
+# events: the same digest at the parent, over each mutant run's events
+# filtered to its own point and the coverage read from them, gave these.
 OUTCOME_PINS = {
-    "caesar_cypher": "2df12f3296123dcbf1b92d1eb13c88787e203c57c07e21f8901de17b3d207396",
-    "entropy": "0017ad49dda9f8646bd6bd0559b1ab4ba88f7d8328c6f4182eaaf67867549b17",
-    "euler": "5d20c6f38dd5d26ff460b4880a8c64768f2695a49f793a04b46dc7988a265409",
-    "newton": "02bd0117f4e6b06ceae0024fe33e60c2de31b394f517da91d7e55cc413d4c455",
-    "prime": "bbdeed69930d3e270a8e75bebd35a62b22234a102b7bc4ca412b9f07a9a82e6d",
+    "caesar_cypher": "bdf570a701c6d3b1ad011e189b687883c963f437ae7060a72d3710350820f9bf",
+    "entropy": "3a96ae6792f5ac1c3c20ab3a71f2f589198ad0f6e90e74bff0571c156b63b332",
+    "euler": "28a695005a6b2e0b6fc07b2aa75e9460408a266f7c87f09e1422fd001523cdad",
+    "newton": "11d167e00fb4aeec7065b006a8970897c04401faba7e3227310d179fb00d38e1",
+    "prime": "0bc10da68e324ab0d40221c553d8dd020d31d1e2e5558de3f1b91e64f327c6ee",
 }
 
 
@@ -793,7 +795,9 @@ def event_triples(events):
 
 def outcome_digest(ast):
     """sha256 over every plain run, with events, of the original and each
-    mutant of each test of `ast`, each mutant at its isolated budget."""
+    mutant of each test of `ast`, each mutant at its isolated budget. The
+    original's run records the events of every site, a mutant's only those
+    of its own, and each run's coverage is the points of its events."""
     points = discover_mutation_points(ast)
     mutants = enumerate_mutants(points)
     program = compile_program(generate_meta_mutant(ast, points, mutants))
@@ -820,18 +824,19 @@ def test_plain_run_outcomes_pinned_on_corpus(name):
 # The same digest for fuzz seeds 0-9, taken while every run that loops
 # forever still ran until its budget stopped it. Many of these runs do, so
 # a run cut short at a repeated loop state must keep its statement count
-# and its site events, the ones past the cut included.
+# and its site events, the ones past the cut included. Re-taken like the
+# corpus pins.
 FUZZ_OUTCOME_PINS = {
-    0: "d5c461d51a1fa07b7a30965830a47ee0bc35d5d9ce56d39c3da76c30b1607a26",
-    1: "e82c29b49c0acfa8a96c8f717f934d43d20774f46db7fde2140ea46911069eeb",
-    2: "6920e7bbda27b9f2ad6371a1c265567f6b30dec241ec596a7c51435cf57836ad",
-    3: "85f66c111ce86f7cb86f54c2859371c50a8b81c8ca3f1c0f248c8f7884cab31d",
-    4: "73c4d745745f7e59dfb291fca88292957ed423cb7b9c48d4ad87709836df0c74",
-    5: "da63ea6ace7c58b2841d993ce6a55105c36fda5a44ef013d12e6b5fdd985dcc2",
-    6: "4f1b21b9ce8f87e7df207aa96806d43c7bbf2ccd323765b8cec26e29f372ad79",
-    7: "206a6705fe5048189110c5d2034703d4687e2eb3ccafbe41995b8d6bc5630cea",
-    8: "1045f1c419edc472472d03539f2e446a2929b71e0b518fda860fe2eb634097a4",
-    9: "93199f6349ef03903a2dc9a980c330b3792b528fb3c77f839e796aa648fcf310",
+    0: "57b5d4d2e49164a1a25dd507fe61f12df82aebcf1d1f0f54ac4cd8bd9c8f3d7d",
+    1: "a2936d0c2ca22b3dce441e75e4516fdbe200a1c7b6811933db1624f25789c78b",
+    2: "f8ec01c2301cedde2797ece4814114a29ea69c5419b5c29b73d76193706a6fd1",
+    3: "3e306f48647ceca26145ee5c89b98b464eba7bd3b81ff09bd29cdb43d4559f67",
+    4: "8fe81b673b8fcb435f330255cd1c01e8a460c8c2477fd87010b6e95731070b55",
+    5: "ae58d3ef9799093ce2904b763649598247811dc6c2798b856f7f834c9c4fffca",
+    6: "f677ba8123acdc037a85e7d7f6797e6d7c18377d30044c06968cc988a66f24a9",
+    7: "a7d4ad34329da1c0e88335dc7ad4aabe8946de92a45ac4a2096ce4e1ceacc1cb",
+    8: "626ba3de4e2656e39b211f33a42b7832689344a7d439df15dd1e2b0205c5d9a2",
+    9: "f0c593ef7687deb1ef153c018ecb3d69596ebf59e44cf4fd11ae60cd9701834d",
 }
 
 
@@ -999,8 +1004,9 @@ def reference_eval(e, program, run, env):
     """A choice site, `Index`, `and`/`or`, a unary operator or a call
     evaluated here: its operands, then the operator (a site's for the run's
     variant) or the callee called by name, with the node's location on its
-    error; a site also covers its point and records its event. A leaf runs
-    its compiled closure."""
+    error; a site also covers its point and records its event, on the
+    original's run or on a run of one of its own mutants. A leaf runs its
+    compiled closure."""
     if type(e) in (Index, BoolOp):
         a = reference_eval(e.base if type(e) is Index else e.left,
                            program, run, env)
@@ -1033,14 +1039,18 @@ def reference_eval(e, program, run, env):
         return interp.compile_expr(e, program)(run, env)
     a = reference_eval(e.left, program, run, env)
     b = reference_eval(e.right, program, run, env)
-    run.covered.add(e.point_id)
+    records = run.select == 0 or run.select in e.variants
+    if records:
+        run.covered.add(e.point_id)
     try:
         v = OPERATORS[e.variants.get(run.select, e.variants[0])](a, b)
     except MiniRuntimeError as err:
-        run.events += e.point_id, run.stmts - 1, "err", err.kind
+        if records:
+            run.events += e.point_id, run.stmts - 1, "err", err.kind
         err.loc = err.loc or e.loc
         raise
-    run.events += e.point_id, run.stmts - 1, "val", v
+    if records:
+        run.events += e.point_id, run.stmts - 1, "val", v
     return v
 
 

@@ -7,7 +7,8 @@ Each relation holds for all seven strategies on the corpus and fuzz seeds
 0-9. The dead-code and duplicated-test transformations append to the
 source, so the original's mutants keep their ids and come first in the new
 catalog; renaming keeps every mutant's id, and a larger budget changes no
-source at all.
+source at all. Reordering the functions renumbers the mutants, so they are
+matched by function, site index within it and replacement.
 """
 
 import re
@@ -17,9 +18,10 @@ import pytest
 
 from mutlab.cli import CORPUS_DIR, CORPUS_PROGRAMS
 from mutlab.fuzz import fuzz_program
-from mutlab.lang import parse_program
+from mutlab.lang import Ast, parse_program
 from mutlab.lang.lexer import KEYWORDS
 from mutlab.lang.values import BUILTINS
+from mutlab.mutate import discover_mutation_points
 from mutlab.report import emit_json, reports_from_analysis
 from mutlab.strategies import AnalysisConfig, analyze_program
 
@@ -126,6 +128,47 @@ def test_renamed_names_change_no_report_byte(name):
     old_json, new_json = (emit_json(reports_from_analysis(name, a, 10))
                           for a in (old, new))
     assert new_json == old_json
+
+
+def with_reversed_functions(src: str) -> str:
+    """`src` with its non-test function definitions in reverse order, then
+    its test functions in their order."""
+    head, *chunks = ("\n" + src).split("\ndef ")
+    defs = [f"def {chunk.rstrip()}\n" for chunk in chunks]
+    helpers = [d for d in defs if not d.startswith("def test_")]
+    tests = [d for d in defs if d.startswith("def test_")]
+    return head + "\n" + "\n".join(helpers[::-1] + tests)
+
+
+def mutant_keys(ast: Ast, mutants: list) -> dict:
+    """mid -> (function, index of its site within the function,
+    replacement): points are numbered function by function."""
+    sites = [(fn.name, i) for fn in ast.functions
+             for i in range(len(discover_mutation_points(Ast([fn]))))]
+    return {m.mid: (*sites[m.point_id], m.replacement_op) for m in mutants}
+
+
+@pytest.mark.parametrize("name", list(SOURCES))
+def test_reversed_functions_change_no_verdict_or_cost(name):
+    src = SOURCES[name]
+    old_ast = parse_program(src)
+    new_ast = parse_program(with_reversed_functions(src))
+    helpers = [f.name for f in old_ast.functions if not f.is_test]
+    assert [f.name for f in new_ast.functions] == (
+        helpers[::-1] + old_ast.tests)
+    old = original_analysis(name)
+    new = analyze_program(new_ast)
+    assert old.valid and new.valid
+    old_keys = mutant_keys(old_ast, old.mutants)
+    mid_of = {key: mid for mid, key in
+              mutant_keys(new_ast, new.mutants).items()}
+    assert sorted(mid_of) == sorted(old_keys.values())
+    for strategy, run in old.runs.items():
+        got = new.runs[strategy]
+        assert [got.verdicts[mid_of[key]] for key in old_keys.values()] == [
+            run.verdicts[mid] for mid in old_keys], strategy
+        assert (got.program_stmts, got.infra_ops) == (
+            run.program_stmts, run.infra_ops), strategy
 
 
 TIMEOUT = ("killed", "timeout")

@@ -12,12 +12,17 @@ from hypothesis import strategies as st
 import mutlab.strategies as strategies
 from mutlab.cli import CORPUS_DIR, main
 from mutlab.fuzz import fuzz_program
-from mutlab.lang import PlainRun, parse_program
+from mutlab.lang import PlainRun, interp, parse_program
 from mutlab.lang.values import canon_key
-from mutlab.strategies import (
-    AnalysisConfig, STRATEGY_NAMES, _event_key, _group_key, _trie_cost,
-    analyze_program, check_consistency, merge_verdict,
+from mutlab.mutate import (
+    discover_mutation_points, enumerate_mutants, generate_meta_mutant,
 )
+from mutlab.strategies import (
+    AnalysisConfig, STRATEGY_NAMES, _event_key, _group_key, _isolated_runs,
+    _trie_cost, analyze_program, budget_for, check_consistency,
+    merge_verdict, run_modulo_state, run_split_stream,
+)
+from test_lang import NAN_PROGRAM
 
 KILL = ("killed", "assertion")
 SURV = ("survived",)
@@ -295,6 +300,123 @@ def test_event_key_runs_only_for_list_events(monkeypatch):
     monkeypatch.setattr(strategies, "_event_key", event_key)
     assert sum(parent_trie_cost(members)[1] for members in recorded) > 0
     assert calls == 0
+
+
+class FullRun(PlainRun):
+    """A plain run whose `every` is its events list, so that a mutant's run
+    records the events of every site, as the original's does."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.every = self.events
+
+
+# sites whose values are lists and strings
+LIST_STRING_PROGRAM = """\
+def build(n):
+    xs = []
+    s = ""
+    i = 0
+    while i < n:
+        xs = xs + [i * 2]
+        s = s + chr(97 + i % 3)
+        i = i + 1
+    return [xs, s]
+
+def test_build():
+    r = build(4)
+    assert r[0] == [0, 2, 4, 6]
+    assert r[1] + "!" == "abca!"
+    assert len(r[0] + r[0]) == 8
+"""
+
+STREAM_PROGRAMS = (
+    [(path.stem, path.read_text())
+     for path in sorted(CORPUS_DIR.glob("*.ml0"))]
+    + [(f"fuzz{seed}", fuzz_program(seed)) for seed in range(20)]
+    + [("nan", NAN_PROGRAM), ("lists", LIST_STRING_PROGRAM)])
+
+
+def own_events(events, point):
+    """The events of a flat trace at `point`."""
+    return [s for i in range(0, len(events), 4) if events[i] == point
+            for s in events[i:i + 4]]
+
+
+@pytest.fixture(scope="module")
+def event_streams():
+    """Per test of each of `STREAM_PROGRAMS`: the original's outcome and
+    the covered mutants' isolated outcomes; both event baselines' costs as
+    they were read off the same runs recording every site (`FullRun`):
+    split-stream from the first event at the mutant's point, modulo-state
+    from one trie over the original's stream and every mutant's; the
+    covered mutants whose runs are not their full runs filtered to their
+    own point; and how many of those runs the loop-state shortcut
+    ended."""
+    results = []
+    shortcut = []
+    run_to_budget = PlainRun.run_to_budget
+
+    def counting(run, *args):
+        shortcut.append(type(run) is PlainRun)
+        run_to_budget(run, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PlainRun, "run_to_budget", counting)
+        for name, src in STREAM_PROGRAMS:
+            ast = parse_program(src)
+            points = discover_mutation_points(ast)
+            mutants = enumerate_mutants(points)
+            program = interp.compile_program(
+                generate_meta_mutant(ast, points, mutants))
+            point_of = {m.mid: m.point_id for m in mutants}
+            for test in ast.tests:
+                original = interp.run_entry(program, test, [],
+                                            record_events=True)
+                assert original.status == "pass"
+                budget = budget_for(original.stmts, 10)
+                shortcut.clear()
+                _, outcomes = _isolated_runs(program, test, mutants,
+                                             original, budget, True)
+                mp.setattr(interp, "PlainRun", FullRun)
+                _, full = _isolated_runs(program, test, mutants, original,
+                                         budget, True)
+                mp.setattr(interp, "PlainRun", PlainRun)
+                split = original.stmts + sum(
+                    f.stmts - f.events[4 * f.events[::4].index(
+                        point_of[mid]) + 1]
+                    for mid, f in full.items())
+                trie = _trie_cost(
+                    [(original.events, original.stmts)]
+                    + [(f.events, f.stmts) for f in full.values()], 0, 0)
+                unfiltered = [
+                    mid for mid, o in outcomes.items()
+                    if (o.status, o.kind, o.loc, o.stmts, o.cause, o.value,
+                        o.events, o.covered_points)
+                    != (full[mid].status, full[mid].kind, full[mid].loc,
+                        full[mid].stmts, full[mid].cause, full[mid].value,
+                        own_events(full[mid].events, point_of[mid]),
+                        {point_of[mid]})]
+                results.append((name, test, original, outcomes, split,
+                                trie, unfiltered, sum(shortcut)))
+    return results
+
+
+def test_split_stream_matches_full_streams(event_streams):
+    for name, test, original, outcomes, want, *_ in event_streams:
+        assert run_split_stream(original, outcomes) == want, (name, test)
+
+
+def test_modulo_state_matches_trie_over_full_streams(event_streams):
+    for name, test, original, outcomes, _, want, *_ in event_streams:
+        assert run_modulo_state(original, outcomes) == want, (name, test)
+
+
+def test_mutant_runs_record_their_own_site_events(event_streams):
+    for name, test, *_, unfiltered, _ in event_streams:
+        assert unfiltered == [], (name, test)
+    # the fuzz programs have runs that the loop-state shortcut ends
+    assert sum(r[-1] for r in event_streams) > 0
 
 
 SRC = """\
