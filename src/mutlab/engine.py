@@ -45,6 +45,21 @@ its diverged mutants back, and pays per live mutant, not per node or fork:
     and a frame's survivors fold into one copy of its return value's map;
   - `run_test` reads the test's original `Outcome` from
     `CompiledProgram.originals` and runs it only when no caller has.
+
+The root runs once per test in an analysis of several engine variants. The
+root's path (its statements, taint ops, kills, coverage, divergences and
+live set) is a function of how each of its children ends: fork or
+re-execution and memo or none change only how a child runs and what it
+costs. So the first variant that runs a test runs the root live and keeps
+a record of it (`RootRecord`, in `CompiledProgram.roots`), and each later
+one replays the record (`TaintEngine.replay`): it runs the recorded
+children on its own child runner and memo, from its own views of each
+divergence's env or arguments, and takes the root's result from the
+record when every child ends as the recorded one did. Where a child ends
+otherwise, as where a forked child meets its budget later than a
+re-executed one, the variant drops the replay and runs its own root live.
+The live merge-back and the replay run children one way,
+`_run_children`, and build a divergence's plain views one way, `_queue`.
 """
 
 from __future__ import annotations
@@ -64,7 +79,7 @@ from .lang.nodes import (
     Literal, ORIGINAL, Return, TaintChoice, UnaryOp, Var,
 )
 from .lang import values
-from .lang.values import canon_key
+from .lang.values import canon_key, plain_eq
 from .memo import MemoState, make_call_key
 from . import taints
 from .taints import Tainted, value_of
@@ -96,6 +111,27 @@ class _Frame:
     env: dict
     args: list
     diverged: list = field(default_factory=list)   # (mid, plain env, start pc)
+
+
+@dataclass
+class RootRecord:
+    """One test's taint root, run live by the first engine variant that
+    runs the test, for every later one to replay (`TaintEngine.replay`).
+    `requests` lists, in the root's order, what the root asked of its
+    variant:
+      - a divergence: ("diverge", fn, a shallow copy of the frame's env,
+        the call's args, the diverging mutants in id order, the condition's
+        taint map, the pcs a true and a false decision go to);
+      - a merge-back: ("merge", fn, each child's ending in the order it
+        ran, (mid, its cause, None) or (mid, None, its return value));
+      - a memo store: ("store", name, args, the return value's taint map,
+        its live ids);
+      - a point where the memo clears: ("clear",).
+    `result` is the root's (valid, stmts, kills, covered points,
+    divergences, taint ops, pending)."""
+    mutant_ids: list
+    requests: list
+    result: tuple
 
 
 @dataclass
@@ -150,8 +186,9 @@ class TaintEngine:
     """Executes one test of a meta-mutant under one strategy config."""
 
     def __init__(self, program: CompiledProgram, mutant_ids: list[int],
-                 cfg: EngineConfig, budget: int):
+                 cfg: EngineConfig, budget: int, record: list | None = None):
         self.program = program
+        self.record = record       # a RootRecord's requests, kept when live
         self.cfg = cfg
         self.budget = budget       # the root's: the original's statements
         self.child_budget = budget_for(budget, cfg.budget_mult)
@@ -183,43 +220,64 @@ class TaintEngine:
 
     # --- calls ---
 
+    def _run_children(self, fn: CompiledFn, queue: list) -> list:
+        """Run each (mid, plain env, start pc) of `queue` alone, in order,
+        on the engine's one child runner, from its pc of `fn`, and return
+        their endings: (mid, its cause, None) or (mid, None, its return
+        value). Each starts in `PlainRun.run_fn`, so a memo run's hook
+        serves the calls it makes, never the frame it diverged in."""
+        run, mutants, endings = self.child, self.program.mutants, []
+        for mid, env, pc in queue:
+            run.select = mid
+            run.point, run.kernel = mutants[mid]
+            run.stmts = 0
+            try:
+                endings.append((mid, None, PlainRun.run_fn(run, fn, env, pc)))
+            except RunEnded as err:
+                endings.append((mid, err.cause, None))
+            finally:
+                self.context_stmts.append(run.stmts)
+        return endings
+
     def _merge_back(self, frame: _Frame, rv):
-        """Run this frame's diverged mutants alone, in mutant order, on the
-        engine's one child runner, and fold the survivors' return values
-        into one copy of the mainline return value's taint map. Each starts
-        in `PlainRun.run_fn`, so a memo run's hook serves the calls it
-        makes, never the frame it diverged in."""
+        """Run this frame's diverged mutants alone, in mutant order, and
+        fold the survivors' return values into one copy of the mainline
+        return value's taint map."""
         diverged = frame.diverged
         if not diverged:
             return rv
         if len(diverged) > 1:
             diverged.sort(key=lambda d: d[0])
-        run, mutants, merged = self.child, self.program.mutants, []
-        for mid, env, pc in diverged:
-            run.select = mid
-            run.point, run.kernel = mutants[mid]
-            run.stmts = 0
-            try:
-                value = PlainRun.run_fn(run, frame.fn, env, pc)
-            except RunEnded as err:
-                self.kill(mid, err.cause)
-            else:
+        endings = self._run_children(frame.fn, diverged)
+        if self.record is not None:
+            self.record.append(("merge", frame.fn, endings))
+        merged = []
+        for mid, cause, value in endings:
+            if cause is None:
                 self.active.add(mid)
                 merged.append((mid, value))
-            finally:
-                self.context_stmts.append(run.stmts)
+            else:
+                self.kill(mid, cause)
         self.pending -= len(diverged)
         return taints.with_taints(rv, merged)
 
-    def _memo_store(self, name: str, args: list, rv):
+    def _queue(self, queue: list, fn: CompiledFn, env: dict, args: list,
+               diverge: list, decisions: dict, nxt: int, alt: int):
+        """Append to `queue` a (mid, plain env, start pc) triple per mutant
+        of `diverge`, from one plain copy per mutant of `env` in fork mode,
+        to resume where its decision goes (`nxt` when true, `alt` when
+        false), and of the call's arguments without, to re-execute the
+        whole body."""
+        fork, append = self.cfg.fork, queue.append
+        view = env if fork else dict(zip(fn.params, args))
+        for mid, copy in zip(diverge, taints.concretize_env(view, diverge)):
+            append((mid, copy, (nxt if decisions[mid] else alt) if fork else 0))
+
+    def _memo_store(self, name: str, args: list, rv_map: dict, live: list):
         """Store the call's value for every live mutant, in the order of the
         return value's taint map; only those the memo does not refuse
         (outside reach(name)) get a key, built from each argument entry
         canonicalised once."""
-        if not self.cfg.memo or self.pending == 0:
-            return
-        rv_map = rv.taints if type(rv) is Tainted else {ORIGINAL: rv}
-        live = [mid for mid in rv_map if mid == ORIGINAL or mid in self.active]
         self.infra.memo_stores += len(live)
         vetoed = self.memo.mutation_cache[name]
         kept = [mid for mid in live if mid not in vetoed]
@@ -235,6 +293,42 @@ class TaintEngine:
             for i, v in own:
                 canon[i] = canon_key(v)
             self.memo.store((name, tuple(canon)), mid, rv_map[mid])
+
+    def replay(self, record: RootRecord) -> bool:
+        """Replay `record`'s root on this engine: build this variant's
+        views at each divergence, run each merge-back's children on this
+        engine's child runner and, with memo on, replay the root's stores
+        and clears. True, with the root's result taken from the record,
+        when every child ends as the recorded one did (the same cause, or
+        return values equal by `plain_eq`), so that every root decision
+        repeats; False at the first merge-back where one does not."""
+        memo, queued = self.cfg.memo, {}
+        for request in record.requests:
+            kind = request[0]
+            if kind == "diverge":
+                views = []
+                self._queue(views, *request[1:])
+                for view in views:
+                    queued[view[0]] = view
+            elif kind == "merge":
+                _, fn, endings = request
+                got = self._run_children(
+                    fn, [queued.pop(mid) for mid, _, _ in endings])
+                for (_, cause, value), (_, c, v) in zip(endings, got):
+                    if c != cause or cause is None and not plain_eq(v, value):
+                        return False
+            elif not memo:
+                continue
+            elif kind == "store":
+                self._memo_store(*request[1:])
+            else:
+                self.memo.clear_if_all_merged()
+        (_, self.stmts, self.kills, self.covered_points, divergences,
+         self.infra.taint_ops, self.pending) = record.result
+        self.divergences = list(divergences)
+        if self.cfg.fork:  # one snapshot per diverging mutant
+            self.infra.snapshots = len(divergences)
+        return True
 
     # --- execution ---
 
@@ -271,9 +365,21 @@ class TaintEngine:
                 self.eval(s.value, env)
                 pc += 1
         rv = self._merge_back(frame, rv)
-        self._memo_store(fn.name, args, rv)
-        if self.cfg.memo and self.pending == 0:
-            self.memo.clear_if_all_merged()
+        memo, record = self.cfg.memo, self.record
+        if self.pending:
+            if memo or record is not None:
+                rv_map = rv.taints if type(rv) is Tainted else {ORIGINAL: rv}
+                live = [mid for mid in rv_map
+                        if mid == ORIGINAL or mid in self.active]
+                if record is not None:
+                    record.append(("store", fn.name, args, rv_map, live))
+                if memo:
+                    self._memo_store(fn.name, args, rv_map, live)
+        else:
+            if record is not None:
+                record.append(("clear",))
+            if memo:
+                self.memo.clear_if_all_merged()
         return rv
 
     def exec_cond(self, frame: _Frame, br: IBranch, pc: int, cond) -> int:
@@ -284,16 +390,17 @@ class TaintEngine:
         if diverge:  # in id order
             self.active.difference_update(diverge)
             self.pending += len(diverge)
-            fork, t = self.cfg.fork, cond.taints
-            if fork:
+            if self.cfg.fork:
                 self.infra.snapshots += len(diverge)
-            # without fork, each re-executes the whole call on its arguments
-            view = frame.env if fork else dict(zip(frame.fn.params, frame.args))
-            for mid, env in zip(diverge, taints.concretize_env(view, diverge)):
-                decision = t[mid]
-                self.divergences.append((br.loc, mid, decision, mainline))
-                target = pc + 1 if decision else br.false_pc
-                frame.diverged.append((mid, env, target if fork else 0))
+            t, loc, divergences = cond.taints, br.loc, self.divergences
+            for mid in diverge:
+                divergences.append((loc, mid, t[mid], mainline))
+            fn, env, args = frame.fn, frame.env, frame.args
+            self._queue(frame.diverged, fn, env, args, diverge, t, pc + 1,
+                        br.false_pc)
+            if self.record is not None:
+                self.record.append(("diverge", fn, dict(env), args, diverge,
+                                    t, pc + 1, br.false_pc))
         return pc + 1 if mainline else br.false_pc
 
     def exec_assert(self, s: Assert, env: dict):
@@ -361,7 +468,10 @@ def run_test(program: CompiledProgram, test: str, mutant_ids: list[int],
     The test's original run is the one recorded in `program.originals`;
     the first engine run of a test that has none runs and records it. The
     root's budget is the original's statements, which the mainline runs
-    exactly: one more is a root defect, an invalid test."""
+    exactly: one more is a root defect, an invalid test. With
+    `program.roots` a dict, the first engine run of the test keeps its
+    root's record there and a later one with the same mutant ids replays
+    it, running the root live only where a child ends otherwise."""
     pre = program.originals.get(test)
     if pre is None:
         pre = program.originals[test] = run_entry(program, test, [])
@@ -369,13 +479,31 @@ def run_test(program: CompiledProgram, test: str, mutant_ids: list[int],
         return TestReport(test, False, {}, pre.stmts, [pre.stmts],
                           InfraStats(), {}, [])
 
-    eng = TaintEngine(program, mutant_ids, cfg, pre.stmts)
+    roots = program.roots
+    record = None if roots is None else roots.get(test)
+    if record is not None and record.mutant_ids == mutant_ids:
+        eng = TaintEngine(program, mutant_ids, cfg, pre.stmts)
+        if eng.replay(record):
+            return _report(test, mutant_ids, point_of_mutant, eng,
+                           record.result[0])
+    # live: the first engine run of a test keeps its root's record
+    requests = [] if roots is not None and record is None else None
+    eng = TaintEngine(program, mutant_ids, cfg, pre.stmts, requests)
     try:
         eng.run_code(program.functions[test], [])
         valid = True
     except RunEnded:
         valid = False  # mainline must match the passing original run
+    if requests is not None:
+        roots[test] = RootRecord(list(mutant_ids), requests, (
+            valid, eng.stmts, eng.kills, eng.covered_points, eng.divergences,
+            eng.infra.taint_ops, eng.pending))
+    return _report(test, mutant_ids, point_of_mutant, eng, valid)
 
+
+def _report(test: str, mutant_ids: list[int], point_of_mutant: dict[int, int],
+            eng: TaintEngine, valid: bool) -> TestReport:
+    """The test's report from its engine's kills, coverage and counts."""
     verdicts = {}
     for mid in mutant_ids:
         if mid in eng.kills:

@@ -119,6 +119,12 @@ class CompiledProgram:
     # `engine.run_test`) so that every later one reads it
     originals: dict[str, Outcome] = field(default_factory=dict, repr=False,
                                           compare=False)
+    # test name -> the record of the test's taint root (`engine.RootRecord`),
+    # kept by the first engine variant that runs the test so that every
+    # later one replays it instead of running the root; a dict only while
+    # an analysis runs two or more engine variants
+    # (`strategies.analyze_program`), else None and nothing is recorded
+    roots: dict | None = field(default=None, repr=False, compare=False)
     # while a function compiles: the variant ids of its choice sites and
     # the names of the program functions its call sites bind to
     found: tuple[set, set] = field(default_factory=lambda: (set(), set()),

@@ -28,7 +28,11 @@ once in isolation (as with mutant schemata, every baseline executes the
 same runs). The pass yields the verdicts of all three; each baseline is
 only a cost function `(original, outcomes) -> stmts` over its
 outcomes. Any verdict disagreement with the taint engine is therefore an
-internal-consistency failure. Every mutant execution (isolated, child,
+internal-consistency failure. The engine variants likewise share one taint
+root per test: the first to run a test runs the root and keeps its record
+(`CompiledProgram.roots`), and each later one replays it with its own
+children and memo, running its own root only where one of its children
+ends otherwise (`engine.run_test`). Every mutant execution (isolated, child,
 re-execution) gets the same step budget derived from the original run
 (`budget_for`), so timeout verdicts agree.
 """
@@ -250,6 +254,9 @@ def analyze_program(ast: Ast, cfg: AnalysisConfig | None = None) -> ProgramAnaly
     point_of = {m.mid: m.point_id for m in mutants}
     mids = [m.mid for m in mutants]
     record_events = any(name in EVENT_STRATEGIES for name in cfg.strategies)
+    # the first engine variant to run a test keeps its root for the others
+    if sum(name in ENGINE_VARIANTS for name in cfg.strategies) > 1:
+        program.roots = {}
     # built per call, not at import, so that a wrapper swapped in for one of
     # these module attributes (bench/tracing.py does) is the one called
     cost_of = {"traditional": run_traditional,
